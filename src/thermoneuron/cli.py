@@ -8,7 +8,6 @@ Grid evaluation honors THERMONEURON_THREADS as a parallelism cap.
 from __future__ import annotations
 
 import argparse
-import io
 import itertools
 import json
 import os
@@ -23,7 +22,7 @@ from . import serialize as ser
 from .designer import (DesignConfig, TruthTable, gate_table, preset,
                        perceptron_identity_residual, train_perceptron,
                        weights_to_neuron, PRESET_WEIGHTS)
-from .dynamics import evolve_full, evolve_quasi_static
+from .dynamics import CSV_HEADER, evolve_full, evolve_quasi_static
 from .errors import NotSeparableError, ThermoneuronError
 from .network import NetworkSpec, eval_network, train_network
 from .neuron import NeuronSpec, steady_output
@@ -186,9 +185,9 @@ def cmd_simulate(args) -> int:
         machine.beta_hot + machine.beta_cold)
     evolve = evolve_quasi_static if args.mode == "quasi" else evolve_full
     traj = evolve(machine, inputs, beta_z0, args.tau)
-    buf = io.StringIO()
-    traj.write_csv(buf)
-    _write_or_print(buf.getvalue(), args.out)
+    rows = zip(traj.t, traj.beta_z, traj.j_collector, traj.j_modulator,
+               traj.sigma_dot, traj.sigma)
+    _write_or_print(ser.format_csv(CSV_HEADER, rows), args.out)
     target = steady_output(machine, inputs).beta_z_inf
     print(f"endpoint beta_z = {traj.endpoint:.12g}; residual vs steady state = "
           f"{abs(traj.endpoint - target):.3e}", file=sys.stderr)

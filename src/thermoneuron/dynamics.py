@@ -10,9 +10,17 @@ calorimetric equation
     j_M = mu' eps_z [g_z(beta_z) - g_z(beta_r)],
 
 with the fast parts pinned at their steady values.  `evolve_full`
-co-integrates the collector and modulator density matrices together with
-beta_z, evaluating the reservoir dissipators at the instantaneous
-temperature; the two methods agree when gamma >> mu, mu'.
+co-integrates the collector and modulator states together with beta_z,
+evaluating the reservoir dissipators at the instantaneous temperature; the
+two methods agree when gamma >> mu, mu'.
+
+The full model is exact but small.  The collector interaction couples two
+basis levels |a> and |b> that differ in every qubit, so every local reset
+damps the coherence rho_ab and moves population only between levels one
+bit apart.  The d collector populations plus rho_ab therefore form an
+invariant subspace of the collector generator, the modulator stays
+diagonal, and `evolve_full` integrates d + 5 real coordinates instead of
+the dense d x d density matrices.
 
 Entropy production is accumulated along the way: in quasi-static mode the
 machine's entropy is constant and the rate reduces to
@@ -27,16 +35,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from .errors import StructuralError
 from .neuron import NeuronSpec
-from .quantum import (BathContact, QubitRegister, gibbs_register,
-                      reset_dissipator, superoperator_matrix)
-from .virtual import build_interaction_hamiltonian, virtual_temperature
+from .quantum import BathContact, QubitRegister, gibbs_qubit, gibbs_register
+from .virtual import (build_interaction_hamiltonian, coupled_levels,
+                      virtual_temperature)
 
 __all__ = [
     "Trajectory",
@@ -82,14 +89,6 @@ class Trajectory:
     def endpoint(self) -> float:
         return float(self.beta_z[-1])
 
-    def write_csv(self, stream) -> None:
-        """Emit t, beta_z, j_C, j_M, sigma_dot, sigma at 12 significant digits."""
-        stream.write("# units: natural (k_B = hbar = 1)\n")
-        stream.write(",".join(CSV_HEADER) + "\n")
-        for row in zip(self.t, self.beta_z, self.j_collector,
-                       self.j_modulator, self.sigma_dot, self.sigma):
-            stream.write(",".join(f"{v:.12g}" for v in row) + "\n")
-
 
 def _sample_times(tau: float, per_decade: int) -> np.ndarray:
     if tau <= 0.0:
@@ -121,6 +120,8 @@ def evolve_quasi_static(spec: NeuronSpec, inputs: Sequence[float], beta_z0: floa
                         tau: float, *, per_decade: int = 200,
                         rtol: float = 1e-9) -> Trajectory:
     """Integrate the calorimetric equation with the fast parts at steady state."""
+    from scipy.integrate import cumulative_trapezoid, solve_ivp
+
     if not (spec.capacity > 0.0):
         raise StructuralError("reservoir capacity must be positive")
     inputs = tuple(float(b) for b in inputs)
@@ -194,30 +195,105 @@ def modulator_contacts(spec: NeuronSpec, beta_z: float) -> list[BathContact]:
     return contacts
 
 
-def _affine_reservoir_parts(register: QubitRegister, qubit: int, rate: float):
-    """Reservoir dissipator split as A + g(beta_z) B, each beta_z-independent."""
-    from .quantum import _thermalize_qubit  # shared low-level helper
+def _level_map(register: QubitRegister, qubit: int,
+               tau: Sequence[float]) -> np.ndarray:
+    """Tr_k[rho] (x) diag(tau) restricted to populations, as a d x d matrix.
 
-    tau0 = np.diag([1.0, 0.0]).astype(complex)
-    dtau = np.diag([-1.0, 1.0]).astype(complex)
-
-    def apply_a(rho):
-        return rate * (_thermalize_qubit(rho, qubit, register.m, tau0) - rho)
-
-    def apply_b(rho):
-        return rate * _thermalize_qubit(rho, qubit, register.m, dtau)
-
-    return (superoperator_matrix(apply_a, register.dim),
-            superoperator_matrix(apply_b, register.dim))
+    Level i receives tau[bit_k(i)] * (p_i + p_j), with j = i xor bit_k.
+    """
+    shift = register.m - 1 - qubit
+    idx = np.arange(register.dim)
+    weight = np.asarray(tau, dtype=float)[(idx >> shift) & 1]
+    out = np.zeros((register.dim, register.dim))
+    out[idx, idx] = weight
+    out[idx, idx ^ (1 << shift)] = weight
+    return out
 
 
-def _entropy_rate(rho: np.ndarray, drho: np.ndarray) -> float:
-    """dS/dt = -Tr[drho log rho], with eigenvalues floored for the log."""
-    rho_h = 0.5 * (rho + rho.conj().T)
-    w, u = np.linalg.eigh(rho_h)
-    w = np.clip(w, 1e-18, None)
-    diag = np.einsum("ij,jk,ki->i", u.conj().T, drho, u).real
-    return float(-(diag * np.log(w)).sum())
+class _ReducedModel(NamedTuple):
+    """Collector and modulator generator on the invariant subspace.
+
+    The state is x = (p_0 .. p_{d-1}, Re c, Im c, q_0, q_1): the collector
+    populations p, its coherence c = rho_ab between the coupled levels
+    (a, b), and the modulator populations q.  With g = g_z(beta_z):
+
+        dx/dt                = (gen0 + g gen1) x,
+        reservoir heat rows  = (heat0 + g heat1) x   (collector, modulator),
+        sum_k beta_k j_k     = flux x                 (fixed baths only).
+    """
+
+    gen0: np.ndarray
+    gen1: np.ndarray
+    heat0: np.ndarray
+    heat1: np.ndarray
+    flux: np.ndarray
+    pair: tuple[int, int]
+
+
+def _reduced_model(spec: NeuronSpec, inputs: Sequence[float]) -> _ReducedModel:
+    """Assemble the reduced generator from the register structure.
+
+    Every reset contact moves population between i and i xor bit_k and, as
+    a and b differ in every qubit, damps c at its own rate.  The interaction
+    chi (|a><b| + |b><a|) exchanges p_a and p_b through Im c.  Heat terms
+    are Tr[(H0 + Hint) L_k rho] = E . (L_k p) + 2 chi Re (L_k c).
+    """
+    reg_c = collector_register(spec)
+    d = reg_c.dim
+    a, b = coupled_levels(spec.h, spec.chi, reg_c)
+    chi = spec.chi
+    re, im, size = d, d + 1, d + 4
+    gen0, gen1 = np.zeros((size, size)), np.zeros((size, size))
+    heat0, heat1 = np.zeros((2, size)), np.zeros((2, size))
+    flux = np.zeros(size)
+
+    betas = (spec.beta0,) + tuple(inputs)
+    fixed_c = [BathContact(i, beta, spec.gamma) for i, beta in enumerate(betas)]
+    bath_m = BathContact(0, spec.beta_r, spec.gamma)
+    registers = ((reg_c, fixed_c, spec.mu, slice(0, d)),
+                 (modulator_register(spec), [bath_m], spec.mu_prime, slice(d + 2, size)))
+    for row, (reg, fixed, rate, blk) in enumerate(registers):
+        energies, eye = reg.level_energies(), np.eye(reg.dim)
+        for c in fixed:
+            tau = gibbs_qubit(c.beta, reg.gaps[c.qubit_index]).diagonal().real
+            rates = c.rate * (_level_map(reg, c.qubit_index, tau) - eye)
+            gen0[blk, blk] += rates
+            flux[blk] += c.beta * (energies @ rates)
+        # The reservoir resets the last qubit toward
+        # diag(1 - g, g) = diag(1, 0) + g diag(-1, 1).
+        res0 = rate * (_level_map(reg, reg.m - 1, (1.0, 0.0)) - eye)
+        res1 = rate * _level_map(reg, reg.m - 1, (-1.0, 1.0))
+        gen0[blk, blk] += res0
+        gen1[blk, blk] += res1
+        heat0[row, blk], heat1[row, blk] = energies @ res0, energies @ res1
+
+    # The pair: every contact damps c; the interaction exchanges p_a and p_b
+    # through Im c.  E_a - E_b is zero up to the resonance tolerance.
+    decay = sum(c.rate for c in fixed_c) + spec.mu
+    detuning = reg_c.level_energies()[a] - reg_c.level_energies()[b]
+    gen0[a, im], gen0[b, im] = -2.0 * chi, 2.0 * chi
+    gen0[re, re], gen0[re, im] = -decay, detuning
+    gen0[im, re], gen0[im, im] = -detuning, -decay
+    gen0[im, a], gen0[im, b] = chi, -chi
+    flux[re] = -2.0 * chi * sum(c.beta * c.rate for c in fixed_c)
+    heat0[0, re] = -2.0 * chi * spec.mu
+    return _ReducedModel(gen0, gen1, heat0, heat1, flux, (a, b))
+
+
+def _entropy_rate(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """dS/dt = -sum_k dw_k log w_k over eigenvalues w floored at 1e-18, per row."""
+    return -(dw * np.log(np.clip(w, 1e-18, None))).sum(axis=-1)
+
+
+def _pair_block(x: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Per-row 2 x 2 Hermitian block [[p_a, c], [c*, p_b]] of reduced states."""
+    d = x.shape[-1] - 4
+    block = np.empty(x.shape[:-1] + (2, 2), dtype=complex)
+    block[..., 0, 0] = x[..., a]
+    block[..., 1, 1] = x[..., b]
+    block[..., 0, 1] = x[..., d] + 1j * x[..., d + 1]
+    block[..., 1, 0] = block[..., 0, 1].conj()
+    return block
 
 
 def evolve_full(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
@@ -227,121 +303,95 @@ def evolve_full(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
 
     The collector and modulator evolve as separate registers (they share no
     Hamiltonian coupling, only the common reservoir), with the reservoir
-    dissipators evaluated at the instantaneous beta_z.  Uses a stiff (BDF)
-    integrator: the fast rates exceed the slow ones by a factor gamma/mu.
+    dissipators evaluated at the instantaneous beta_z.  Starting from
+    product Gibbs states, the collector stays in its invariant subspace:
+    d populations plus the one coherence of the coupled pair; the modulator
+    stays diagonal.  The d + 5 real coordinates are integrated with a stiff
+    (BDF) integrator and an analytic Jacobian: the fast rates exceed the
+    slow ones by a factor gamma/mu.  The final density matrices are
+    Hermitian by construction and zero off the subspace.
     """
+    from scipy.integrate import cumulative_trapezoid, solve_ivp
+
     if not (spec.capacity > 0.0):
         raise StructuralError("reservoir capacity must be positive")
     inputs = tuple(float(b) for b in inputs)
     if len(inputs) != spec.n:
         raise StructuralError(f"expected {spec.n} inputs, got {len(inputs)}")
 
-    reg_c = collector_register(spec)
-    reg_m = modulator_register(spec)
-    h0_c, hint_c = collector_hamiltonian(spec)
-    h_c = h0_c + hint_c
-    h_m = reg_m.free_hamiltonian()
-    dim_c, dim_m = reg_c.dim, reg_m.dim
-    nc, nm = dim_c * dim_c, dim_m * dim_m
+    model = _reduced_model(spec, inputs)
+    a, b = model.pair
+    size = model.gen0.shape[0]
+    d = size - 4
+    # The last row of k0 + g k1 is d(beta_z)/dt: total reservoir heat over C.
+    k0 = np.vstack((model.gen0, model.heat0.sum(axis=0) / spec.capacity))
+    k1 = np.vstack((model.gen1, model.heat1.sum(axis=0) / spec.capacity))
 
-    betas = (spec.beta0,) + inputs
-    fixed_c = [BathContact(i, b, spec.gamma) for i, b in enumerate(betas)]
-
-    def fixed_rhs_c(rho):
-        out = -1j * (h_c @ rho - rho @ h_c)
-        for c in fixed_c:
-            out = out + reset_dissipator(rho, c, reg_c)
-        return out
-
-    l_c = superoperator_matrix(fixed_rhs_c, dim_c)
-    l_m = superoperator_matrix(
-        lambda rho: reset_dissipator(rho, BathContact(0, spec.beta_r, spec.gamma),
-                                     reg_m), dim_m)
-    if spec.mu > 0:
-        az_c, bz_c = _affine_reservoir_parts(reg_c, reg_c.m - 1, spec.mu)
-    else:
-        az_c = bz_c = np.zeros((nc, nc), dtype=complex)
-    if spec.mu_prime > 0:
-        az_m, bz_m = _affine_reservoir_parts(reg_m, 0, spec.mu_prime)
-    else:
-        az_m = bz_m = np.zeros((nm, nm), dtype=complex)
-
-    # Heat into the machine from the reservoir: Tr[H (A + g B) rho] as a row form.
-    u_ca = h_c.T.reshape(-1) @ az_c
-    u_cb = h_c.T.reshape(-1) @ bz_c
-    u_ma = h_m.T.reshape(-1) @ az_m
-    u_mb = h_m.T.reshape(-1) @ bz_m
-
-    def unpack(y):
-        rc = (y[:nc] + 1j * y[nc:2 * nc])
-        rm = (y[2 * nc:2 * nc + nm] + 1j * y[2 * nc + nm:2 * nc + 2 * nm])
-        return rc, rm, y[-1]
+    # Each register's trace changes only by the rounding in its assembled
+    # rates.  Take that rate from the exact column sums (the g-dependent part
+    # sums to exactly zero) rather than from d rates that cancel: the
+    # cancellation noise along the trace, which the Jacobian cannot damp,
+    # otherwise fails BDF's Newton test and stalls the step size near
+    # stationarity.
+    blocks = (slice(0, d), slice(d + 2, size))
+    col_sums = [np.array([math.fsum(col) for col in k0[blk, blk].T]) for blk in blocks]
 
     def rhs(_t, y):
-        rc, rm, bz = unpack(y)
-        g = spec.g_z(bz)
-        drc = (l_c + az_c + g * bz_c) @ rc if spec.mu > 0 else (l_c @ rc)
-        drm = (l_m + az_m + g * bz_m) @ rm if spec.mu_prime > 0 else (l_m @ rm)
-        heat = ((u_ca @ rc + u_ma @ rm) + g * (u_cb @ rc + u_mb @ rm)).real
-        dbz = heat / spec.capacity
-        return np.concatenate((drc.real, drc.imag, drm.real, drm.imag, [dbz]))
+        x = y[:-1]
+        f = k0 @ x + spec.g_z(y[-1]) * (k1 @ x)
+        for blk, sums in zip(blocks, col_sums):
+            f[blk.start] = sums @ x[blk] - f[blk.start + 1:blk.stop].sum()
+        return f
 
-    rho_c0 = gibbs_register(reg_c, betas + (beta_z0,))
-    rho_m0 = gibbs_register(reg_m, (spec.beta_r,))
-    y0 = np.concatenate((rho_c0.reshape(-1).real, rho_c0.reshape(-1).imag,
-                         rho_m0.reshape(-1).real, rho_m0.reshape(-1).imag,
-                         [float(beta_z0)]))
+    def jac(_t, y):
+        g = spec.g_z(y[-1])
+        dg = -spec.eps_z * g * (1.0 - g)
+        return np.column_stack((k0 + g * k1, dg * (k1 @ y[:-1])))
+
+    betas = (spec.beta0,) + inputs
+    p_c0 = gibbs_register(collector_register(spec), betas + (beta_z0,)).diagonal().real
+    p_m0 = gibbs_register(modulator_register(spec), (spec.beta_r,)).diagonal().real
+    y0 = np.concatenate((p_c0, [0.0, 0.0], p_m0, [float(beta_z0)]))
 
     times = _sample_times(tau, per_decade)
     if tau <= 0.0:
         ys = y0[:, None]
     else:
         sol = solve_ivp(rhs, (0.0, tau), y0, method="BDF", t_eval=times,
-                        rtol=rtol, atol=atol)
+                        rtol=rtol, atol=atol, jac=jac)
         if not sol.success:
             raise RuntimeError(
                 f"full integration failed: {sol.message}; consider rescaling the "
                 "reservoir capacity C to soften the slow time scale")
         ys = sol.y
 
-    n_samp = ys.shape[1]
-    bz_arr = ys[-1]
-    j_c = np.zeros(n_samp)
-    j_m = np.zeros(n_samp)
-    sdot = np.zeros(n_samp)
-    rho_c_last = rho_m_last = None
-    for i in range(n_samp):
-        rc_vec, rm_vec, bz = unpack(ys[:, i])
-        g = spec.g_z(bz)
-        rho_c = rc_vec.reshape(dim_c, dim_c)
-        rho_m = rm_vec.reshape(dim_m, dim_m)
-        rho_c = 0.5 * (rho_c + rho_c.conj().T)
-        rho_m = 0.5 * (rho_m + rho_m.conj().T)
-        jc = ((u_ca + g * u_cb) @ rho_c.reshape(-1)).real
-        jm = ((u_ma + g * u_mb) @ rho_m.reshape(-1)).real
-        j_c[i] = jc
-        j_m[i] = jm
-        drc = ((l_c + az_c + g * bz_c) @ rho_c.reshape(-1)).reshape(dim_c, dim_c)
-        drm = ((l_m + az_m + g * bz_m) @ rho_m.reshape(-1)).reshape(dim_m, dim_m)
-        ds = _entropy_rate(rho_c, drc) + _entropy_rate(rho_m, drm)
-        # Heat into the machine from each fixed bath.
-        bath_flux = 0.0
-        for c in fixed_c:
-            bath_flux += c.beta * float(
-                np.trace(h_c @ reset_dissipator(rho_c, c, reg_c)).real)
-        bath_flux += spec.beta_r * float(
-            np.trace(h_m @ reset_dissipator(
-                rho_m, BathContact(0, spec.beta_r, spec.gamma), reg_m)).real)
-        bath_flux += bz * (jc + jm)
-        sdot[i] = ds - bath_flux
-        if i == n_samp - 1:
-            rho_c_last, rho_m_last = rho_c, rho_m
+    xs = ys[:-1].T
+    bz_arr = ys[-1].copy()
+    g = np.array([spec.g_z(v) for v in bz_arr])
+    dxs = xs @ model.gen0.T + g[:, None] * (xs @ model.gen1.T)
+    j_c = xs @ model.heat0[0] + g * (xs @ model.heat1[0])
+    j_m = xs @ model.heat0[1] + g * (xs @ model.heat1[1])
+
+    # The collector state is diagonal except for the {a, b} block.
+    diagonal = np.ones(d, dtype=bool)
+    diagonal[[a, b]] = False
+    w, u = np.linalg.eigh(_pair_block(xs, a, b))
+    dw = np.einsum("sji,sjk,ski->si", u.conj(), _pair_block(dxs, a, b), u).real
+    ds = (_entropy_rate(xs[:, :d][:, diagonal], dxs[:, :d][:, diagonal])
+          + _entropy_rate(w, dw) + _entropy_rate(xs[:, d + 2:], dxs[:, d + 2:]))
+    # Heat from every bath, weighted by its inverse temperature.
+    sdot = ds - xs @ model.flux - bz_arr * (j_c + j_m)
     sigma = (cumulative_trapezoid(sdot, times, initial=0.0)
-             if n_samp > 1 else np.zeros(1))
+             if len(times) > 1 else np.zeros(1))
+
+    x = xs[-1]
+    rho_c = np.diag(x[:d]).astype(complex)
+    rho_c[a, b] = complex(x[d], x[d + 1])
+    rho_c[b, a] = complex(x[d], -x[d + 1])
+    rho_m = np.diag(x[d + 2:]).astype(complex)
     return Trajectory(t=times, beta_z=bz_arr, j_collector=j_c, j_modulator=j_m,
                       sigma_dot=sdot, sigma=sigma,
-                      final_rho_collector=rho_c_last,
-                      final_rho_modulator=rho_m_last)
+                      final_rho_collector=rho_c, final_rho_modulator=rho_m)
 
 
 def accumulated_dissipation(trajectory: Trajectory) -> float:

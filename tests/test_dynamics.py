@@ -1,13 +1,17 @@
 """Slow calorimetric evolution, full co-integration, and dissipation accounting."""
 
-import io
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
 import thermoneuron as tn
-from thermoneuron.dynamics import accumulated_dissipation
+from thermoneuron.dynamics import CSV_HEADER, accumulated_dissipation
 from thermoneuron.errors import StructuralError
+from thermoneuron.serialize import format_csv
 
 PAPER_NOT_KW = dict(mu=1e-4, gamma=1.0, chi=1.0, capacity=1.0)
 
@@ -88,9 +92,9 @@ class TestTrajectoryInvariants:
 
     def test_csv_export(self, paper_not):
         traj = tn.evolve_quasi_static(paper_not, (1.0,), 0.5, 10.0)
-        buf = io.StringIO()
-        traj.write_csv(buf)
-        lines = buf.getvalue().splitlines()
+        rows = zip(traj.t, traj.beta_z, traj.j_collector, traj.j_modulator,
+                   traj.sigma_dot, traj.sigma)
+        lines = format_csv(CSV_HEADER, rows).splitlines()
         assert lines[0].startswith("# units: natural")
         assert lines[1] == "t,beta_z,j_C,j_M,sigma_dot,sigma"
         assert len(lines) == 2 + len(traj.t)
@@ -128,6 +132,27 @@ class TestEvolveFull:
     def test_entropy_rate_non_negative_along_full_trajectory(self, paper_not):
         traj = tn.evolve_full(paper_not, (1.0,), 0.5, 1e6, per_decade=40)
         assert traj.sigma_dot.min() >= -1e-10
+
+    @pytest.mark.parametrize("gate, row", [("MAJ3", (0.0, 1.0, 1.0)),
+                                           ("NOR", (0.0, 0.0))])
+    def test_second_law_and_valid_states_over_the_full_horizon(self, gate, row):
+        start = time.perf_counter()
+        traj = tn.evolve_full(tn.preset(gate), row, 0.5, 1e8)
+        assert time.perf_counter() - start < 5.0
+        assert np.diff(traj.sigma).min() >= -1e-9
+        for rho in (traj.final_rho_collector, traj.final_rho_modulator):
+            assert np.abs(rho - rho.conj().T).max() <= 1e-12
+            # BDF lets the trace drift by ~1e-8 over tau = 1e8.
+            assert abs(np.trace(rho) - 1.0) <= 1e-7
+            assert np.linalg.eigvalsh(rho).min() >= -1e-9
+
+
+def test_import_leaves_the_integrators_unloaded():
+    src = os.path.dirname(os.path.dirname(tn.__file__))
+    code = "import sys, thermoneuron; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 class TestAccumulatedDissipation:
