@@ -18,11 +18,12 @@ from .errors import (CalibrationError, ConfigError, DegenerateSteadyStateError,
                      DesignError, NotSeparableError, ResonanceError,
                      SingularGapError, StructuralError, ThermoneuronError,
                      TrainingError)
-from .network import NetworkSpec, NetworkResponse, eval_network, train_network
+from .network import (NetworkSpec, NetworkResponse, eval_layers, eval_network,
+                      train_network)
 from .neuron import (ModulatorCalibration, NeuronSpec, TransferPoint,
                      build_neuron, calibrate_modulator, inverter,
                      sigmoid_approx, slope_at_threshold, steady_from_virtual,
-                     steady_output, threshold_point)
+                     steady_output, steady_response, threshold_point)
 from .quantum import (BathContact, QubitRegister, StepControl, fermi_population,
                       gibbs_qubit, gibbs_register, heat_current,
                       entropy_production_rate, integrate_master, lindblad_rhs,

@@ -16,6 +16,7 @@ both are selectable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -25,8 +26,8 @@ import numpy as np
 from .errors import ConfigError, StructuralError
 from .designer import DesignConfig, TruthTable, gate_table, preset
 from .dynamics import accumulated_dissipation, evolve_quasi_static
-from .network import NetworkSpec, eval_network
-from .neuron import NeuronSpec, inverter, steady_output
+from .network import NetworkSpec, eval_layers
+from .neuron import NeuronSpec, inverter, steady_response
 
 __all__ = [
     "Encoding",
@@ -107,12 +108,12 @@ def machine_arity(machine) -> int:
     raise StructuralError(f"not a machine: {type(machine).__name__}")
 
 
-def machine_response(machine, betas: Sequence[float]) -> float:
-    """Steady output temperature of a neuron or a layered network."""
+def machine_response(machine, rows) -> np.ndarray:
+    """Steady output temperature of a neuron or a layered network, per input row."""
     if isinstance(machine, NetworkSpec):
-        return eval_network(machine, betas).final
+        return eval_layers(machine, rows)[-1][:, -1]
     if isinstance(machine, NeuronSpec):
-        return steady_output(machine, betas).beta_z_inf
+        return steady_response(machine, rows)[1]
     raise StructuralError(f"not a machine: {type(machine).__name__}")
 
 
@@ -140,18 +141,17 @@ def gaussian_band_probs(mean: float, spread: float, enc: Encoding):
     return p0, p1, max(0.0, 1.0 - p0 - p1)
 
 
-def _input_rows(n: int):
-    for idx in range(1 << n):
-        yield tuple((idx >> (n - 1 - i)) & 1 for i in range(n))
+def _row_means(machine, enc: Encoding) -> np.ndarray:
+    """Steady outputs for the 2^n encoded logical inputs, in truth-table order."""
+    rails = (enc.beta_hot, enc.beta_cold)
+    return machine_response(
+        machine, list(itertools.product(rails, repeat=machine_arity(machine))))
 
 
 def conditional_outputs(machine, enc: Encoding, spread: float) -> ChannelStats:
     """Closed-form Gaussian channel table over all 2^n logical inputs."""
-    n = machine_arity(machine)
-    rows = list(_input_rows(n))
-    means = np.array([machine_response(machine, [encode(b, enc) for b in bits])
-                      for bits in rows])
-    table = np.array([gaussian_band_probs(m, spread, enc) for m in means])
+    means = _row_means(machine, enc)
+    table = np.array([gaussian_band_probs(m, spread, enc) for m in means.tolist()])
     return ChannelStats(p_y_given_x=table, means=means)
 
 
@@ -160,12 +160,9 @@ def mc_conditional_outputs(machine, enc: Encoding, spread: float,
     """Monte Carlo estimate of the channel table (independent sampling oracle)."""
     if not (spread > 0.0):
         raise ConfigError("channel spread must be positive")
-    n = machine_arity(machine)
     rng = np.random.default_rng(seed)
-    rows = list(_input_rows(n))
-    means = np.array([machine_response(machine, [encode(b, enc) for b in bits])
-                      for bits in rows])
-    table = np.empty((len(rows), 3))
+    means = _row_means(machine, enc)
+    table = np.empty((len(means), 3))
     for i, m in enumerate(means):
         samples = rng.normal(m, spread, n_samples)
         p0 = float(np.mean(samples <= enc.low_edge))
@@ -212,7 +209,7 @@ def average_dissipation(spec: NeuronSpec, enc: Encoding, tau: float,
         raise ConfigError("input distribution length mismatch")
     start = 0.5 * (enc.beta_hot + enc.beta_cold) if beta_z0 is None else beta_z0
     total = 0.0
-    for idx, bits in enumerate(_input_rows(spec.n)):
+    for idx, bits in enumerate(itertools.product((0, 1), repeat=spec.n)):
         if p_x[idx] == 0.0 or tau == 0.0:
             continue
         betas = [encode(b, enc) for b in bits]

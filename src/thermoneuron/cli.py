@@ -1,18 +1,17 @@
 """Command-line surface: design machines, simulate, sweep, and verify.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 for usage or
-configuration errors.  Every command with a --seed is byte-deterministic.
-Grid evaluation honors THERMONEURON_THREADS as a parallelism cap.
+configuration errors (one `error:` line, no traceback).  Every command
+with a --seed is byte-deterministic.  Grids are evaluated in one array
+pass; THERMONEURON_THREADS is ignored.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -23,23 +22,14 @@ from .designer import (DesignConfig, TruthTable, gate_table, preset,
                        perceptron_identity_residual, train_perceptron,
                        weights_to_neuron, PRESET_WEIGHTS)
 from .dynamics import CSV_HEADER, evolve_full, evolve_quasi_static
-from .errors import NotSeparableError, ThermoneuronError
+from .errors import ConfigError, NotSeparableError, ThermoneuronError
 from .network import NetworkSpec, eval_network, train_network
-from .neuron import NeuronSpec, steady_output
+from .neuron import NeuronSpec, steady_output, steady_response
 from .virtual import virtual_gap
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
-
-
-def _thread_map(fn, items):
-    items = list(items)
-    workers = int(os.environ.get("THERMONEURON_THREADS", "1") or "1")
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _machine_rails(machine) -> tuple[float, float]:
@@ -51,6 +41,22 @@ def _encoding(args, machine=None, band=None) -> ch.Encoding:
     rails = _machine_rails(machine) if machine is not None else (0.0, 1.0)
     return ch.Encoding(beta_hot=rails[0], beta_cold=rails[1],
                        delta=args.delta, band=band or args.band)
+
+
+def _bit_label(beta_z: float, enc: ch.Encoding):
+    bit = ch.decode(beta_z, enc)
+    return bit if bit is not None else "invalid"
+
+
+def _parse_numbers(tokens, what: str) -> list[float]:
+    """Floats from command-line tokens; a non-number or NaN is a usage error."""
+    try:
+        values = [float(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ConfigError(f"bad {what}: {exc}") from None
+    if any(math.isnan(v) for v in values):
+        raise ConfigError(f"bad {what}: NaN is not allowed")
+    return values
 
 
 def _design_config(args) -> DesignConfig:
@@ -86,7 +92,11 @@ def cmd_design(args) -> int:
             print(f"error: cannot read table: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if args.layers:
-            topology = [int(s) for s in args.layers.split(",")]
+            try:
+                topology = [int(s) for s in args.layers.split(",")]
+            except ValueError:
+                raise ConfigError(f"bad --layers '{args.layers}': want "
+                                  "comma-separated integers") from None
             machine = train_network(table, topology, config)
             weights_doc = [[list(np.concatenate(([b], w)))
                             for w, b in _network_unit_weights(machine, config)]]
@@ -143,7 +153,7 @@ def _design_report(machine, weights_doc, config):
 
 def cmd_steady(args) -> int:
     machine, _ = _load_machine(args.machine)
-    inputs = [float(v) for v in args.inputs]
+    inputs = _parse_numbers(args.inputs, "--inputs")
     if len(inputs) != ch.machine_arity(machine):
         raise ThermoneuronError(
             f"machine expects {ch.machine_arity(machine)} inputs, got {len(inputs)}")
@@ -157,8 +167,7 @@ def cmd_steady(args) -> int:
         final = response.final
         payload = {"layer_outputs": [list(o) for o in response.layer_outputs],
                    "beta_z_inf": final}
-    bit = ch.decode(final, enc)
-    payload["decoded"] = bit if bit is not None else "invalid"
+    payload["decoded"] = _bit_label(final, enc)
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -177,7 +186,7 @@ def cmd_simulate(args) -> int:
     machine, _ = _load_machine(args.machine)
     if not isinstance(machine, NeuronSpec):
         raise ThermoneuronError("simulate works on single neurons")
-    inputs = [float(v) for v in args.inputs]
+    inputs = _parse_numbers(args.inputs, "--inputs")
     if len(inputs) != machine.n:
         raise ThermoneuronError(
             f"machine expects {machine.n} inputs, got {len(inputs)}")
@@ -194,17 +203,24 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(spec: str):
+def _parse_grid(spec: str) -> list[float]:
     """'start:stop:count' -> linspace; 'a,b,c' -> explicit list."""
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ThermoneuronError(f"bad grid '{spec}': want start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 0:
-            raise ThermoneuronError("grid count must be non-negative")
-        return list(np.linspace(start, stop, count))
-    return [float(tok) for tok in spec.split(",") if tok]
+    what = f"grid '{spec}'"
+    if ":" not in spec:
+        return _parse_numbers([tok for tok in spec.split(",") if tok], what)
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"bad {what}: want start:stop:count")
+    start, stop = _parse_numbers(parts[:2], what)
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"bad {what}: start and stop must be finite")
+    try:
+        count = int(parts[2])
+    except ValueError:
+        raise ConfigError(f"bad {what}: count must be an integer") from None
+    if count < 0:
+        raise ConfigError("grid count must be non-negative")
+    return np.linspace(start, stop, count).tolist()
 
 
 def cmd_sweep(args) -> int:
@@ -217,21 +233,16 @@ def cmd_sweep(args) -> int:
         raise ThermoneuronError(
             f"need one grid per input ({arity}), got {len(grids)}")
     enc = _encoding(args, machine)
-    header = ([f"beta_{i + 1}" for i in range(arity)]
-              + (["beta_v"] if isinstance(machine, NeuronSpec) else [])
-              + ["beta_z_inf", "decoded"])
-
-    def evaluate(point):
-        if isinstance(machine, NeuronSpec):
-            tp = steady_output(machine, point)
-            final, extra = tp.beta_z_inf, [tp.beta_v]
-        else:
-            final, extra = eval_network(machine, point).final, []
-        bit = ch.decode(final, enc)
-        return (list(point) + extra
-                + [final, bit if bit is not None else "invalid"])
-
-    rows = _thread_map(evaluate, itertools.product(*grids))
+    # The factorial grid in CSV row order: the last input varies fastest.
+    points = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, arity)
+    if isinstance(machine, NeuronSpec):
+        columns, extra = (points, *steady_response(machine, points)), ["beta_v"]
+    else:
+        columns, extra = (points, ch.machine_response(machine, points)), []
+    header = [f"beta_{i + 1}" for i in range(arity)] + extra + ["beta_z_inf", "decoded"]
+    # Rows are built one at a time as format_csv consumes them.
+    rows = ([*row, _bit_label(row[-1], enc)]
+            for row in zip(*np.column_stack(columns).T.tolist()))
     _write_or_print(ser.format_csv(header, rows), args.out)
     return EXIT_OK
 
@@ -285,10 +296,10 @@ def cmd_verify(args) -> int:
         raise ThermoneuronError(
             f"table arity {table.n} != machine arity {ch.machine_arity(machine)}")
     enc = _encoding(args, machine, band=args.band)
+    finals = ch.machine_response(
+        machine, [[ch.encode(b, enc) for b in bits] for bits, _ in table.rows()])
     failures = []
-    for bits, expected in table.rows():
-        betas = [ch.encode(b, enc) for b in bits]
-        final = ch.machine_response(machine, betas)
+    for (bits, expected), final in zip(table.rows(), finals.tolist()):
         got = ch.decode(final, enc)
         p0, p1, pinv = ch.gaussian_band_probs(final, args.channel_width, enc)
         p_err = (p0, p1)[1 - expected]

@@ -14,13 +14,14 @@ the perceptron's weighted sum.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DesignError, NotSeparableError
-from .neuron import NeuronSpec, build_neuron, steady_output
+from .neuron import NeuronSpec, build_neuron, steady_response
 from .virtual import virtual_gap
 
 __all__ = [
@@ -55,11 +56,8 @@ class TruthTable:
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[tuple[int, ...]], int]) -> "TruthTable":
-        outs = []
-        for idx in range(1 << n):
-            bits = tuple((idx >> (n - 1 - i)) & 1 for i in range(n))
-            outs.append(int(fn(bits)))
-        return cls(n=n, outputs=tuple(outs))
+        return cls(n=n, outputs=tuple(int(fn(bits))
+                                      for bits in itertools.product((0, 1), repeat=n)))
 
     @classmethod
     def from_text(cls, text: str) -> "TruthTable":
@@ -100,9 +98,8 @@ class TruthTable:
         return cls(n=n, outputs=tuple(rows[k] for k in range(1 << n)))
 
     def rows(self):
-        for idx, out in enumerate(self.outputs):
-            bits = tuple((idx >> (self.n - 1 - i)) & 1 for i in range(self.n))
-            yield bits, out
+        """(bits, output) pairs in row order, x_1 varying slowest."""
+        return zip(itertools.product((0, 1), repeat=self.n), self.outputs)
 
     def output(self, bits: Sequence[int]) -> int:
         key = 0
@@ -248,14 +245,11 @@ def perceptron_identity_residual(spec: NeuronSpec, w: Sequence[float],
                                  seed: int = 1234) -> float:
     """max |eps_z * beta_v - alpha (w_0 + sum w_k beta_k)| over random inputs."""
     w = np.asarray(w, dtype=float)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        betas = rng.uniform(0.0, 1.0, spec.n)
-        point = steady_output(spec, betas)
-        target = alpha * (w[0] + float(w[1:] @ betas))
-        worst = max(worst, abs(spec.eps_z * point.beta_v - target))
-    return worst
+    rows = np.random.default_rng(seed).uniform(0.0, 1.0, (trials, spec.n))
+    beta_v, _ = steady_response(spec, rows)
+    # One dot product per row keeps the summation order of the scalar form.
+    return max((abs(spec.eps_z * bv - alpha * (w[0] + float(w[1:] @ betas)))
+                for bv, betas in zip(beta_v.tolist(), rows)), default=0.0)
 
 
 PRESET_WEIGHTS = {
@@ -285,9 +279,9 @@ def search_alpha(table: TruthTable, config: DesignConfig,
     alpha = config.alpha
     while alpha <= alpha_max:
         spec = weights_to_neuron(w, replace(config, alpha=alpha))
-        ok = all(decode_fn(steady_output(spec, bits).beta_z_inf) == out
-                 for bits, out in table.rows())
-        if ok:
+        _, finals = steady_response(spec, [bits for bits, _ in table.rows()])
+        if all(decode_fn(final) == out
+               for final, out in zip(finals.tolist(), table.outputs)):
             return alpha
         alpha *= 2.0
     raise DesignError(f"no steepness up to {alpha_max} decodes the table")

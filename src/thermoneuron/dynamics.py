@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import ConfigError, StructuralError
 from .neuron import NeuronSpec
 from .quantum import BathContact, QubitRegister, gibbs_qubit, gibbs_register
 from .virtual import (build_interaction_hamiltonian, coupled_levels,
@@ -101,27 +101,14 @@ def _sample_times(tau: float, per_decade: int) -> np.ndarray:
     return np.concatenate(([0.0], ts))
 
 
-def _quasi_static_rates(spec: NeuronSpec, beta_v: float):
-    g_v = spec.g_z(beta_v)
-    g_r = spec.g_z(spec.beta_r)
-
-    def currents(beta_z):
-        g_bz = np.vectorize(spec.g_z)(beta_z) if np.ndim(beta_z) else spec.g_z(beta_z)
-        j_c = spec.mu * spec.eps_z * (g_bz - g_v)
-        j_m = spec.mu_prime * spec.eps_z * (g_bz - g_r)
-        sdot = (spec.mu * spec.eps_z * (g_v - g_bz) * (beta_z - beta_v)
-                + spec.mu_prime * spec.eps_z * (g_r - g_bz) * (beta_z - spec.beta_r))
-        return j_c, j_m, sdot
-
-    return currents
-
-
 def evolve_quasi_static(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
                         tau: float, *, per_decade: int = 200,
                         rtol: float = 1e-9) -> Trajectory:
     """Integrate the calorimetric equation with the fast parts at steady state."""
     from scipy.integrate import cumulative_trapezoid, solve_ivp
 
+    if not tau >= 0.0:
+        raise ConfigError("tau must be non-negative")
     if not (spec.capacity > 0.0):
         raise StructuralError("reservoir capacity must be positive")
     inputs = tuple(float(b) for b in inputs)
@@ -129,7 +116,6 @@ def evolve_quasi_static(spec: NeuronSpec, inputs: Sequence[float], beta_z0: floa
         raise StructuralError(f"expected {spec.n} inputs, got {len(inputs)}")
     betas = (spec.beta0,) + inputs
     beta_v = virtual_temperature(spec.h, betas, spec.eps, spec.eps_z)
-    currents = _quasi_static_rates(spec, beta_v)
     g_v = spec.g_z(beta_v)
     g_r = spec.g_z(spec.beta_r)
 
@@ -153,12 +139,15 @@ def evolve_quasi_static(spec: NeuronSpec, inputs: Sequence[float], beta_z0: floa
         if not sol.success:
             raise RuntimeError(f"quasi-static integration failed: {sol.message}")
         bz = sol.y[0]
-    j_c, j_m, sdot = currents(bz)
+    g_bz = spec.g_z(bz)
+    j_c = spec.mu * spec.eps_z * (g_bz - g_v)
+    j_m = spec.mu_prime * spec.eps_z * (g_bz - g_r)
+    sdot = (spec.mu * spec.eps_z * (g_v - g_bz) * (bz - beta_v)
+            + spec.mu_prime * spec.eps_z * (g_r - g_bz) * (bz - spec.beta_r))
     sigma = (cumulative_trapezoid(sdot, times, initial=0.0)
              if len(times) > 1 else np.zeros(1))
-    return Trajectory(t=times, beta_z=bz, j_collector=np.atleast_1d(j_c),
-                      j_modulator=np.atleast_1d(j_m),
-                      sigma_dot=np.atleast_1d(sdot), sigma=sigma)
+    return Trajectory(t=times, beta_z=bz, j_collector=j_c, j_modulator=j_m,
+                      sigma_dot=sdot, sigma=sigma)
 
 
 def collector_register(spec: NeuronSpec) -> QubitRegister:
@@ -313,6 +302,8 @@ def evolve_full(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
     """
     from scipy.integrate import cumulative_trapezoid, solve_ivp
 
+    if not tau >= 0.0:
+        raise ConfigError("tau must be non-negative")
     if not (spec.capacity > 0.0):
         raise StructuralError("reservoir capacity must be positive")
     inputs = tuple(float(b) for b in inputs)
@@ -367,7 +358,7 @@ def evolve_full(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
 
     xs = ys[:-1].T
     bz_arr = ys[-1].copy()
-    g = np.array([spec.g_z(v) for v in bz_arr])
+    g = spec.g_z(bz_arr)
     dxs = xs @ model.gen0.T + g[:, None] * (xs @ model.gen1.T)
     j_c = xs @ model.heat0[0] + g * (xs @ model.heat1[0])
     j_m = xs @ model.heat0[1] + g * (xs @ model.heat1[1])

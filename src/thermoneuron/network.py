@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import ConfigError, StructuralError, TrainingError
 from .designer import DesignConfig, TruthTable, weights_to_neuron
-from .neuron import NeuronSpec, steady_output
+from .neuron import NeuronSpec, steady_response
 
-__all__ = ["NetworkSpec", "NetworkResponse", "eval_network", "train_network"]
+__all__ = ["NetworkSpec", "NetworkResponse", "eval_layers", "eval_network",
+           "train_network"]
 
 
 @dataclass(frozen=True)
@@ -68,18 +69,23 @@ class NetworkResponse:
     final: float
 
 
-def eval_network(net: NetworkSpec, inputs: Sequence[float]) -> NetworkResponse:
-    """Sequential steady-state composition, layer by layer."""
-    values = tuple(float(b) for b in inputs)
-    if len(values) != net.n_inputs:
-        raise StructuralError(f"expected {net.n_inputs} inputs, got {len(values)}")
+def eval_layers(net: NetworkSpec, rows) -> tuple[np.ndarray, ...]:
+    """Per-layer (N, width) steady outputs for input rows of shape (N, n_inputs)."""
+    values = np.asarray(rows, dtype=float)
+    if values.ndim != 2 or values.shape[1] != net.n_inputs:
+        raise StructuralError(f"expected {net.n_inputs} inputs, got rows {values.shape}")
     per_layer = []
     for layer, wires in zip(net.layers, net.wiring):
-        outs = tuple(steady_output(neuron, tuple(values[k] for k in feed)).beta_z_inf
-                     for neuron, feed in zip(layer, wires))
-        per_layer.append(outs)
-        values = outs
-    return NetworkResponse(layer_outputs=tuple(per_layer), final=per_layer[-1][-1])
+        values = np.column_stack([steady_response(neuron, values[:, list(feed)])[1]
+                                  for neuron, feed in zip(layer, wires)])
+        per_layer.append(values)
+    return tuple(per_layer)
+
+
+def eval_network(net: NetworkSpec, inputs: Sequence[float]) -> NetworkResponse:
+    """Sequential steady-state composition, layer by layer (a batch of one)."""
+    per_layer = tuple(tuple(o[0].tolist()) for o in eval_layers(net, [list(inputs)]))
+    return NetworkResponse(layer_outputs=per_layer, final=per_layer[-1][-1])
 
 
 def _forward(x, weights, biases):
@@ -180,15 +186,15 @@ def train_network(table: TruthTable, topology: Sequence[int],
         wiring.append(tuple(feeds))
     net = NetworkSpec(n_inputs=table.n, layers=tuple(layers), wiring=tuple(wiring))
 
-    # Behavioral check through the exact steady-state composition.
-    rails = (config.beta_hot, config.beta_cold)
-    span = rails[1] - rails[0]
-    lo_edge, hi_edge = rails[0] + 0.1 * span, rails[1] - 0.1 * span
-    for bits, out in table.rows():
-        betas = tuple(rails[1] if b else rails[0] for b in bits)
-        final = eval_network(net, betas).final
-        decoded = 0 if final <= lo_edge else (1 if final >= hi_edge else None)
-        if decoded != out:
+    # Behavioral check through the exact steady-state composition (channel
+    # builds on this module, hence the local import).
+    from .channel import Encoding, decode
+
+    enc = Encoding(config.beta_hot, config.beta_cold, delta=0.1, band="additive")
+    betas = np.where(x_rows == 1.0, config.beta_cold, config.beta_hot)
+    finals = eval_layers(net, betas)[-1][:, -1]
+    for (bits, out), final in zip(table.rows(), finals.tolist()):
+        if decode(final, enc) != out:
             raise TrainingError(
                 f"trained network mis-decodes row {bits}: beta_z = {final:.4g}; "
                 "try a different seed or a larger alpha", loss=loss)

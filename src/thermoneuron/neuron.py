@@ -13,6 +13,9 @@ steady-state regime the output temperature is
 
 with g_z(b) the excited Fermi population at inverse temperature b and gap
 eps_z.  For small eps_z this is a sigmoid in eps_z * beta_v.
+
+The exact characteristic takes batches: `steady_response` evaluates input
+rows (N, n) in one array pass, and `steady_output` is a batch of one.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import CalibrationError, StructuralError
-from .quantum import fermi_population
+from .quantum import _libm, fermi_population
 from .virtual import virtual_gap, virtual_temperature, weighted_bias
 
 __all__ = [
@@ -34,6 +39,7 @@ __all__ = [
     "build_neuron",
     "inverter",
     "steady_output",
+    "steady_response",
     "steady_from_virtual",
     "sigmoid_approx",
     "sigmoid_approx_input_form",
@@ -122,6 +128,8 @@ class NeuronSpec:
             raise StructuralError("eps and h must have equal lengths")
         if len(self.eps) < 2:
             raise StructuralError("a neuron needs a reference qubit and >= 1 input")
+        if not all(math.isfinite(e) for e in self.eps):
+            raise StructuralError("qubit gaps eps must be finite")
         if any(b not in (0, 1) for b in self.h):
             raise StructuralError("h entries must be bits")
         if not (self.eps_z > 0.0):
@@ -155,8 +163,8 @@ class NeuronSpec:
     def delta(self) -> float:
         return self.mu / (self.mu + self.mu_prime)
 
-    def g_z(self, beta: float) -> float:
-        """Excited population of a gap-eps_z qubit thermal at beta."""
+    def g_z(self, beta):
+        """Excited population of a gap-eps_z qubit thermal at beta (float or array)."""
         return fermi_population(beta * self.eps_z)
 
     def is_calibrated(self, tol: float = CALIBRATION_TOL) -> bool:
@@ -220,30 +228,38 @@ def inverter(eps_input: float = 20.0, beta0: float = 0.5, eps_z: float = 0.1,
                         **physical)
 
 
-def steady_from_virtual(spec: NeuronSpec, beta_v: float) -> float:
-    """Steady output temperature for a given virtual temperature."""
+def steady_from_virtual(spec: NeuronSpec, beta_v):
+    """Steady output temperature for a virtual temperature (float or array)."""
     g_v = spec.g_z(beta_v)
     g_hot = spec.g_z(spec.beta_hot)
     g_cold = spec.g_z(spec.beta_cold)
     q = g_cold + (g_hot - g_cold) * g_v
-    return (math.log1p(-q) - math.log(q)) / spec.eps_z
+    return (_libm(math.log1p, -q) - _libm(math.log, q)) / spec.eps_z
+
+
+def steady_response(spec: NeuronSpec, rows) -> tuple[np.ndarray, np.ndarray]:
+    """(beta_v, beta_z_inf) of a calibrated neuron for input rows of shape (N, n)."""
+    spec.require_calibrated()
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != spec.n:
+        raise StructuralError(f"expected {spec.n} inputs, got rows {rows.shape}")
+    betas = (spec.beta0,) + tuple(rows.T)
+    beta_v = virtual_temperature(spec.h, betas, spec.eps, spec.eps_z)
+    beta_z = steady_from_virtual(spec, beta_v)
+    lo, hi = spec.beta_hot - 1e-9, spec.beta_cold + 1e-9
+    outside = ~((lo <= beta_z) & (beta_z <= hi))
+    if outside.any():
+        raise RuntimeError(
+            f"range confinement violated: beta_z = {beta_z[outside][0]} outside "
+            f"[{spec.beta_hot}, {spec.beta_cold}]")
+    return beta_v, beta_z
 
 
 def steady_output(spec: NeuronSpec, inputs: Sequence[float]) -> TransferPoint:
     """Exact steady-state response of a calibrated neuron to input temperatures."""
-    spec.require_calibrated()
     inputs = tuple(float(b) for b in inputs)
-    if len(inputs) != spec.n:
-        raise StructuralError(f"expected {spec.n} inputs, got {len(inputs)}")
-    betas = (spec.beta0,) + inputs
-    beta_v = virtual_temperature(spec.h, betas, spec.eps, spec.eps_z)
-    beta_z = steady_from_virtual(spec, beta_v)
-    lo, hi = spec.beta_hot - 1e-9, spec.beta_cold + 1e-9
-    if not (lo <= beta_z <= hi):
-        raise RuntimeError(
-            f"range confinement violated: beta_z = {beta_z} outside "
-            f"[{spec.beta_hot}, {spec.beta_cold}]")
-    return TransferPoint(inputs=inputs, beta_v=beta_v, beta_z_inf=beta_z)
+    (beta_v,), (beta_z,) = steady_response(spec, [inputs])
+    return TransferPoint(inputs=inputs, beta_v=float(beta_v), beta_z_inf=float(beta_z))
 
 
 def sigmoid_approx(spec: NeuronSpec, inputs: Sequence[float]) -> float:
@@ -323,6 +339,5 @@ def transfer_slope(spec: NeuronSpec, beta1: float, step: float = 1e-6) -> float:
     """Central finite-difference slope of the single-input transfer curve."""
     if spec.n != 1:
         raise StructuralError("transfer_slope is defined for single-input neurons")
-    up = steady_output(spec, (beta1 + step,)).beta_z_inf
-    dn = steady_output(spec, (beta1 - step,)).beta_z_inf
-    return (up - dn) / (2.0 * step)
+    _, (up, dn) = steady_response(spec, [[beta1 + step], [beta1 - step]])
+    return float((up - dn) / (2.0 * step))

@@ -47,17 +47,26 @@ __all__ = [
 MAX_QUBITS = 12
 
 
-def fermi_population(x: float) -> float:
+def _libm(fn, x):
+    """`fn` from `math` on a float or on every element of an array (numpy's
+    exp/log ufuncs differ from libm by an ulp on some inputs)."""
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def fermi_population(x):
     """Excited-state occupation 1/(1 + e^x) for dimensionless x = beta*eps.
 
-    Total on the extended reals: x = +inf gives 0, x = -inf gives 1.
+    Elementwise on arrays; total on the extended reals (+inf -> 0, -inf -> 1).
     """
-    if math.isnan(x):
+    array = isinstance(x, np.ndarray)
+    if np.isnan(x).any() if array else math.isnan(x):
         raise ValueError("fermi_population: argument is NaN")
-    if x >= 0.0:
-        z = math.exp(-x)
-        return z / (1.0 + z)
-    return 1.0 / (1.0 + math.exp(x))
+    z = _libm(math.exp, -abs(x))
+    if array:
+        return np.where(x >= 0.0, z / (1.0 + z), 1.0 / (1.0 + z))
+    return z / (1.0 + z) if x >= 0.0 else 1.0 / (1.0 + z)
 
 
 def gibbs_qubit(beta: float, eps: float) -> np.ndarray:

@@ -8,6 +8,7 @@ Every emitted file states the unit system (natural units, k_B = hbar = 1).
 from __future__ import annotations
 
 import json
+import math
 from typing import Sequence
 
 from .errors import ConfigError
@@ -36,6 +37,16 @@ _NEURON_KEYS = ("n", "eps", "h", "beta0", "eps_z", "chi", "gamma", "mu",
 _PROVENANCE_KEYS = ("weights", "alpha", "eps_z", "seed", "tool_version")
 
 
+def _check_fields(d, fields: Sequence[str], where: str) -> None:
+    """``d`` must be a JSON object holding exactly ``fields``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    _reject_unknown(d, fields, where)
+    missing = sorted(set(fields) - set(d))
+    if missing:
+        raise ConfigError(f"{where} missing fields: {missing}")
+
+
 def _reject_unknown(d: dict, allowed: Sequence[str], where: str) -> None:
     unknown = sorted(set(d) - set(allowed))
     if unknown:
@@ -61,17 +72,18 @@ def neuron_to_dict(spec: NeuronSpec) -> dict:
 
 
 def neuron_from_dict(d: dict) -> NeuronSpec:
-    if not isinstance(d, dict):
-        raise ConfigError("neuron spec must be a JSON object")
-    _reject_unknown(d, _NEURON_KEYS, "neuron spec")
-    missing = sorted(set(_NEURON_KEYS) - set(d))
-    if missing:
-        raise ConfigError(f"neuron spec missing fields: {missing}")
-    spec = NeuronSpec(eps=tuple(d["eps"]), h=tuple(d["h"]), beta0=d["beta0"],
-                      eps_z=d["eps_z"], beta_r=d["beta_r"],
-                      mu_prime=d["mu_prime"], chi=d["chi"], gamma=d["gamma"],
-                      mu=d["mu"], beta_hot=d["beta_hot"],
-                      beta_cold=d["beta_cold"], capacity=d["capacity"])
+    _check_fields(d, _NEURON_KEYS, "neuron spec")
+    try:
+        spec = NeuronSpec(eps=tuple(d["eps"]), h=tuple(d["h"]), beta0=d["beta0"],
+                          eps_z=d["eps_z"], beta_r=d["beta_r"],
+                          mu_prime=d["mu_prime"], chi=d["chi"], gamma=d["gamma"],
+                          mu=d["mu"], beta_hot=d["beta_hot"],
+                          beta_cold=d["beta_cold"], capacity=d["capacity"])
+        if not (math.isfinite(spec.capacity) and spec.capacity > 0.0):
+            raise ConfigError(f"reservoir capacity must be positive and finite, "
+                              f"got {spec.capacity!r}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed neuron spec: {exc}") from None
     if spec.n != d["n"]:
         raise ConfigError(f"inconsistent input count: n = {d['n']} but "
                           f"{len(spec.eps)} gaps")
@@ -88,20 +100,21 @@ def network_to_dict(net: NetworkSpec) -> dict:
 
 
 def network_from_dict(d: dict) -> NetworkSpec:
-    if not isinstance(d, dict):
-        raise ConfigError("network spec must be a JSON object")
-    _reject_unknown(d, ("n_inputs", "layers"), "network spec")
+    _check_fields(d, ("n_inputs", "layers"), "network spec")
     layers, wiring = [], []
-    for layer in d["layers"]:
-        units, feeds = [], []
-        for entry in layer:
-            _reject_unknown(entry, ("neuron", "wiring"), "network layer entry")
-            units.append(neuron_from_dict(entry["neuron"]))
-            feeds.append(tuple(int(k) for k in entry["wiring"]))
-        layers.append(tuple(units))
-        wiring.append(tuple(feeds))
-    return NetworkSpec(n_inputs=int(d["n_inputs"]), layers=tuple(layers),
-                       wiring=tuple(wiring))
+    try:
+        for layer in d["layers"]:
+            units, feeds = [], []
+            for entry in layer:
+                _check_fields(entry, ("neuron", "wiring"), "network layer entry")
+                units.append(neuron_from_dict(entry["neuron"]))
+                feeds.append(tuple(int(k) for k in entry["wiring"]))
+            layers.append(tuple(units))
+            wiring.append(tuple(feeds))
+        n_inputs = int(d["n_inputs"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed network spec: {exc}") from None
+    return NetworkSpec(n_inputs=n_inputs, layers=tuple(layers), wiring=tuple(wiring))
 
 
 def machine_to_document(machine, provenance: dict) -> dict:

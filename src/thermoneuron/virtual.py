@@ -21,7 +21,6 @@ from .errors import ResonanceError, SingularGapError, StructuralError
 from .quantum import COMMUTATOR_TOL, QubitRegister, fermi_population
 
 __all__ = [
-    "InteractionVector",
     "VirtualQubit",
     "flip",
     "virtual_gap",
@@ -32,8 +31,6 @@ __all__ = [
     "coupled_levels",
     "RESONANCE_TOL",
 ]
-
-InteractionVector = tuple  # alias: a tuple of bits (h_0, ..., h_n)
 
 RESONANCE_TOL = 1e-9
 
@@ -75,18 +72,20 @@ def virtual_population(h: Sequence[int], betas: Sequence[float],
     return p
 
 
-def weighted_bias(h: Sequence[int], betas: Sequence[float],
-                  eps: Sequence[float]) -> float:
-    """Signed combination sum_i (-1)^(h_i) beta_i eps_i (the perceptron sum)."""
+def weighted_bias(h: Sequence[int], betas: Sequence, eps: Sequence[float]):
+    """Signed combination sum_i (-1)^(h_i) beta_i eps_i (the perceptron sum).
+
+    A beta_i may be a column (array); terms add in order i = 0..n either way.
+    """
     bits = _check_bits(h)
     if not (len(bits) == len(betas) == len(eps)):
         raise StructuralError("h, betas and eps must have equal lengths")
-    return float(sum(-beta * e if b else beta * e
-                     for b, beta, e in zip(bits, betas, eps)))
+    total = sum(-beta * e if b else beta * e for b, beta, e in zip(bits, betas, eps))
+    return total if isinstance(total, np.ndarray) else float(total)
 
 
-def virtual_temperature(h: Sequence[int], betas: Sequence[float],
-                        eps: Sequence[float], eps_target: float) -> float:
+def virtual_temperature(h: Sequence[int], betas: Sequence, eps: Sequence[float],
+                        eps_target: float):
     """Inverse virtual temperature (1/eps_target) * sum_i (-1)^(h_i) beta_i eps_i."""
     if eps_target == 0.0:
         raise SingularGapError("virtual temperature undefined for a zero target gap")

@@ -1,6 +1,7 @@
 """End-to-end CLI contract: exit codes, determinism, file round-trips."""
 
 import json
+import math
 
 import pytest
 
@@ -286,3 +287,71 @@ class TestMachineFiles:
         main(["design", "--gate", "NOR", "--alpha", "20", "--seed", "5",
               "--out", b])
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+PROVENANCE = {"weights": [], "alpha": 20.0, "eps_z": 0.1, "seed": 0,
+              "tool_version": tn.TOOL_VERSION}
+
+
+def nor_doc():
+    return machine_to_document(tn.preset("NOR"), PROVENANCE)
+
+
+def network_doc(*drop):
+    """A one-neuron NOR network document with the field at path ``drop`` removed."""
+    net = tn.NetworkSpec(n_inputs=2, layers=((tn.preset("NOR"),),),
+                         wiring=(((0, 1),),))
+    doc = machine_to_document(net, PROVENANCE)
+    node = doc["spec"]
+    for key in drop[:-1]:
+        node = node[key]
+    del node[drop[-1]]
+    return doc
+
+
+def bad_eps_doc():
+    doc = nor_doc()
+    doc["spec"]["eps"] = "abc"
+    return doc
+
+
+STEADY = ["steady", "M", "--inputs", "0", "0"]
+MALFORMED = {
+    "steady-inputs-not-a-number": (nor_doc, ["steady", "M", "--inputs", "abc", "0"]),
+    "steady-inputs-nan": (nor_doc, ["steady", "M", "--inputs", "nan", "0"]),
+    "simulate-inputs-not-a-number": (nor_doc, ["simulate", "M", "--inputs", "0", "x"]),
+    "simulate-inputs-nan": (nor_doc, ["simulate", "M", "--inputs", "0", "NaN"]),
+    "simulate-negative-tau": (nor_doc, ["simulate", "M", "--inputs", "0", "0",
+                                        "--tau", "-5"]),
+    "grid-count-not-an-integer": (nor_doc, ["sweep", "M", "--grid", "0:1:x"]),
+    "grid-two-fields": (nor_doc, ["sweep", "M", "--grid", "0:1"]),
+    "grid-list-not-numbers": (nor_doc, ["sweep", "M", "--grid", "a,b"]),
+    "grid-nan-entry": (nor_doc, ["sweep", "M", "--grid", "0,nan,1"]),
+    "grid-nan-bound": (nor_doc, ["sweep", "M", "--grid", "0:nan:3"]),
+    "network-without-layers": (lambda: network_doc("layers"), STEADY),
+    "network-without-n-inputs": (lambda: network_doc("n_inputs"), STEADY),
+    "layer-entry-without-neuron": (lambda: network_doc("layers", 0, 0, "neuron"), STEADY),
+    "layer-entry-without-wiring": (lambda: network_doc("layers", 0, 0, "wiring"), STEADY),
+    "spec-field-wrong-type": (bad_eps_doc, STEADY),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_with_one_line(case, tmp_path, capsys):
+    make_doc, argv = MALFORMED[case]
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(make_doc()))
+    argv = [str(path) if a == "M" else a for a in argv]
+    if argv[0] != "steady":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("capacity", [0.0, -1.0, math.inf, math.nan])
+def test_machine_file_capacity_must_be_positive_and_finite(capacity):
+    doc = machine_to_document(tn.preset("NOT"), PROVENANCE)
+    doc["spec"]["capacity"] = capacity
+    with pytest.raises(ConfigError, match="capacity"):
+        machine_from_document(json.loads(json.dumps(doc)))

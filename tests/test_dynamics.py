@@ -10,7 +10,7 @@ import pytest
 
 import thermoneuron as tn
 from thermoneuron.dynamics import CSV_HEADER, accumulated_dissipation
-from thermoneuron.errors import StructuralError
+from thermoneuron.errors import ConfigError, StructuralError
 from thermoneuron.serialize import format_csv
 
 PAPER_NOT_KW = dict(mu=1e-4, gamma=1.0, chi=1.0, capacity=1.0)
@@ -73,6 +73,11 @@ class TestQuasiStatic:
     def test_zero_horizon_single_sample(self, paper_not):
         traj = tn.evolve_quasi_static(paper_not, (0.2,), 0.5, 0.0)
         assert len(traj.t) == 1 and traj.sigma[0] == 0.0
+
+    @pytest.mark.parametrize("evolve", [tn.evolve_quasi_static, tn.evolve_full])
+    def test_negative_horizon_rejected(self, paper_not, evolve):
+        with pytest.raises(ConfigError, match="tau must be non-negative"):
+            evolve(paper_not, (0.0,), 0.5, -5.0)
 
     def test_capacity_guard(self, paper_not):
         bad = tn.NeuronSpec(

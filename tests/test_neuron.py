@@ -72,6 +72,13 @@ class TestNeuronSpec:
         with pytest.warns(UserWarning, match="separation"):
             tn.build_neuron((2.0, 1.0), (0, 1), 0.5, 1.0, mu=0.5)
 
+    def test_non_finite_gap_rejected(self):
+        # abs(nan - eps_z) > 1e-9 is False, so the resonance check alone
+        # would let a NaN gap through.
+        with pytest.raises(StructuralError, match="finite"):
+            tn.NeuronSpec(eps=(math.nan, 1.0), h=(0, 1), beta0=0.5, eps_z=1.0,
+                          beta_r=0.3, mu_prime=7e-4)
+
     def test_uncalibrated_spec_refused_by_steady_output(self):
         spec = tn.NeuronSpec(eps=(2.0, 1.0), h=(0, 1), beta0=0.5, eps_z=1.0,
                              beta_r=0.3, mu_prime=7e-4)
