@@ -16,8 +16,8 @@ from .dynamics import (Trajectory, accumulated_dissipation, evolve_full,
                        evolve_quasi_static)
 from .errors import (CalibrationError, ConfigError, DegenerateSteadyStateError,
                      DesignError, NotSeparableError, ResonanceError,
-                     SingularGapError, StructuralError, ThermoneuronError,
-                     TrainingError)
+                     SingularGapError, SolverError, StructuralError,
+                     ThermoneuronError, TrainingError)
 from .network import (NetworkSpec, NetworkResponse, eval_layers, eval_network,
                       train_network)
 from .neuron import (ModulatorCalibration, NeuronSpec, TransferPoint,

@@ -1,9 +1,9 @@
 """Command-line surface: design machines, simulate, sweep, and verify.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 for usage or
-configuration errors (one `error:` line, no traceback).  Every command
-with a --seed is byte-deterministic.  Grids are evaluated in one array
-pass; THERMONEURON_THREADS is ignored.
+Exit codes: 0 on success, 1 when a verification fails, 2 for usage,
+configuration or solver errors (one `error:` line, no traceback).  Every
+command with a --seed is byte-deterministic.  Grids are evaluated in one
+array pass; THERMONEURON_THREADS is ignored.
 """
 
 from __future__ import annotations
@@ -401,10 +401,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except ThermoneuronError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (ThermoneuronError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

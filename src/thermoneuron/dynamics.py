@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, StructuralError
+from .errors import ConfigError, SolverError, StructuralError
 from .neuron import NeuronSpec
 from .quantum import BathContact, QubitRegister, gibbs_qubit, gibbs_register
 from .virtual import (build_interaction_hamiltonian, coupled_levels,
@@ -137,7 +137,7 @@ def evolve_quasi_static(spec: NeuronSpec, inputs: Sequence[float], beta_z0: floa
         sol = solve_ivp(rhs, (0.0, tau), [float(beta_z0)], method="LSODA",
                         t_eval=times, rtol=rtol, atol=1e-13, jac=jac)
         if not sol.success:
-            raise RuntimeError(f"quasi-static integration failed: {sol.message}")
+            raise SolverError(f"quasi-static integration failed: {sol.message}")
         bz = sol.y[0]
     g_bz = spec.g_z(bz)
     j_c = spec.mu * spec.eps_z * (g_bz - g_v)
@@ -351,7 +351,7 @@ def evolve_full(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
         sol = solve_ivp(rhs, (0.0, tau), y0, method="BDF", t_eval=times,
                         rtol=rtol, atol=atol, jac=jac)
         if not sol.success:
-            raise RuntimeError(
+            raise SolverError(
                 f"full integration failed: {sol.message}; consider rescaling the "
                 "reservoir capacity C to soften the slow time scale")
         ys = sol.y

@@ -25,6 +25,10 @@ class DegenerateSteadyStateError(ThermoneuronError):
     """The generator's null space has dimension greater than one."""
 
 
+class SolverError(ThermoneuronError, RuntimeError):
+    """A numerical solver failed: integration, steady-state residual, or range."""
+
+
 class NotSeparableError(ThermoneuronError):
     """Truth table is not linearly separable; lists the violating rows."""
 

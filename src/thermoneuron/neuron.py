@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, StructuralError
+from .errors import CalibrationError, SolverError, StructuralError
 from .quantum import _libm, fermi_population
 from .virtual import virtual_gap, virtual_temperature, weighted_bias
 
@@ -249,7 +249,7 @@ def steady_response(spec: NeuronSpec, rows) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = spec.beta_hot - 1e-9, spec.beta_cold + 1e-9
     outside = ~((lo <= beta_z) & (beta_z <= hi))
     if outside.any():
-        raise RuntimeError(
+        raise SolverError(
             f"range confinement violated: beta_z = {beta_z[outside][0]} outside "
             f"[{spec.beta_hot}, {spec.beta_cold}]")
     return beta_v, beta_z

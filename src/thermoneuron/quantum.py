@@ -11,6 +11,9 @@ population-inverted bath and is accepted with a warning.
 
 The interaction Hamiltonian must commute with the free Hamiltonian
 (energy-preserving weak coupling); `lindblad_rhs` rejects anything else.
+Such generators split into small invariant blocks (a collector's populations
+plus its one coupled coherence, the other coherences a few apiece), and
+`steady_state` takes one small SVD per block instead of one of size d^2.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSteadyStateError, StructuralError
+from .errors import DegenerateSteadyStateError, SolverError, StructuralError
 
 __all__ = [
     "MAX_QUBITS",
@@ -40,8 +43,6 @@ __all__ = [
     "heat_current",
     "entropy_production_rate",
     "von_neumann_entropy",
-    "validate_density_matrix",
-    "random_density_matrix",
 ]
 
 MAX_QUBITS = 12
@@ -249,7 +250,7 @@ def integrate_master(rho0: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
             break
         h = min(h, horizon - t, ctrl.h_max)
         if h < 1e-14 * max(1.0, t):
-            raise RuntimeError(
+            raise SolverError(
                 f"integrate_master: step-size underflow at t = {t:.6e} (h = {h:.3e})")
         k[0] = rhs(y)
         for i in range(1, 7):
@@ -275,11 +276,11 @@ def integrate_master(rho0: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
         factor = 0.9 * (max(ratio, 1e-16)) ** (-0.2)
         h *= min(5.0, max(0.2, factor))
     else:
-        raise RuntimeError("integrate_master: step budget exhausted")
+        raise SolverError("integrate_master: step budget exhausted")
     y = 0.5 * (y + y.conj().T)
     tr = float(np.trace(y).real)
     if abs(tr) < 1e-12:
-        raise RuntimeError("integrate_master: state trace collapsed")
+        raise SolverError("integrate_master: state trace collapsed")
     y = y / tr
     min_eig = float(np.linalg.eigvalsh(y).min())
     if min_eig < -1e-8:
@@ -301,22 +302,45 @@ def superoperator_matrix(apply_fn: Callable[[np.ndarray], np.ndarray],
     return mat
 
 
-def steady_state(rhs: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """Unit-trace null vector of a linear generator, by dense SVD.
+def _invariant_blocks(gen: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the nonzero pattern of `gen`
+    (made symmetric): permuted by them, the matrix is block diagonal."""
+    rows, cols = np.nonzero((gen != 0) | (gen.T != 0))
+    labels = np.arange(gen.shape[0])
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return np.split(order, cuts)
 
-    Raises `DegenerateSteadyStateError` when the numerical null space has
-    dimension greater than one.  The returned state satisfies
-    max|rhs(rho)| <= 1e-10.
+
+def steady_state(rhs: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
+    """Unit-trace null vector of a linear generator, by one dense SVD per
+    invariant block of its probed d^2 x d^2 matrix.
+
+    Raises `DegenerateSteadyStateError` when the numerical null space,
+    summed over blocks, has dimension greater than one.  The returned state
+    satisfies max|rhs(rho)| <= 1e-10.
     """
     gen = superoperator_matrix(rhs, dim)
-    _, s, vh = np.linalg.svd(gen)
-    tol = s[0] * 1e-11 if s[0] > 0 else 1e-14
-    nullity = int(np.sum(s < tol))
+    blocks = _invariant_blocks(gen)
+    svds = [np.linalg.svd(gen[np.ix_(b, b)]) for b in blocks]
+    s_max = max(s[0] for _, s, _ in svds)
+    tol = s_max * 1e-11 if s_max > 0 else 1e-14
+    nullity = sum(int(np.sum(s < tol)) for _, s, _ in svds)
     if nullity > 1:
         raise DegenerateSteadyStateError(
             f"generator null space has dimension {nullity}; "
             "steady state is not unique")
-    rho = vh[-1].conj().reshape(dim, dim)
+    k = int(np.argmin([s[-1] for _, s, _ in svds]))
+    vec = np.zeros(dim * dim, dtype=complex)
+    vec[blocks[k]] = svds[k][2][-1].conj()
+    rho = vec.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     tr = float(np.trace(rho).real)
     if abs(tr) < 1e-10:
@@ -325,8 +349,7 @@ def steady_state(rhs: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarra
     rho = rho / tr
     residual = float(np.abs(rhs(rho)).max())
     if residual > 1e-10:
-        raise RuntimeError(
-            f"steady-state residual {residual:.3e} exceeds 1e-10")
+        raise SolverError(f"steady-state residual {residual:.3e} exceeds 1e-10")
     return rho
 
 
@@ -355,30 +378,6 @@ def entropy_production_rate(rho: np.ndarray, contacts: Sequence[BathContact],
     for contact in contacts:
         total -= contact.beta * heat_current(rho, h, contact, register)
     return float(total)
-
-
-def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
-                            trace_tol: float = 1e-12,
-                            eig_tol: float = 1e-10) -> None:
-    """Raise StructuralError unless rho is Hermitian, unit-trace, and PSD."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise StructuralError("density matrix must be square")
-    herm = float(np.abs(rho - rho.conj().T).max())
-    if herm > herm_tol:
-        raise StructuralError(f"not Hermitian: max deviation {herm:.3e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise StructuralError(f"trace {tr} differs from 1")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if min_eig < -eig_tol:
-        raise StructuralError(f"negative eigenvalue {min_eig:.3e}")
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Ginibre-random full-rank density matrix, for property tests."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def gibbs_register(register: QubitRegister, betas: Sequence[float]) -> np.ndarray:

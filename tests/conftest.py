@@ -1,8 +1,10 @@
-"""Shared fixtures: standard machines and random-machine generators."""
+"""Shared fixtures: standard machines, random machines and random states."""
 
+import numpy as np
 import pytest
 
 import thermoneuron as tn
+from thermoneuron.errors import StructuralError
 
 
 @pytest.fixture
@@ -39,3 +41,25 @@ def random_neuron(rng, n_max=3, mu=1e-4):
 
 def random_inputs(rng, spec):
     return tuple(float(b) for b in rng.uniform(0.0, 1.0, spec.n))
+
+
+def validate_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-12, eig_tol=1e-10):
+    """Raise StructuralError unless rho is Hermitian, unit-trace, and PSD."""
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise StructuralError("density matrix must be square")
+    herm = float(np.abs(rho - rho.conj().T).max())
+    if herm > herm_tol:
+        raise StructuralError(f"not Hermitian: max deviation {herm:.3e}")
+    tr = complex(np.trace(rho))
+    if abs(tr - 1.0) > trace_tol:
+        raise StructuralError(f"trace {tr} differs from 1")
+    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
+    if min_eig < -eig_tol:
+        raise StructuralError(f"negative eigenvalue {min_eig:.3e}")
+
+
+def random_density_matrix(dim, rng):
+    """Ginibre-random full-rank density matrix."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real

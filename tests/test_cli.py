@@ -126,6 +126,24 @@ class TestSimulate:
         assert code == 0
         assert len(open(csv_path).read().splitlines()) > 10
 
+    def test_solver_failure_exits_2_with_one_line(self, tmp_path, capsys,
+                                                  monkeypatch):
+        import scipy.integrate
+
+        class Failed:
+            success = False
+            message = "Required step size is less than spacing between numbers."
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k: Failed())
+        out = str(tmp_path / "not.json")
+        main(["design", "--gate", "NOT", "--out", out])
+        capsys.readouterr()
+        code = main(["simulate", out, "--inputs", "0", "--tau", "1e4",
+                     "--mode", "full", "--out", str(tmp_path / "full.csv")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: full integration failed")
+
 
 class TestSweep:
     def test_not_transfer_curve_monotone(self, tmp_path, capsys):

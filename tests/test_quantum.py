@@ -1,7 +1,9 @@
 """Density-matrix core: Fermi populations, reset dissipators, integration,
 steady states, heat currents, and entropy accounting."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ import pytest
 import thermoneuron as tn
 from thermoneuron.dynamics import (collector_contacts, collector_hamiltonian,
                                    collector_register)
-from thermoneuron.errors import DegenerateSteadyStateError, StructuralError
-from thermoneuron.quantum import (BathContact, QubitRegister, StepControl,
-                                  random_density_matrix, validate_density_matrix)
+from thermoneuron import quantum
+from thermoneuron.errors import (DegenerateSteadyStateError, SolverError,
+                                 StructuralError)
+from thermoneuron.quantum import BathContact, QubitRegister, StepControl
+from conftest import random_density_matrix, validate_density_matrix
 
 # Frozen from 50-digit evaluation of 1/(1 + e).
 FERMI_AT_ONE = 0.26894142136999512075
@@ -247,6 +251,156 @@ class TestSteadyState:
         with pytest.raises(DegenerateSteadyStateError, match="dimension"):
             tn.steady_state(
                 lambda r: tn.reset_dissipator(r, contact, reg), reg.dim)
+
+
+def _dense_steady_state(rhs, dim):
+    """Reference: the single SVD of the whole d^2 x d^2 generator that
+    `steady_state` ran before it split the generator into invariant blocks.
+    Returns the state and the singular values."""
+    gen = quantum.superoperator_matrix(rhs, dim)
+    _, s, vh = np.linalg.svd(gen)
+    tol = s[0] * 1e-11 if s[0] > 0 else 1e-14
+    nullity = int(np.sum(s < tol))
+    if nullity > 1:
+        raise DegenerateSteadyStateError(
+            f"generator null space has dimension {nullity}; "
+            "steady state is not unique")
+    rho = vh[-1].conj().reshape(dim, dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    tr = float(np.trace(rho).real)
+    if abs(tr) < 1e-10:
+        raise DegenerateSteadyStateError(
+            "null vector is traceless; no normalizable steady state found")
+    rho = rho / tr
+    residual = float(np.abs(rhs(rho)).max())
+    if residual > 1e-10:
+        raise RuntimeError(f"steady-state residual {residual:.3e} exceeds 1e-10")
+    return rho, s
+
+
+def _assert_same_as_dense(rhs, dim):
+    """Blockwise and dense solves reach the same verdict: the same error type
+    and message, or states that agree to 1e-12.  Where the null vector is
+    ill-conditioned, neither SVD pins it better than machine epsilon times
+    s_max / s_(n-1), so that bound applies when it is larger.  Returns the
+    dense state, or None when both raised."""
+    try:
+        want, s = _dense_steady_state(rhs, dim)
+    except (DegenerateSteadyStateError, RuntimeError) as exc:
+        with pytest.raises(type(exc)) as got:
+            tn.steady_state(rhs, dim)
+        assert str(got.value) == str(exc)
+        return None
+    got = tn.steady_state(rhs, dim)
+    bound = max(1e-12, np.finfo(float).eps * s[0] / s[-2])
+    assert np.abs(got - want).max() <= bound
+    return want
+
+
+def _matrix_generator(mat):
+    """A generator on d x d operators given by its d^2 x d^2 matrix."""
+    dim = math.isqrt(mat.shape[0])
+    return (lambda r: (mat @ r.reshape(-1)).reshape(dim, dim)), dim
+
+
+def _random_machine(rng):
+    """A random register with an energy-conserving rank-2 interaction and
+    reset baths of random sign, rate and coverage (some leave a qubit free)."""
+    while True:
+        machine_gaps = tuple(rng.uniform(0.2, 3.0, int(rng.integers(1, 4))))
+        bits = tuple(int(b) for b in rng.integers(0, 2, len(machine_gaps)))
+        target = abs(tn.virtual_gap(bits, machine_gaps))
+        if target > 0.05:
+            break
+    reg = QubitRegister(machine_gaps + (target,))
+    chi = float(rng.choice([0.0, rng.uniform(0.1, 2.0)], p=[0.2, 0.8]))
+    hint = tn.build_interaction_hamiltonian(bits, chi, reg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        contacts = [BathContact(k, float(rng.uniform(-1.5, 2.0)),
+                                float(rng.uniform(0.05, 2.0)))
+                    for k in range(reg.m) if rng.random() < 0.85]
+    h0 = reg.free_hamiltonian()
+    return reg, (lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg))
+
+
+class TestBlockwiseSteadyState:
+    """`steady_state` solves block by block; the dense SVD is its oracle."""
+
+    @pytest.mark.parametrize("gate", ["NOT", "NOR", "MAJ3"])
+    def test_collectors_match_dense_svd(self, gate):
+        spec = tn.preset(gate)
+        reg = collector_register(spec)
+        h0, hint = collector_hamiltonian(spec)
+        rails = (spec.beta_hot, spec.beta_cold)
+        for inputs in itertools.product(rails, repeat=spec.n):
+            for beta_z in (0.2, 0.5, 2.0):
+                contacts = collector_contacts(spec, inputs, beta_z)
+                rhs = lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg)
+                rho = _assert_same_as_dense(rhs, reg.dim)
+                assert np.abs(rhs(rho)).max() <= 1e-10
+
+    def test_random_machines_match_dense_svd(self):
+        verdicts = []
+        for seed in range(24):
+            reg, rhs = _random_machine(np.random.default_rng(seed))
+            verdicts.append(_assert_same_as_dense(rhs, reg.dim) is None)
+        # Both verdicts occur, so both branches are compared.
+        assert any(verdicts) and not all(verdicts)
+
+    def test_collector_splits_into_small_blocks(self):
+        spec = tn.preset("NOR")
+        reg = collector_register(spec)
+        h0, hint = collector_hamiltonian(spec)
+        contacts = collector_contacts(spec, (0.0, 1.0), 0.5)
+        gen = quantum.superoperator_matrix(
+            lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg), reg.dim)
+        blocks = quantum._invariant_blocks(gen)
+        assert sorted(np.concatenate(blocks)) == list(range(reg.dim ** 2))
+        assert len(blocks) == 65 and max(map(len, blocks)) == reg.dim + 2
+        mask = np.zeros(gen.shape, dtype=bool)
+        for b in blocks:
+            mask[np.ix_(b, b)] = True
+        assert not gen[~mask].any()
+
+    @pytest.mark.parametrize("case", ["separate", "shared", "tiny"])
+    def test_two_null_vectors_raise_with_dense_nullity(self, case):
+        rank_one = np.array([[1.0, -1.0], [2.0, -2.0]])
+        mat = np.zeros((9, 9), dtype=complex)
+        if case == "shared":
+            # One connected 4-block of rank 2, plus an invertible 5-block.
+            u = np.array([[1.0, 2.0, -1.0, 0.5], [0.3, -1.0, 1.0, 2.0]]).T
+            mat[:4, :4] = u @ np.array([[1.0, 1.0, 2.0, -1.0], [0.5, -2.0, 1.0, 1.0]])
+            mat[4:, 4:] = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) + np.diag([0.5] * 4, 1)
+        else:
+            # Null vectors in the {0, 4} block and in a second block: the
+            # singular {1, 8}, or {1} alone, whose entry is tiny only against
+            # the largest singular value of the whole matrix.
+            mat[np.ix_([0, 4], [0, 4])] = rank_one
+            if case == "separate":
+                mat[np.ix_([8, 1], [8, 1])] = rank_one
+            else:
+                mat[1, 1], mat[8, 8] = 1e-13, 1.0
+            mat[np.ix_([2, 3, 5, 6, 7], [2, 3, 5, 6, 7])] = np.eye(5)
+        rhs, dim = _matrix_generator(mat)
+        n_blocks = {"separate": 7, "shared": 2, "tiny": 8}[case]
+        assert len(quantum._invariant_blocks(mat)) == n_blocks
+        assert _assert_same_as_dense(rhs, dim) is None
+        with pytest.raises(DegenerateSteadyStateError, match="dimension 2;"):
+            tn.steady_state(rhs, dim)
+
+    def test_null_vector_outside_the_first_block(self):
+        # Four 1 x 1 blocks; only the last, the (1, 1) population, is singular.
+        rhs, dim = _matrix_generator(np.diag([-1.0, -2.0, -3.0, 0.0]) + 0j)
+        rho = _assert_same_as_dense(rhs, dim)
+        assert np.array_equal(rho, np.diag([0.0, 1.0]))
+
+    def test_no_null_vector_ends_in_residual_error(self):
+        # Distinct singular values: both solvers pick the (1, 1) population.
+        rhs, dim = _matrix_generator(np.diag([-1.0, -2.0, -3.0, -0.5]) + 0j)
+        assert _assert_same_as_dense(rhs, dim) is None
+        with pytest.raises(SolverError, match="residual 5.000e-01"):
+            tn.steady_state(rhs, dim)
 
 
 class TestHeatCurrent:
