@@ -35,6 +35,7 @@ __all__ = [
     "TradeoffPoint",
     "encode",
     "decode",
+    "decode_array",
     "machine_arity",
     "machine_response",
     "conditional_outputs",
@@ -91,13 +92,17 @@ def encode(x: int, enc: Encoding) -> float:
     raise ConfigError(f"logical input must be 0 or 1, got {x!r}")
 
 
+def decode_array(beta_z, enc: Encoding) -> np.ndarray:
+    """The band rule elementwise: 0 at or below the low edge, 1 at or above
+    the high edge, -1 (invalid) anywhere else, NaN included."""
+    beta_z = np.asarray(beta_z, dtype=float)
+    return np.where(beta_z <= enc.low_edge, 0, np.where(beta_z >= enc.high_edge, 1, -1))
+
+
 def decode(beta_z: float, enc: Encoding):
     """0, 1, or None (invalid) depending on which band beta_z falls into."""
-    if beta_z <= enc.low_edge:
-        return 0
-    if beta_z >= enc.high_edge:
-        return 1
-    return None
+    bit = int(decode_array(beta_z, enc))
+    return bit if bit >= 0 else None
 
 
 def machine_arity(machine) -> int:

@@ -43,19 +43,14 @@ def _encoding(args, machine=None, band=None) -> ch.Encoding:
                        delta=args.delta, band=band or args.band)
 
 
-def _bit_label(beta_z: float, enc: ch.Encoding):
-    bit = ch.decode(beta_z, enc)
-    return bit if bit is not None else "invalid"
-
-
 def _parse_numbers(tokens, what: str) -> list[float]:
-    """Floats from command-line tokens; a non-number or NaN is a usage error."""
+    """Floats from command-line tokens; a non-number, NaN or inf is a usage error."""
     try:
         values = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise ConfigError(f"bad {what}: {exc}") from None
-    if any(math.isnan(v) for v in values):
-        raise ConfigError(f"bad {what}: NaN is not allowed")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"bad {what}: values must be finite")
     return values
 
 
@@ -70,12 +65,12 @@ def _load_machine(path):
         raise ThermoneuronError(f"cannot read machine file {path}: {exc}")
 
 
-def _write_or_print(text: str, out: str | None) -> None:
+def _write_csv(header, columns, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            ser.format_csv(header, columns, fh)
     else:
-        sys.stdout.write(text)
+        ser.format_csv(header, columns, sys.stdout)
 
 
 def cmd_design(args) -> int:
@@ -167,7 +162,8 @@ def cmd_steady(args) -> int:
         final = response.final
         payload = {"layer_outputs": [list(o) for o in response.layer_outputs],
                    "beta_z_inf": final}
-    payload["decoded"] = _bit_label(final, enc)
+    bit = ch.decode(final, enc)
+    payload["decoded"] = bit if bit is not None else "invalid"
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -194,9 +190,8 @@ def cmd_simulate(args) -> int:
         machine.beta_hot + machine.beta_cold)
     evolve = evolve_quasi_static if args.mode == "quasi" else evolve_full
     traj = evolve(machine, inputs, beta_z0, args.tau)
-    rows = zip(traj.t, traj.beta_z, traj.j_collector, traj.j_modulator,
-               traj.sigma_dot, traj.sigma)
-    _write_or_print(ser.format_csv(CSV_HEADER, rows), args.out)
+    _write_csv(CSV_HEADER, (traj.t, traj.beta_z, traj.j_collector,
+                            traj.j_modulator, traj.sigma_dot, traj.sigma), args.out)
     target = steady_output(machine, inputs).beta_z_inf
     print(f"endpoint beta_z = {traj.endpoint:.12g}; residual vs steady state = "
           f"{abs(traj.endpoint - target):.3e}", file=sys.stderr)
@@ -212,8 +207,8 @@ def _parse_grid(spec: str) -> list[float]:
     if len(parts) != 3:
         raise ConfigError(f"bad {what}: want start:stop:count")
     start, stop = _parse_numbers(parts[:2], what)
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError(f"bad {what}: start and stop must be finite")
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"bad {what}: stop - start overflows")
     try:
         count = int(parts[2])
     except ValueError:
@@ -236,14 +231,16 @@ def cmd_sweep(args) -> int:
     # The factorial grid in CSV row order: the last input varies fastest.
     points = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, arity)
     if isinstance(machine, NeuronSpec):
-        columns, extra = (points, *steady_response(machine, points)), ["beta_v"]
+        outputs, extra = steady_response(machine, points), ["beta_v"]
     else:
-        columns, extra = (points, ch.machine_response(machine, points)), []
+        outputs, extra = (ch.machine_response(machine, points),), []
+    # Each axis value is formatted once; meshgrid repeats it in row order.
+    axes = [np.array([f"{v:.12g}" for v in g], dtype=object) for g in grids]
+    inputs = [m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")]
+    # decode_array gives -1 for invalid, which picks the last label.
+    decoded = np.array(["0", "1", "invalid"], dtype=object)[ch.decode_array(outputs[-1], enc)]
     header = [f"beta_{i + 1}" for i in range(arity)] + extra + ["beta_z_inf", "decoded"]
-    # Rows are built one at a time as format_csv consumes them.
-    rows = ([*row, _bit_label(row[-1], enc)]
-            for row in zip(*np.column_stack(columns).T.tolist()))
-    _write_or_print(ser.format_csv(header, rows), args.out)
+    _write_csv(header, (*inputs, *outputs, decoded), args.out)
     return EXIT_OK
 
 
@@ -256,7 +253,7 @@ def cmd_tradeoff(args) -> int:
                                config=config)
     header = (args.knob, "avg_sigma", "avg_xi", "avg_invalid")
     rows = [(p.knob, p.avg_sigma, p.avg_xi, p.avg_invalid) for p in points]
-    _write_or_print(ser.format_csv(header, rows), args.out)
+    _write_csv(header, np.array(rows, dtype=float).reshape(-1, 4).T, args.out)
     if args.inset:
         inset_rows = []
         for value in grid:
@@ -272,8 +269,8 @@ def cmd_tradeoff(args) -> int:
                 inset_rows.append((float(value), float(beta_1),
                                    float(traj.sigma[-1])))
         inset_path = (args.out or "tradeoff") + ".inset.csv"
-        with open(inset_path, "w", encoding="utf-8") as fh:
-            fh.write(ser.format_csv((args.knob, "beta_1", "sigma"), inset_rows))
+        _write_csv((args.knob, "beta_1", "sigma"),
+                   np.array(inset_rows, dtype=float).reshape(-1, 3).T, inset_path)
         print(f"wrote {inset_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -318,8 +315,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # A usage error prints as one `error:` line, like every other one.
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thermoneuron",
         description="Design and simulate thermodynamic neurons "
                     "(natural units, k_B = hbar = 1).")
@@ -394,13 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:   # --help
+        return int(exc.code) if exc.code is not None else EXIT_USAGE
     except (ThermoneuronError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

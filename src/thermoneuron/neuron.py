@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, SolverError, StructuralError
+from .errors import CalibrationError, ConfigError, SolverError, StructuralError
 from .quantum import _libm, fermi_population
 from .virtual import virtual_gap, virtual_temperature, weighted_bias
 
@@ -244,7 +244,10 @@ def steady_response(spec: NeuronSpec, rows) -> tuple[np.ndarray, np.ndarray]:
     if rows.ndim != 2 or rows.shape[1] != spec.n:
         raise StructuralError(f"expected {spec.n} inputs, got rows {rows.shape}")
     betas = (spec.beta0,) + tuple(rows.T)
-    beta_v = virtual_temperature(spec.h, betas, spec.eps, spec.eps_z)
+    with np.errstate(over="ignore", invalid="ignore"):   # beta_v = +-inf is valid
+        beta_v = virtual_temperature(spec.h, betas, spec.eps, spec.eps_z)
+    if np.isnan(beta_v).any() and not np.isnan(rows).any():
+        raise ConfigError("input temperatures overflow: beta_v is inf - inf")
     beta_z = steady_from_virtual(spec, beta_v)
     lo, hi = spec.beta_hot - 1e-9, spec.beta_cold + 1e-9
     outside = ~((lo <= beta_z) & (beta_z <= hi))

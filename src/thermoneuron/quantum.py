@@ -240,11 +240,9 @@ def integrate_master(rho0: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
     if horizon == 0.0:
         return y
     t = 0.0
-    f0 = rhs(y)
-    scale0 = float(np.abs(f0).max())
+    k = [rhs(y)] + [None] * 6   # k[0] = rhs(y), kept until y moves
     h = ctrl.h_initial if ctrl.h_initial is not None else min(
-        horizon, 0.1 / (1.0 + scale0), ctrl.h_max)
-    k = [None] * 7
+        horizon, 0.1 / (1.0 + float(np.abs(k[0]).max())), ctrl.h_max)
     for _ in range(ctrl.max_steps):
         if t >= horizon:
             break
@@ -252,7 +250,8 @@ def integrate_master(rho0: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
         if h < 1e-14 * max(1.0, t):
             raise SolverError(
                 f"integrate_master: step-size underflow at t = {t:.6e} (h = {h:.3e})")
-        k[0] = rhs(y)
+        if k[0] is None:
+            k[0] = rhs(y)
         for i in range(1, 7):
             yi = y
             for j, a in enumerate(_DP_A[i]):
@@ -273,6 +272,7 @@ def integrate_master(rho0: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
         if ratio <= 1.0:
             t += h
             y = 0.5 * (y5 + y5.conj().T)
+            k[0] = None
         factor = 0.9 * (max(ratio, 1e-16)) ** (-0.2)
         h *= min(5.0, max(0.2, factor))
     else:

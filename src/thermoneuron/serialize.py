@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Sequence
+from typing import Sequence, TextIO
+
+import numpy as np
 
 from .errors import ConfigError
 from .network import NetworkSpec
@@ -31,6 +33,7 @@ __all__ = [
 
 TOOL_VERSION = "0.1.0"
 UNITS_NOTE = "natural (k_B = hbar = 1)"
+CSV_BLOCK = 4096
 
 _NEURON_KEYS = ("n", "eps", "h", "beta0", "eps_z", "chi", "gamma", "mu",
                 "mu_prime", "beta_r", "beta_hot", "beta_cold", "capacity")
@@ -161,15 +164,16 @@ def load_machine(path):
         return machine_from_document(json.load(fh))
 
 
-def format_csv(header: Sequence[str], rows) -> str:
-    """CSV text with a units comment, a header row, and 12-significant-digit floats."""
-    lines = [f"# units: {UNITS_NOTE}", ",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(f"{v:.12g}")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def format_csv(header: Sequence[str], columns: Sequence, out: TextIO) -> None:
+    """Write `columns` (one per header field, of one length) to `out` as CSV: a
+    units comment, the header row, then the rows in blocks of `CSV_BLOCK`, so no
+    full list of row strings is held.  Float columns are written with 12
+    significant digits; any other column must hold strings, written as they are.
+    """
+    columns = [np.asarray(col) for col in columns]
+    out.write(f"# units: {UNITS_NOTE}\n{','.join(header)}\n")
+    for start in range(0, len(columns[0]), CSV_BLOCK):
+        cells = [col[start:start + CSV_BLOCK] for col in columns]
+        cells = [map("{:.12g}".format, c.tolist()) if c.dtype.kind == "f" else c.tolist()
+                 for c in cells]
+        out.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")

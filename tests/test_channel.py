@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import thermoneuron as tn
-from thermoneuron.channel import gaussian_band_probs
+from thermoneuron.channel import BANDS, decode_array, gaussian_band_probs
 from thermoneuron.dynamics import accumulated_dissipation
 from thermoneuron.errors import ConfigError
 
@@ -35,6 +35,25 @@ class TestEncoding:
         assert tn.decode(0.05, enc) == 0
         assert tn.decode(0.95, enc) == 1
         assert tn.decode(0.5, enc) is None
+
+    @pytest.mark.parametrize("band", BANDS)
+    @pytest.mark.parametrize("rails", [(0.0, 1.0), (0.2, 1.5)])
+    def test_array_decode_equals_scalar_decode(self, band, rails):
+        enc = tn.Encoding(*rails, delta=0.1, band=band)
+        edges = np.array([enc.low_edge, enc.high_edge])
+        values = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [np.nan, np.inf, -np.inf, rails[0], rails[1]],
+            np.random.default_rng(11).uniform(-0.5, 2.0, 1000)])
+        codes = decode_array(values, enc)
+        assert codes.shape == values.shape
+        for v, code in zip(values.tolist(), codes.tolist()):
+            # The band rule written out, scalar by scalar.
+            want = 0 if v <= enc.low_edge else 1 if v >= enc.high_edge else None
+            assert tn.decode(v, enc) == want
+            assert code == (-1 if want is None else want)
+        assert set(codes[:2].tolist()) == {0, 1}
+        assert codes[6] == -1  # NaN
 
     def test_overlapping_bands_rejected(self):
         with pytest.raises(ConfigError, match="overlap"):

@@ -346,6 +346,13 @@ MALFORMED = {
     "grid-list-not-numbers": (nor_doc, ["sweep", "M", "--grid", "a,b"]),
     "grid-nan-entry": (nor_doc, ["sweep", "M", "--grid", "0,nan,1"]),
     "grid-nan-bound": (nor_doc, ["sweep", "M", "--grid", "0:nan:3"]),
+    "grid-infinite-entry": (nor_doc, ["sweep", "M", "--grid", "0,inf"]),
+    "grid-bounds-overflow": (nor_doc, ["sweep", "M", "--grid=-1e308:1e308:3"]),
+    "grid-beta-v-inf-minus-inf": (nor_doc, ["sweep", "M", "--grid", "1e308;-1e308"]),
+    "steady-inputs-inf": (nor_doc, ["steady", "M", "--inputs", "inf", "0"]),
+    "sweep-unknown-band": (nor_doc, ["sweep", "M", "--grid", "0:1:2", "--band", "x"]),
+    "sweep-delta-not-a-number": (nor_doc, ["sweep", "M", "--grid", "0:1:2",
+                                           "--delta", "abc"]),
     "network-without-layers": (lambda: network_doc("layers"), STEADY),
     "network-without-n-inputs": (lambda: network_doc("n_inputs"), STEADY),
     "layer-entry-without-neuron": (lambda: network_doc("layers", 0, 0, "neuron"), STEADY),

@@ -1,0 +1,153 @@
+"""The columnar CSV writer against the row-wise formatter it replaced.
+
+The reference below builds every row as a Python list, decodes beta_z one
+value at a time with the scalar band rule, and formats each cell after an
+`isinstance` test.  Every CSV the CLI writes must match it byte for byte.
+"""
+
+import numpy as np
+import pytest
+
+import thermoneuron as tn
+from thermoneuron import channel as ch
+from thermoneuron.cli import _parse_grid, main
+from thermoneuron.dynamics import CSV_HEADER
+from thermoneuron.serialize import UNITS_NOTE
+
+
+def row_wise_format_csv(header, rows):
+    lines = [f"# units: {UNITS_NOTE}", ",".join(header)]
+    for row in rows:
+        cells = []
+        for v in row:
+            if isinstance(v, float):
+                cells.append(f"{v:.12g}")
+            else:
+                cells.append(str(v))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def scalar_decode(beta_z, enc):
+    if beta_z <= enc.low_edge:
+        return 0
+    if beta_z >= enc.high_edge:
+        return 1
+    return None
+
+
+def bit_label(beta_z, enc):
+    bit = scalar_decode(beta_z, enc)
+    return bit if bit is not None else "invalid"
+
+
+def reference_sweep(machine, grid_spec, band, delta):
+    arity = ch.machine_arity(machine)
+    grids = [_parse_grid(g) for g in grid_spec.split(";")]
+    if len(grids) == 1:
+        grids = grids * arity
+    rails = machine.layers[0][0] if isinstance(machine, tn.NetworkSpec) else machine
+    enc = ch.Encoding(rails.beta_hot, rails.beta_cold, delta, band)
+    points = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, arity)
+    if isinstance(machine, tn.NeuronSpec):
+        columns, extra = (points, *tn.steady_response(machine, points)), ["beta_v"]
+    else:
+        columns, extra = (points, ch.machine_response(machine, points)), []
+    header = [f"beta_{i + 1}" for i in range(arity)] + extra + ["beta_z_inf", "decoded"]
+    rows = ([*row, bit_label(row[-1], enc)]
+            for row in zip(*np.column_stack(columns).T.tolist()))
+    return row_wise_format_csv(header, rows)
+
+
+@pytest.fixture(scope="module")
+def machines(tmp_path_factory):
+    root = tmp_path_factory.mktemp("machines")
+    (root / "xor.tt").write_text("0 0 : 0\n0 1 : 1\n1 0 : 1\n1 1 : 0\n")
+    designs = {"not": ["--gate", "NOT"], "nor": ["--gate", "NOR", "--alpha", "20"],
+               "maj3": ["--gate", "MAJ3", "--alpha", "10"],
+               "xor": ["--table", str(root / "xor.tt"), "--layers", "2,1",
+                       "--seed", "7"]}
+    paths = {}
+    for name, argv in designs.items():
+        paths[name] = str(root / f"{name}.json")
+        assert main(["design", *argv, "--out", paths[name]]) == 0
+    return paths
+
+
+SWEEPS = [(gate, grid, band, 0.1)
+          for gate, grid in (("not", "0:1:101"), ("nor", "0:1:71"),
+                             ("maj3", "0:1:9"), ("xor", "-0.25:1.25:31"))
+          for band in ch.BANDS] + [
+    ("not", "0:1:51", "multiplicative", 0.4),
+    ("nor", "0:1:21", "additive", 0.4),
+    ("nor", "0.5,-0,0.1,0.5,1;1,0,-0,0.25", "multiplicative", 0.1),
+    ("maj3", "1,0.5,1;0,-0;0.75,0.25", "additive", 0.2),
+    ("nor", "0.3:0.7:1", "additive", 0.1),
+    ("xor", "0.5;0.5", "additive", 0.1),
+    ("nor", "0:1:0", "additive", 0.1),
+    ("maj3", "0:1:3;0:1:3;", "additive", 0.1),
+]
+
+
+@pytest.mark.parametrize("gate,grid,band,delta", SWEEPS)
+def test_sweep_matches_row_wise_writer(machines, tmp_path, gate, grid, band, delta):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", machines[gate], f"--grid={grid}", "--band", band,
+            "--delta", str(delta), "--out", str(out)]
+    assert main(argv) == 0
+    machine, _ = tn.load_machine(machines[gate])
+    assert out.read_text() == reference_sweep(machine, grid, band, delta)
+
+
+def test_oracle_cases_cover_invalid_and_empty_output(machines, tmp_path):
+    texts = {}
+    for grid, delta in (("0:1:51", 0.4), ("0:1:0", 0.1)):
+        out = tmp_path / "sweep.csv"
+        main(["sweep", machines["not"], f"--grid={grid}", "--delta", str(delta),
+              "--out", str(out)])
+        texts[grid] = out.read_text()
+    assert ",invalid\n" in texts["0:1:51"]
+    assert texts["0:1:0"].count("\n") == 2
+
+
+def test_stdout_equals_file(machines, tmp_path, capsys):
+    argv = ["sweep", machines["maj3"], "--grid", "0:1:17", "--band", "additive"]
+    assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (tmp_path / "s.csv").read_text()
+
+
+def test_simulate_csv_matches_row_wise_writer(machines, tmp_path):
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", machines["not"], "--inputs", "1", "--mode", "quasi",
+            "--tau", "1e6", "--out", str(out)]
+    assert main(argv) == 0
+    machine, _ = tn.load_machine(machines["not"])
+    traj = tn.evolve_quasi_static(
+        machine, [1.0], 0.5 * (machine.beta_hot + machine.beta_cold), 1e6)
+    rows = zip(traj.t, traj.beta_z, traj.j_collector, traj.j_modulator,
+               traj.sigma_dot, traj.sigma)
+    assert out.read_text() == row_wise_format_csv(CSV_HEADER, rows)
+
+
+def test_tradeoff_and_inset_csvs_match_row_wise_writer(tmp_path):
+    out = tmp_path / "tr.csv"
+    grid, tau, n_inset = [1.0, 2.0, 4.0], 1e4, 5
+    assert main(["tradeoff", "--grid", "1,2,4", "--tau", str(tau), "--inset",
+                 "--inset-points", str(n_inset), "--out", str(out)]) == 0
+    enc, config = ch.Encoding(), tn.DesignConfig(eps_z=0.1, seed=0)
+    points = ch.tradeoff_sweep("NOT", "eps1", grid, enc, spread=0.05, tau=tau,
+                               config=config)
+    rows = [(p.knob, p.avg_sigma, p.avg_xi, p.avg_invalid) for p in points]
+    assert out.read_text() == row_wise_format_csv(
+        ("eps1", "avg_sigma", "avg_xi", "avg_invalid"), rows)
+    inset_rows = []
+    for value in grid:
+        machine = tn.inverter(eps_input=value, beta0=0.5, eps_z=config.eps_z,
+                              **config.physical())
+        for beta_1 in np.linspace(0.0, 1.0, n_inset):
+            traj = tn.evolve_quasi_static(machine, [beta_1], 0.5, tau)
+            inset_rows.append((value, float(beta_1), float(traj.sigma[-1])))
+    assert (tmp_path / "tr.csv.inset.csv").read_text() == row_wise_format_csv(
+        ("eps1", "beta_1", "sigma"), inset_rows)

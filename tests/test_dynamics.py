@@ -1,5 +1,6 @@
 """Slow calorimetric evolution, full co-integration, and dissipation accounting."""
 
+import io
 import os
 import subprocess
 import sys
@@ -97,9 +98,10 @@ class TestTrajectoryInvariants:
 
     def test_csv_export(self, paper_not):
         traj = tn.evolve_quasi_static(paper_not, (1.0,), 0.5, 10.0)
-        rows = zip(traj.t, traj.beta_z, traj.j_collector, traj.j_modulator,
-                   traj.sigma_dot, traj.sigma)
-        lines = format_csv(CSV_HEADER, rows).splitlines()
+        out = io.StringIO()
+        format_csv(CSV_HEADER, (traj.t, traj.beta_z, traj.j_collector,
+                                traj.j_modulator, traj.sigma_dot, traj.sigma), out)
+        lines = out.getvalue().splitlines()
         assert lines[0].startswith("# units: natural")
         assert lines[1] == "t,beta_z,j_C,j_M,sigma_dot,sigma"
         assert len(lines) == 2 + len(traj.t)

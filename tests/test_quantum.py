@@ -181,6 +181,22 @@ class TestIntegrateMaster:
             expected = g + (0.9 - g) * math.exp(-t)
             assert abs(rho_t[1, 1].real - expected) < 1e-8
 
+    def test_rhs_is_never_evaluated_twice_at_one_state(self):
+        # A first step of the whole horizon is far too long for the tolerance,
+        # so the run starts with rejected steps that all begin at rho0.  The
+        # generator is not Hermiticity-preserving, so re-Hermitizing an
+        # accepted state moves it off the last stage's argument.
+        gen = np.array([[-1.0, 0.5], [0.0, -2.0]], dtype=complex)
+        seen = []
+
+        def rhs(r):
+            seen.append(r.tobytes())
+            return gen @ r
+
+        tn.integrate_master(np.eye(2, dtype=complex), rhs, 4.0,
+                            StepControl(h_initial=4.0))
+        assert len(seen) > 7 and len(set(seen)) == len(seen)
+
     @pytest.mark.filterwarnings("ignore:weak time-scale separation")
     def test_long_horizon_matches_steady_state(self):
         # mu = 1e-2 trades some time-scale separation (ratio 30, warned) for
