@@ -42,6 +42,7 @@ __all__ = [
     "mc_conditional_outputs",
     "average_error",
     "average_dissipation",
+    "tradeoff_machine",
     "tradeoff_sweep",
     "gaussian_band_probs",
 ]
@@ -231,6 +232,16 @@ class TradeoffPoint:
     avg_invalid: float
 
 
+def tradeoff_machine(gate: str, knob: str, value: float,
+                     config: DesignConfig) -> NeuronSpec:
+    """The machine at one knob value: the inverter with input gap eps_1 = value
+    (knob 'eps1'), or the gate's preset at steepness alpha = value."""
+    if knob == "eps1":
+        return inverter(eps_input=float(value), beta0=0.5, eps_z=config.eps_z,
+                        **config.physical())
+    return preset(gate, replace(config, alpha=float(value)))
+
+
 def tradeoff_sweep(gate: str, knob: str, grid: Sequence[float], enc: Encoding,
                    spread: float, tau: float,
                    config: DesignConfig | None = None,
@@ -244,11 +255,7 @@ def tradeoff_sweep(gate: str, knob: str, grid: Sequence[float], enc: Encoding,
         raise ConfigError("the eps1 knob applies to the NOT gate only")
     points = []
     for value in grid:
-        if knob == "eps1":
-            machine = inverter(eps_input=float(value), beta0=0.5,
-                               eps_z=config.eps_z, **config.physical())
-        else:
-            machine = preset(gate, replace(config, alpha=float(value)))
+        machine = tradeoff_machine(gate, knob, value, config)
         stats = conditional_outputs(machine, enc, spread)
         xi, invalid = average_error(stats, table)
         sigma = average_dissipation(machine, enc, tau, beta_z0=beta_z0)

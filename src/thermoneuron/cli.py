@@ -4,6 +4,11 @@ Exit codes: 0 on success, 1 when a verification fails, 2 for usage,
 configuration or solver errors (one `error:` line, no traceback).  Every
 command with a --seed is byte-deterministic.  Grids are evaluated in one
 array pass; THERMONEURON_THREADS is ignored.
+
+Input rules, checked once by the parser's converters: every number must be
+finite; counts (--seed, --inset-points, a grid's count) must be >= 0;
+negative values are accepted in any float form (-1, -.5, -1e-3, -0.5:1:3);
+`design` and `verify` each need exactly one of --table or --gate.
 """
 
 from __future__ import annotations
@@ -11,8 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -43,25 +48,74 @@ def _encoding(args, machine=None, band=None) -> ch.Encoding:
                        delta=args.delta, band=band or args.band)
 
 
-def _parse_numbers(tokens, what: str) -> list[float]:
-    """Floats from command-line tokens; a non-number, NaN or inf is a usage error."""
+# Argument converters, passed to argparse as `type=`.  argparse turns an
+# ArgumentTypeError into one "argument --x: <message>" usage error; any other
+# caller must turn it into a ConfigError itself.
+
+def _finite(text: str) -> float:
     try:
-        values = [float(tok) for tok in tokens]
-    except ValueError as exc:
-        raise ConfigError(f"bad {what}: {exc}") from None
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"bad {what}: values must be finite")
-    return values
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"want a finite number, got {text!r}")
+    return value
 
 
-def _design_config(args) -> DesignConfig:
-    return DesignConfig(alpha=args.alpha, eps_z=args.eps_z, seed=args.seed)
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"want an integer >= 0, got {text!r}")
+    return value
+
+
+def _parse_grid(spec: str) -> list[float]:
+    """'start:stop:count' -> linspace; 'a,b,c' -> explicit list."""
+    if ":" not in spec:
+        return [_finite(tok) for tok in spec.split(",") if tok]
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"want start:stop:count, got {spec!r}")
+    start, stop = _finite(parts[0]), _finite(parts[1])
+    if not math.isfinite(stop - start):
+        raise argparse.ArgumentTypeError(f"stop - start overflows in {spec!r}")
+    return np.linspace(start, stop, _count(parts[2])).tolist()
+
+
+def _grids(spec: str) -> list[list[float]]:
+    """One grid per input, ';'-separated."""
+    return [_parse_grid(g) for g in spec.split(";")]
+
+
+def _widths(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"want comma-separated integers, got {text!r}") from None
+
+
+def _table_file(path: str) -> TruthTable:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return TruthTable.from_text(fh.read())
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _check_arity(machine, count: int, source: str) -> None:
+    arity = ch.machine_arity(machine)
+    if count != arity:
+        raise ConfigError(f"machine expects {arity} inputs, {source} gives {count}")
 
 
 def _load_machine(path):
     try:
         return ser.load_machine(path)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ThermoneuronError(f"cannot read machine file {path}: {exc}")
 
 
@@ -74,36 +128,23 @@ def _write_csv(header, columns, out: str | None) -> None:
 
 
 def cmd_design(args) -> int:
-    config = _design_config(args)
+    config = DesignConfig(alpha=args.alpha, eps_z=args.eps_z, seed=args.seed)
     if args.gate:
         weights = np.asarray(PRESET_WEIGHTS[args.gate.upper()], dtype=float)
         machine = preset(args.gate, config)
         weights_doc = [list(weights)]
+    elif args.layers:
+        machine = train_network(args.table, args.layers, config)
+        weights_doc = [[list(np.concatenate(([b], w)))
+                        for w, b in _network_unit_weights(machine, config)]]
     else:
         try:
-            with open(args.table, "r", encoding="utf-8") as fh:
-                table = TruthTable.from_text(fh.read())
-        except OSError as exc:
-            print(f"error: cannot read table: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if args.layers:
-            try:
-                topology = [int(s) for s in args.layers.split(",")]
-            except ValueError:
-                raise ConfigError(f"bad --layers '{args.layers}': want "
-                                  "comma-separated integers") from None
-            machine = train_network(table, topology, config)
-            weights_doc = [[list(np.concatenate(([b], w)))
-                            for w, b in _network_unit_weights(machine, config)]]
-        else:
-            try:
-                weights = train_perceptron(table, config)
-            except NotSeparableError as exc:
-                print(f"error: {exc} (supply --layers to train a network "
-                      "for non-separable functions such as XOR)", file=sys.stderr)
-                return EXIT_USAGE
-            machine = weights_to_neuron(weights, config)
-            weights_doc = [list(weights)]
+            weights = train_perceptron(args.table, config)
+        except NotSeparableError as exc:
+            raise ConfigError(f"{exc} (supply --layers to train a network "
+                              "for non-separable functions such as XOR)") from None
+        machine = weights_to_neuron(weights, config)
+        weights_doc = [list(weights)]
 
     provenance = {"weights": weights_doc, "alpha": config.alpha,
                   "eps_z": config.eps_z, "seed": config.seed,
@@ -148,17 +189,14 @@ def _design_report(machine, weights_doc, config):
 
 def cmd_steady(args) -> int:
     machine, _ = _load_machine(args.machine)
-    inputs = _parse_numbers(args.inputs, "--inputs")
-    if len(inputs) != ch.machine_arity(machine):
-        raise ThermoneuronError(
-            f"machine expects {ch.machine_arity(machine)} inputs, got {len(inputs)}")
+    _check_arity(machine, len(args.inputs), "--inputs")
     enc = _encoding(args, machine)
     if isinstance(machine, NeuronSpec):
-        point = steady_output(machine, inputs)
+        point = steady_output(machine, args.inputs)
         beta_v, final = point.beta_v, point.beta_z_inf
         payload = {"beta_v": beta_v, "beta_z_inf": final}
     else:
-        response = eval_network(machine, inputs)
+        response = eval_network(machine, args.inputs)
         final = response.final
         payload = {"layer_outputs": [list(o) for o in response.layer_outputs],
                    "beta_z_inf": final}
@@ -182,51 +220,24 @@ def cmd_simulate(args) -> int:
     machine, _ = _load_machine(args.machine)
     if not isinstance(machine, NeuronSpec):
         raise ThermoneuronError("simulate works on single neurons")
-    inputs = _parse_numbers(args.inputs, "--inputs")
-    if len(inputs) != machine.n:
-        raise ThermoneuronError(
-            f"machine expects {machine.n} inputs, got {len(inputs)}")
+    _check_arity(machine, len(args.inputs), "--inputs")
     beta_z0 = args.beta_z0 if args.beta_z0 is not None else 0.5 * (
         machine.beta_hot + machine.beta_cold)
     evolve = evolve_quasi_static if args.mode == "quasi" else evolve_full
-    traj = evolve(machine, inputs, beta_z0, args.tau)
+    traj = evolve(machine, args.inputs, beta_z0, args.tau)
     _write_csv(CSV_HEADER, (traj.t, traj.beta_z, traj.j_collector,
                             traj.j_modulator, traj.sigma_dot, traj.sigma), args.out)
-    target = steady_output(machine, inputs).beta_z_inf
+    target = steady_output(machine, args.inputs).beta_z_inf
     print(f"endpoint beta_z = {traj.endpoint:.12g}; residual vs steady state = "
           f"{abs(traj.endpoint - target):.3e}", file=sys.stderr)
     return EXIT_OK
 
 
-def _parse_grid(spec: str) -> list[float]:
-    """'start:stop:count' -> linspace; 'a,b,c' -> explicit list."""
-    what = f"grid '{spec}'"
-    if ":" not in spec:
-        return _parse_numbers([tok for tok in spec.split(",") if tok], what)
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"bad {what}: want start:stop:count")
-    start, stop = _parse_numbers(parts[:2], what)
-    if not math.isfinite(stop - start):
-        raise ConfigError(f"bad {what}: stop - start overflows")
-    try:
-        count = int(parts[2])
-    except ValueError:
-        raise ConfigError(f"bad {what}: count must be an integer") from None
-    if count < 0:
-        raise ConfigError("grid count must be non-negative")
-    return np.linspace(start, stop, count).tolist()
-
-
 def cmd_sweep(args) -> int:
     machine, _ = _load_machine(args.machine)
     arity = ch.machine_arity(machine)
-    grids = [_parse_grid(g) for g in args.grid.split(";")]
-    if len(grids) == 1 and arity > 1:
-        grids = grids * arity
-    if len(grids) != arity:
-        raise ThermoneuronError(
-            f"need one grid per input ({arity}), got {len(grids)}")
+    grids = args.grid * arity if len(args.grid) == 1 else args.grid
+    _check_arity(machine, len(grids), "--grid")
     enc = _encoding(args, machine)
     # The factorial grid in CSV row order: the last input varies fastest.
     points = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, arity)
@@ -245,10 +256,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_tradeoff(args) -> int:
-    grid = _parse_grid(args.grid)
     enc = _encoding(args)
     config = DesignConfig(eps_z=args.eps_z, seed=args.seed)
-    points = ch.tradeoff_sweep(args.gate, args.knob, grid, enc,
+    points = ch.tradeoff_sweep(args.gate, args.knob, args.grid, enc,
                                spread=args.channel_width, tau=args.tau,
                                config=config)
     header = (args.knob, "avg_sigma", "avg_xi", "avg_invalid")
@@ -256,12 +266,8 @@ def cmd_tradeoff(args) -> int:
     _write_csv(header, np.array(rows, dtype=float).reshape(-1, 4).T, args.out)
     if args.inset:
         inset_rows = []
-        for value in grid:
-            from .neuron import inverter
-            machine = (inverter(eps_input=float(value), beta0=0.5,
-                                eps_z=config.eps_z, **config.physical())
-                       if args.knob == "eps1"
-                       else preset(args.gate, replace(config, alpha=float(value))))
+        for value in args.grid:
+            machine = ch.tradeoff_machine(args.gate, args.knob, value, config)
             for beta_1 in np.linspace(enc.beta_hot, enc.beta_cold, args.inset_points):
                 traj = evolve_quasi_static(
                     machine, [beta_1] * ch.machine_arity(machine),
@@ -277,21 +283,8 @@ def cmd_tradeoff(args) -> int:
 
 def cmd_verify(args) -> int:
     machine, _ = _load_machine(args.machine)
-    if args.table:
-        try:
-            with open(args.table, "r", encoding="utf-8") as fh:
-                table = TruthTable.from_text(fh.read())
-        except OSError as exc:
-            print(f"error: cannot read table: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    elif args.gate:
-        table = gate_table(args.gate)
-    else:
-        print("error: verify needs --table or --gate", file=sys.stderr)
-        return EXIT_USAGE
-    if table.n != ch.machine_arity(machine):
-        raise ThermoneuronError(
-            f"table arity {table.n} != machine arity {ch.machine_arity(machine)}")
+    table = args.table or gate_table(args.gate)
+    _check_arity(machine, table.n, "the table")
     enc = _encoding(args, machine, band=args.band)
     finals = ch.machine_response(
         machine, [[ch.encode(b, enc) for b in bits] for bits, _ in table.rows()])
@@ -316,6 +309,13 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Any token starting '-<digit>' or '-.<digit>' is a value, so negative
+        # numbers in exponent or range form (-1e-3, -0.5:1:3) are not read as
+        # flags.  No option string starts that way.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         # A usage error prints as one `error:` line, like every other one.
         raise ConfigError(message)
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common_decode(p, default_band="multiplicative"):
-        p.add_argument("--delta", type=float, default=0.1,
+        p.add_argument("--delta", type=_finite, default=0.1,
                        help="decoding tolerance (default 0.1)")
         p.add_argument("--band", choices=ch.BANDS, default=default_band,
                        help=f"decoding band rule (default {default_band})")
@@ -337,33 +337,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="compile a gate or truth table to a machine")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--gate", choices=sorted(PRESET_WEIGHTS))
-    src.add_argument("--table", help="path to a truth-table file")
-    p.add_argument("--alpha", type=float, default=20.0)
-    p.add_argument("--eps-z", dest="eps_z", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--layers", help="comma-separated layer widths for networks")
+    src.add_argument("--table", type=_table_file, help="path to a truth-table file")
+    p.add_argument("--alpha", type=_finite, default=20.0)
+    p.add_argument("--eps-z", dest="eps_z", type=_finite, default=0.1)
+    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--layers", type=_widths,
+                   help="comma-separated layer widths for networks")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("steady", help="exact steady-state response")
     p.add_argument("machine")
-    p.add_argument("--inputs", nargs="+", required=True)
+    p.add_argument("--inputs", nargs="+", type=_finite, required=True)
     p.add_argument("--json", action="store_true")
     add_common_decode(p, default_band="additive")
     p.set_defaults(func=cmd_steady)
 
     p = sub.add_parser("simulate", help="time evolution of the output temperature")
     p.add_argument("machine")
-    p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--tau", type=float, default=1e8)
+    p.add_argument("--inputs", nargs="+", type=_finite, required=True)
+    p.add_argument("--tau", type=_finite, default=1e8)
     p.add_argument("--mode", choices=("quasi", "full"), default="quasi")
-    p.add_argument("--beta-z0", dest="beta_z0", type=float, default=None)
+    p.add_argument("--beta-z0", dest="beta_z0", type=_finite, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="transfer-characteristic surface")
     p.add_argument("machine")
-    p.add_argument("--grid", required=True,
+    p.add_argument("--grid", type=_grids, required=True,
                    help="start:stop:count or list; ';'-separated per input")
     p.add_argument("--out", default=None)
     add_common_decode(p)
@@ -372,24 +373,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tradeoff", help="dissipation-vs-error curve")
     p.add_argument("--gate", default="NOT", choices=sorted(PRESET_WEIGHTS))
     p.add_argument("--knob", choices=("eps1", "alpha"), default="eps1")
-    p.add_argument("--grid", required=True)
-    p.add_argument("--tau", type=float, default=1e8)
-    p.add_argument("--C", dest="channel_width", type=float, default=0.05,
+    p.add_argument("--grid", type=_parse_grid, required=True)
+    p.add_argument("--tau", type=_finite, default=1e8)
+    p.add_argument("--C", dest="channel_width", type=_finite, default=0.05,
                    help="Gaussian response width (default 0.05)")
-    p.add_argument("--eps-z", dest="eps_z", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eps-z", dest="eps_z", type=_finite, default=0.1)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--inset", action="store_true",
                    help="also emit per-input dissipation curves")
-    p.add_argument("--inset-points", type=int, default=21)
+    p.add_argument("--inset-points", type=_count, default=21)
     p.add_argument("--out", default=None)
     add_common_decode(p)
     p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("verify", help="check a machine against a truth table")
     p.add_argument("machine")
-    p.add_argument("--table", default=None)
-    p.add_argument("--gate", default=None)
-    p.add_argument("--C", dest="channel_width", type=float, default=0.05)
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--table", type=_table_file, help="path to a truth-table file")
+    src.add_argument("--gate")
+    p.add_argument("--C", dest="channel_width", type=_finite, default=0.05)
     add_common_decode(p, default_band="additive")
     p.set_defaults(func=cmd_verify)
 
@@ -402,7 +404,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:   # --help
         return int(exc.code) if exc.code is not None else EXIT_USAGE
-    except (ThermoneuronError, FileNotFoundError) as exc:
+    except (ThermoneuronError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -101,19 +101,28 @@ def _sample_times(tau: float, per_decade: int) -> np.ndarray:
     return np.concatenate(([0.0], ts))
 
 
+def _check_run(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
+               tau: float) -> tuple[float, ...]:
+    """The inputs as floats, once the run's arguments are known to be valid."""
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ConfigError(f"tau must be non-negative and finite, got {tau!r}")
+    if not math.isfinite(beta_z0):
+        raise ConfigError(f"beta_z0 must be finite, got {beta_z0!r}")
+    if not (spec.capacity > 0.0):
+        raise StructuralError("reservoir capacity must be positive")
+    inputs = tuple(float(b) for b in inputs)
+    if len(inputs) != spec.n:
+        raise StructuralError(f"expected {spec.n} inputs, got {len(inputs)}")
+    return inputs
+
+
 def evolve_quasi_static(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
                         tau: float, *, per_decade: int = 200,
                         rtol: float = 1e-9) -> Trajectory:
     """Integrate the calorimetric equation with the fast parts at steady state."""
     from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-    if not tau >= 0.0:
-        raise ConfigError("tau must be non-negative")
-    if not (spec.capacity > 0.0):
-        raise StructuralError("reservoir capacity must be positive")
-    inputs = tuple(float(b) for b in inputs)
-    if len(inputs) != spec.n:
-        raise StructuralError(f"expected {spec.n} inputs, got {len(inputs)}")
+    inputs = _check_run(spec, inputs, beta_z0, tau)
     betas = (spec.beta0,) + inputs
     beta_v = virtual_temperature(spec.h, betas, spec.eps, spec.eps_z)
     g_v = spec.g_z(beta_v)
@@ -302,13 +311,7 @@ def evolve_full(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
     """
     from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-    if not tau >= 0.0:
-        raise ConfigError("tau must be non-negative")
-    if not (spec.capacity > 0.0):
-        raise StructuralError("reservoir capacity must be positive")
-    inputs = tuple(float(b) for b in inputs)
-    if len(inputs) != spec.n:
-        raise StructuralError(f"expected {spec.n} inputs, got {len(inputs)}")
+    inputs = _check_run(spec, inputs, beta_z0, tau)
 
     model = _reduced_model(spec, inputs)
     a, b = model.pair

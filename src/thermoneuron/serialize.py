@@ -7,6 +7,7 @@ Every emitted file states the unit system (natural units, k_B = hbar = 1).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Sequence, TextIO
@@ -35,8 +36,8 @@ TOOL_VERSION = "0.1.0"
 UNITS_NOTE = "natural (k_B = hbar = 1)"
 CSV_BLOCK = 4096
 
-_NEURON_KEYS = ("n", "eps", "h", "beta0", "eps_z", "chi", "gamma", "mu",
-                "mu_prime", "beta_r", "beta_hot", "beta_cold", "capacity")
+# A neuron spec is stored as its dataclass fields plus the input count "n".
+_NEURON_FIELDS = tuple(f.name for f in dataclasses.fields(NeuronSpec))
 _PROVENANCE_KEYS = ("weights", "alpha", "eps_z", "seed", "tool_version")
 
 
@@ -57,31 +58,14 @@ def _reject_unknown(d: dict, allowed: Sequence[str], where: str) -> None:
 
 
 def neuron_to_dict(spec: NeuronSpec) -> dict:
-    return {
-        "n": spec.n,
-        "eps": list(spec.eps),
-        "h": list(spec.h),
-        "beta0": spec.beta0,
-        "eps_z": spec.eps_z,
-        "chi": spec.chi,
-        "gamma": spec.gamma,
-        "mu": spec.mu,
-        "mu_prime": spec.mu_prime,
-        "beta_r": spec.beta_r,
-        "beta_hot": spec.beta_hot,
-        "beta_cold": spec.beta_cold,
-        "capacity": spec.capacity,
-    }
+    fields = {name: getattr(spec, name) for name in _NEURON_FIELDS}
+    return fields | {"n": spec.n, "eps": list(spec.eps), "h": list(spec.h)}
 
 
 def neuron_from_dict(d: dict) -> NeuronSpec:
-    _check_fields(d, _NEURON_KEYS, "neuron spec")
+    _check_fields(d, ("n",) + _NEURON_FIELDS, "neuron spec")
     try:
-        spec = NeuronSpec(eps=tuple(d["eps"]), h=tuple(d["h"]), beta0=d["beta0"],
-                          eps_z=d["eps_z"], beta_r=d["beta_r"],
-                          mu_prime=d["mu_prime"], chi=d["chi"], gamma=d["gamma"],
-                          mu=d["mu"], beta_hot=d["beta_hot"],
-                          beta_cold=d["beta_cold"], capacity=d["capacity"])
+        spec = NeuronSpec(**{name: d[name] for name in _NEURON_FIELDS})
         if not (math.isfinite(spec.capacity) and spec.capacity > 0.0):
             raise ConfigError(f"reservoir capacity must be positive and finite, "
                               f"got {spec.capacity!r}")

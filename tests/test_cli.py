@@ -9,7 +9,7 @@ import thermoneuron as tn
 from thermoneuron.cli import main
 from thermoneuron.errors import ConfigError
 from thermoneuron.serialize import (load_machine, machine_from_document,
-                                    machine_to_document)
+                                    machine_to_document, neuron_to_dict)
 
 XOR_TT = "0 0 : 0\n0 1 : 1\n1 0 : 1\n1 1 : 0\n"
 
@@ -290,6 +290,12 @@ class TestMachineFiles:
         machine2, provenance2 = machine_from_document(doc)
         assert machine == machine2 and provenance == provenance2
 
+    def test_neuron_fields(self):
+        # The file format: NeuronSpec's dataclass fields plus the input count.
+        assert sorted(neuron_to_dict(tn.preset("NOR"))) == [
+            "beta0", "beta_cold", "beta_hot", "beta_r", "capacity", "chi", "eps",
+            "eps_z", "gamma", "h", "mu", "mu_prime", "n"]
+
     def test_unknown_fields_rejected(self, tmp_path):
         out = design_nor(tmp_path)
         doc = json.load(open(out))
@@ -358,20 +364,79 @@ MALFORMED = {
     "layer-entry-without-neuron": (lambda: network_doc("layers", 0, 0, "neuron"), STEADY),
     "layer-entry-without-wiring": (lambda: network_doc("layers", 0, 0, "wiring"), STEADY),
     "spec-field-wrong-type": (bad_eps_doc, STEADY),
+    "simulate-tau-inf": (nor_doc, ["simulate", "M", "--inputs", "1", "0",
+                                   "--tau", "inf"]),
+    "simulate-tau-overflows": (nor_doc, ["simulate", "M", "--inputs", "1", "0",
+                                         "--tau", "1e400"]),
+    "tradeoff-tau-inf": (nor_doc, ["tradeoff", "--gate", "NOT", "--grid", "2",
+                                   "--tau", "inf"]),
+    "simulate-beta-z0-nan": (nor_doc, ["simulate", "M", "--inputs", "1", "0",
+                                       "--beta-z0", "nan", "--tau", "10"]),
+    "simulate-full-beta-z0-inf": (nor_doc, ["simulate", "M", "--inputs", "1", "0",
+                                            "--beta-z0", "inf", "--tau", "10",
+                                            "--mode", "full"]),
+    "design-eps-z-inf": (nor_doc, ["design", "--gate", "NOR", "--eps-z", "inf"]),
+    "tradeoff-negative-inset-points": (nor_doc, ["tradeoff", "--gate", "NOT",
+                                                 "--grid", "2", "--inset",
+                                                 "--inset-points", "-3",
+                                                 "--tau", "10"]),
+    "design-negative-seed": (nor_doc, ["design", "--table", "T", "--layers", "2,1",
+                                       "--seed", "-1"]),
+    "verify-without-table-or-gate": (nor_doc, ["verify", "M"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_exits_2_with_one_line(case, tmp_path, capsys):
+def test_malformed_input_exits_2_with_one_line(case, xor_table, tmp_path, capsys):
     make_doc, argv = MALFORMED[case]
     path = tmp_path / "machine.json"
     path.write_text(json.dumps(make_doc()))
-    argv = [str(path) if a == "M" else a for a in argv]
-    if argv[0] != "steady":
-        argv += ["--out", str(tmp_path / "out.csv")]
+    argv = [{"M": str(path), "T": xor_table}.get(a, a) for a in argv]
+    out = tmp_path / "out.csv"
+    # `steady` and `verify` have no --out.
+    if argv[0] not in ("steady", "verify"):
+        argv += ["--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_machine_file_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "machine.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["steady", str(path), "--inputs", "0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read machine file")
+
+
+def test_output_path_is_a_directory_exits_2(tmp_path, capsys):
+    out = design_nor(tmp_path)
+    capsys.readouterr()
+    assert main(["sweep", out, "--grid", "0:1:2", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+class TestNegativeNumbers:
+    """A negative value in any float form is a value, not an option flag."""
+
+    def test_exponent_form_input(self, tmp_path, capsys):
+        out = design_nor(tmp_path)
+        capsys.readouterr()
+        assert main(["steady", out, "--inputs", "0", "-1e-3", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        want = tn.steady_output(load_machine(out)[0], [0.0, -1e-3])
+        assert payload["beta_z_inf"] == want.beta_z_inf
+
+    @pytest.mark.parametrize("grid", ["-0.5:1.5:3", "-.5,1.5", "-1e-1:1:2;-2:0:3"])
+    def test_space_form_grid_equals_equals_form(self, tmp_path, capsys, grid):
+        out = design_nor(tmp_path)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sweep", out, "--grid", grid, "--out", str(a)]) == 0
+        assert main(["sweep", out, f"--grid={grid}", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert len(a.read_text().splitlines()) > 2
 
 
 @pytest.mark.parametrize("capacity", [0.0, -1.0, math.inf, math.nan])

@@ -80,6 +80,18 @@ class TestQuasiStatic:
         with pytest.raises(ConfigError, match="tau must be non-negative"):
             evolve(paper_not, (0.0,), 0.5, -5.0)
 
+    @pytest.mark.parametrize("evolve", [tn.evolve_quasi_static, tn.evolve_full])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_horizon_rejected(self, paper_not, evolve, value):
+        with pytest.raises(ConfigError, match="tau must be non-negative and finite"):
+            evolve(paper_not, (0.0,), 0.5, value)
+
+    @pytest.mark.parametrize("evolve", [tn.evolve_quasi_static, tn.evolve_full])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_start_rejected(self, paper_not, evolve, value):
+        with pytest.raises(ConfigError, match="beta_z0 must be finite"):
+            evolve(paper_not, (0.0,), value, 10.0)
+
     def test_capacity_guard(self, paper_not):
         bad = tn.NeuronSpec(
             eps=paper_not.eps, h=paper_not.h, beta0=paper_not.beta0,
