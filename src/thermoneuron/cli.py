@@ -6,7 +6,8 @@ command with a --seed is byte-deterministic.  Grids are evaluated in one
 array pass; THERMONEURON_THREADS is ignored.
 
 Input rules, checked once by the parser's converters: every number must be
-finite; counts (--seed, --inset-points, a grid's count) must be >= 0;
+finite; counts (--seed, --inset-points, a grid's count) must be >= 0; a
+grid, and a sweep's factorial grid, has at most MAX_GRID_POINTS points;
 negative values are accepted in any float form (-1, -.5, -1e-3, -0.5:1:3);
 `design` and `verify` each need exactly one of --table or --gate.
 """
@@ -35,6 +36,11 @@ from .virtual import virtual_gap
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
+
+# The most points a grid may have, alone or as the factorial product of a
+# sweep's grids (a 1000 x 1000 surface).  A larger grid is refused before
+# anything is allocated for it.
+MAX_GRID_POINTS = 1_000_000
 
 
 def _machine_rails(machine) -> tuple[float, float]:
@@ -72,22 +78,34 @@ def _count(text: str) -> int:
     return value
 
 
+def _check_points(counts, what: str) -> None:
+    total = math.prod(counts)
+    if total > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"{what} has {total} points, more than {MAX_GRID_POINTS}")
+
+
 def _parse_grid(spec: str) -> list[float]:
     """'start:stop:count' -> linspace; 'a,b,c' -> explicit list."""
     if ":" not in spec:
-        return [_finite(tok) for tok in spec.split(",") if tok]
+        values = [_finite(tok) for tok in spec.split(",") if tok]
+        _check_points([len(values)], f"grid {spec!r}")
+        return values
     parts = spec.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"want start:stop:count, got {spec!r}")
-    start, stop = _finite(parts[0]), _finite(parts[1])
+    start, stop, count = _finite(parts[0]), _finite(parts[1]), _count(parts[2])
     if not math.isfinite(stop - start):
         raise argparse.ArgumentTypeError(f"stop - start overflows in {spec!r}")
-    return np.linspace(start, stop, _count(parts[2])).tolist()
+    _check_points([count], f"grid {spec!r}")
+    return np.linspace(start, stop, count).tolist()
 
 
 def _grids(spec: str) -> list[list[float]]:
     """One grid per input, ';'-separated."""
-    return [_parse_grid(g) for g in spec.split(";")]
+    grids = [_parse_grid(g) for g in spec.split(";")]
+    _check_points(map(len, grids), f"grid {spec!r}")
+    return grids
 
 
 def _widths(text: str) -> list[int]:
@@ -238,6 +256,10 @@ def cmd_sweep(args) -> int:
     arity = ch.machine_arity(machine)
     grids = args.grid * arity if len(args.grid) == 1 else args.grid
     _check_arity(machine, len(grids), "--grid")
+    try:
+        _check_points(map(len, grids), f"one grid for {arity} inputs")
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"argument --grid: {exc}") from None
     enc = _encoding(args, machine)
     # The factorial grid in CSV row order: the last input varies fastest.
     points = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, arity)

@@ -106,13 +106,19 @@ def _check_run(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
     """The inputs as floats, once the run's arguments are known to be valid."""
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ConfigError(f"tau must be non-negative and finite, got {tau!r}")
-    if not math.isfinite(beta_z0):
-        raise ConfigError(f"beta_z0 must be finite, got {beta_z0!r}")
     if not (spec.capacity > 0.0):
         raise StructuralError("reservoir capacity must be positive")
     inputs = tuple(float(b) for b in inputs)
     if len(inputs) != spec.n:
         raise StructuralError(f"expected {spec.n} inputs, got {len(inputs)}")
+    # A bath's beta times a level energy enters every heat and entropy term;
+    # where that product overflows, they come out inf or nan.
+    e_max = float(np.abs(collector_register(spec).level_energies()).max())
+    names = ["beta_z0"] + [f"input {i}" for i in range(1, spec.n + 1)]
+    for name, beta in zip(names, (beta_z0,) + inputs):
+        if not math.isfinite(beta * e_max):
+            raise ConfigError(f"{name} must be finite, also times the largest "
+                              f"level energy {e_max:.6g}; got {beta!r}")
     return inputs
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: standard machines, random machines and random states."""
+"""Shared fixtures: standard machines, random machines and random states,
+and the einsum partial trace that the gathered reset replaced."""
 
 import numpy as np
 import pytest
@@ -63,3 +64,15 @@ def random_density_matrix(dim, rng):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def thermalize_qubit(rho, k, m, tau):
+    """Tr_k[rho] tensored with tau reinserted at slot k, by einsum: the
+    formula `quantum.reset_dissipator` used before it gathered through
+    cached index tables, kept as its bit-for-bit oracle."""
+    d1 = 1 << k
+    d2 = 1 << (m - k - 1)
+    t = rho.reshape(d1, 2, d2, d1, 2, d2)
+    reduced = np.einsum("aibcid->abcd", t)
+    out = np.einsum("abcd,ij->aibcjd", reduced, tau)
+    return out.reshape(rho.shape)

@@ -333,6 +333,10 @@ def network_doc(*drop):
     return doc
 
 
+def maj3_doc():
+    return machine_to_document(tn.preset("MAJ3"), PROVENANCE)
+
+
 def bad_eps_doc():
     doc = nor_doc()
     doc["spec"]["eps"] = "abc"
@@ -383,6 +387,20 @@ MALFORMED = {
     "design-negative-seed": (nor_doc, ["design", "--table", "T", "--layers", "2,1",
                                        "--seed", "-1"]),
     "verify-without-table-or-gate": (nor_doc, ["verify", "M"]),
+    "grid-count-too-large": (nor_doc, ["sweep", "M", "--grid", "0:1:10000000000000000"]),
+    "grid-list-product-too-large": (nor_doc, ["sweep", "M", "--grid", "0:1:1001;0:1:1000"]),
+    "grid-for-every-input-too-large": (nor_doc, ["sweep", "M", "--grid", "0:1:1001"]),
+    "tradeoff-grid-too-large": (nor_doc, ["tradeoff", "--gate", "NOT",
+                                          "--grid", "1:2:1000001"]),
+    "simulate-full-input-overflows": (maj3_doc, ["simulate", "M", "--inputs", "0", "1",
+                                                 "1e308", "--tau", "10", "--mode", "full"]),
+    "simulate-quasi-input-overflows": (maj3_doc, ["simulate", "M", "--inputs", "0", "1",
+                                                  "1e308", "--tau", "10"]),
+    "simulate-full-beta-z0-overflows": (maj3_doc, ["simulate", "M", "--inputs", "0", "1",
+                                                   "1", "--beta-z0", "1e308", "--tau", "10",
+                                                   "--mode", "full"]),
+    "simulate-quasi-beta-z0-overflows": (maj3_doc, ["simulate", "M", "--inputs", "0", "1",
+                                                    "1", "--beta-z0", "1e308", "--tau", "10"]),
 }
 
 

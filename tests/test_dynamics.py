@@ -92,6 +92,19 @@ class TestQuasiStatic:
         with pytest.raises(ConfigError, match="beta_z0 must be finite"):
             evolve(paper_not, (0.0,), value, 10.0)
 
+    @pytest.mark.parametrize("evolve", [tn.evolve_quasi_static, tn.evolve_full])
+    @pytest.mark.parametrize("where", ["input", "beta_z0"])
+    def test_beta_overflowing_a_level_energy_rejected(self, evolve, where):
+        # 1e308 is finite, but not times MAJ3's largest level energy (360).
+        spec = tn.preset("MAJ3")
+        run = lambda beta: (evolve(spec, (0.0, 1.0, beta), 0.5, 10.0) if where == "input"
+                            else evolve(spec, (0.0, 1.0, 1.0), beta, 10.0))
+        with pytest.raises(ConfigError, match="largest level energy 360; got 1e\\+308"):
+            run(1e308)
+        # The largest finite product is still accepted, and gives finite output.
+        traj = run(np.nextafter(np.finfo(float).max / 360.0, 0.0))
+        assert np.isfinite(traj.sigma_dot).all() and np.isfinite(traj.sigma).all()
+
     def test_capacity_guard(self, paper_not):
         bad = tn.NeuronSpec(
             eps=paper_not.eps, h=paper_not.h, beta0=paper_not.beta0,

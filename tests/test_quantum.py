@@ -3,6 +3,7 @@ steady states, heat currents, and entropy accounting."""
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from thermoneuron import quantum
 from thermoneuron.errors import (DegenerateSteadyStateError, SolverError,
                                  StructuralError)
 from thermoneuron.quantum import BathContact, QubitRegister, StepControl
-from conftest import random_density_matrix, validate_density_matrix
+from conftest import random_density_matrix, thermalize_qubit, validate_density_matrix
 
 # Frozen from 50-digit evaluation of 1/(1 + e).
 FERMI_AT_ONE = 0.26894142136999512075
@@ -113,6 +114,85 @@ class TestResetDissipator:
         with pytest.raises(StructuralError):
             tn.reset_dissipator(np.eye(2, dtype=complex) / 2,
                                 BathContact(0, 1.0, 1.0), reg)
+
+
+def _einsum_reset(rho, contact, reg):
+    """The reset dissipator by the einsum partial trace."""
+    k = contact.qubit_index
+    tau = tn.gibbs_qubit(contact.beta, reg.gaps[k])
+    return contact.rate * (thermalize_qubit(rho, k, reg.m, tau) - rho)
+
+
+def _einsum_rhs(rho, h0, hint, contacts, reg):
+    h = h0 + hint
+    out = -1j * (h @ rho - rho @ h)
+    for contact in contacts:
+        out = out + _einsum_reset(rho, contact, reg)
+    return out
+
+
+class TestGatheredReset:
+    """The resets gathered through cached index tables equal the einsum
+    partial trace bit for bit."""
+
+    CASES = {
+        "no-contacts": ((1.0, 0.5), []),
+        "two-on-one-qubit": ((2.0, 1.0, 1.0), [(1, 0.3, 1.0), (1, 1.7, 1e-3)]),
+        "negative-beta": ((1.5, 0.7), [(0, -0.8, 0.9), (1, 0.4, 1.1)]),
+    }
+
+    @staticmethod
+    def _assert_matches_oracle(reg, contacts, rng):
+        h0 = reg.free_hamiltonian()
+        hint = np.diag(rng.normal(size=reg.dim)).astype(complex)  # commutes with h0
+        rho = random_density_matrix(reg.dim, rng)
+        assert np.array_equal(tn.lindblad_rhs(rho, h0, hint, contacts, reg),
+                              _einsum_rhs(rho, h0, hint, contacts, reg))
+        for contact in contacts:
+            assert np.array_equal(tn.reset_dissipator(rho, contact, reg),
+                                  _einsum_reset(rho, contact, reg))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_edge_registers(self, case):
+        gaps, contacts = self.CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            contacts = [BathContact(*c) for c in contacts]
+        self._assert_matches_oracle(QubitRegister(gaps), contacts,
+                                    np.random.default_rng(4))
+
+    def test_random_registers(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            m = int(rng.integers(1, 6))
+            reg = QubitRegister(tuple(rng.uniform(-3.0, 3.0, m)))
+            qubits = rng.integers(0, m, int(rng.integers(0, 2 * m + 1)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                contacts = [BathContact(int(k), float(rng.uniform(-2.0, 3.0)),
+                                        float(rng.uniform(0.01, 3.0))) for k in qubits]
+            self._assert_matches_oracle(reg, contacts, rng)
+
+    def test_master_integration_is_unchanged(self):
+        # perfbench's integrate-master operation: the same number of RHS
+        # calls, and the same bits, as with the einsum RHS.
+        _, reg, h0, hint, contacts = _not_collector()
+        rho0 = tn.gibbs_register(reg, (1.0, 0.3, 0.5))
+        runs = []
+        for fn in (tn.lindblad_rhs, _einsum_rhs):
+            calls = []
+            rhs = lambda r, fn=fn: calls.append(1) or fn(r, h0, hint, contacts, reg)
+            runs.append((tn.integrate_master(rho0, rhs, 1e3), len(calls)))
+        (got, n_got), (want, n_want) = runs
+        assert n_got == n_want and np.array_equal(got, want)
+
+    def test_qubit_index_checked_on_every_call(self):
+        reg = QubitRegister((1.0, 0.5))
+        rho = np.eye(4, dtype=complex) / 4
+        tn.reset_dissipator(rho, BathContact(1, 1.0, 1.0), reg)
+        for _ in range(2):
+            with pytest.raises(StructuralError, match="qubit index 2 outside"):
+                tn.reset_dissipator(rho, BathContact(2, 1.0, 1.0), reg)
 
 
 def _not_collector():
@@ -356,6 +436,27 @@ class TestBlockwiseSteadyState:
                 rho = _assert_same_as_dense(rhs, reg.dim)
                 assert np.abs(rhs(rho)).max() <= 1e-10
 
+    def test_never_forms_the_dense_matrix(self, monkeypatch):
+        # The MAJ3 collector (d = 32): its dense d^2 x d^2 matrix alone is 16 MiB.
+        spec = tn.preset("MAJ3")
+        reg = collector_register(spec)
+        h0, hint = collector_hamiltonian(spec)
+        contacts = collector_contacts(spec, (0.0, 1.0, 1.0), 0.5)
+        rhs = lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg)
+
+        def dense(*_):
+            raise AssertionError("steady_state built the dense generator")
+
+        monkeypatch.setattr(quantum, "superoperator_matrix", dense)
+        tracemalloc.start()
+        try:
+            rho = tn.steady_state(rhs, reg.dim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert np.abs(rhs(rho)).max() <= 1e-10
+
     def test_random_machines_match_dense_svd(self):
         verdicts = []
         for seed in range(24):
@@ -371,7 +472,7 @@ class TestBlockwiseSteadyState:
         contacts = collector_contacts(spec, (0.0, 1.0), 0.5)
         gen = quantum.superoperator_matrix(
             lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg), reg.dim)
-        blocks = quantum._invariant_blocks(gen)
+        blocks = quantum._invariant_blocks(*np.nonzero(gen), len(gen))
         assert sorted(np.concatenate(blocks)) == list(range(reg.dim ** 2))
         assert len(blocks) == 65 and max(map(len, blocks)) == reg.dim + 2
         mask = np.zeros(gen.shape, dtype=bool)
@@ -400,7 +501,7 @@ class TestBlockwiseSteadyState:
             mat[np.ix_([2, 3, 5, 6, 7], [2, 3, 5, 6, 7])] = np.eye(5)
         rhs, dim = _matrix_generator(mat)
         n_blocks = {"separate": 7, "shared": 2, "tiny": 8}[case]
-        assert len(quantum._invariant_blocks(mat)) == n_blocks
+        assert len(quantum._invariant_blocks(*np.nonzero(mat), len(mat))) == n_blocks
         assert _assert_same_as_dense(rhs, dim) is None
         with pytest.raises(DegenerateSteadyStateError, match="dimension 2;"):
             tn.steady_state(rhs, dim)

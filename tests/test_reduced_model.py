@@ -12,10 +12,10 @@ from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 import thermoneuron as tn
 from thermoneuron import dynamics
-from thermoneuron.quantum import (BathContact, _thermalize_qubit, gibbs_register,
-                                  heat_current, lindblad_rhs, reset_dissipator,
-                                  superoperator_matrix)
+from thermoneuron.quantum import (BathContact, gibbs_register, heat_current,
+                                  lindblad_rhs, reset_dissipator, superoperator_matrix)
 from thermoneuron.virtual import coupled_levels
+from conftest import thermalize_qubit
 
 TAU0 = np.diag([1.0, 0.0]).astype(complex)
 DTAU = np.diag([-1.0, 1.0]).astype(complex)
@@ -135,9 +135,9 @@ def dense_evolve_full(spec, inputs, beta_z0, tau, per_decade, rtol, atol):
             lambda r: -1j * (h @ r - r @ h) + sum(reset_dissipator(r, c, reg)
                                                   for c in fixed), reg.dim)
         a = superoperator_matrix(
-            lambda r: rate * (_thermalize_qubit(r, k, reg.m, TAU0) - r), reg.dim)
+            lambda r: rate * (thermalize_qubit(r, k, reg.m, TAU0) - r), reg.dim)
         b = superoperator_matrix(
-            lambda r: rate * _thermalize_qubit(r, k, reg.m, DTAU), reg.dim)
+            lambda r: rate * thermalize_qubit(r, k, reg.m, DTAU), reg.dim)
         return l + a, b, h.T.reshape(-1) @ a, h.T.reshape(-1) @ b
 
     l_c, b_c, ua_c, ub_c = parts(reg_c, h_c, fixed_c, spec.mu)
