@@ -129,9 +129,6 @@ class ChannelStats:
 
     p_y_given_x: np.ndarray
     means: np.ndarray
-    avg_error: float | None = None
-    avg_invalid: float | None = None
-    avg_dissipation: float | None = None
 
 
 def _phi(z: float) -> float:
@@ -202,25 +199,17 @@ def average_error(stats: ChannelStats, table: TruthTable,
     return float(xi), float(invalid)
 
 
-def average_dissipation(spec: NeuronSpec, enc: Encoding, tau: float,
-                        input_dist: Sequence[float] | None = None,
-                        beta_z0: float | None = None,
-                        per_decade: int = 200) -> float:
-    """Input-averaged entropy production over a computation of length tau."""
+def average_dissipation(spec: NeuronSpec, enc: Encoding, tau: float) -> float:
+    """Entropy production over a computation of length tau, averaged over
+    uniformly distributed inputs, each run started at the rails' midpoint."""
     if tau < 0:
         raise ConfigError("tau must be non-negative")
     n_rows = 1 << spec.n
-    p_x = _uniform(n_rows) if input_dist is None else np.asarray(input_dist, float)
-    if len(p_x) != n_rows:
-        raise ConfigError("input distribution length mismatch")
-    start = 0.5 * (enc.beta_hot + enc.beta_cold) if beta_z0 is None else beta_z0
+    start = 0.5 * (enc.beta_hot + enc.beta_cold)
     total = 0.0
-    for idx, bits in enumerate(itertools.product((0, 1), repeat=spec.n)):
-        if p_x[idx] == 0.0 or tau == 0.0:
-            continue
-        betas = [encode(b, enc) for b in bits]
-        traj = evolve_quasi_static(spec, betas, start, tau, per_decade=per_decade)
-        total += p_x[idx] * accumulated_dissipation(traj)
+    for bits in itertools.product((0, 1), repeat=spec.n):
+        traj = evolve_quasi_static(spec, [encode(b, enc) for b in bits], start, tau)
+        total += (1.0 / n_rows) * accumulated_dissipation(traj)
     return float(total)
 
 
@@ -244,8 +233,7 @@ def tradeoff_machine(gate: str, knob: str, value: float,
 
 def tradeoff_sweep(gate: str, knob: str, grid: Sequence[float], enc: Encoding,
                    spread: float, tau: float,
-                   config: DesignConfig | None = None,
-                   beta_z0: float | None = None) -> list[TradeoffPoint]:
+                   config: DesignConfig | None = None) -> list[TradeoffPoint]:
     """Dissipation-vs-error curve along a steepness grid (eps1 or alpha)."""
     config = config or DesignConfig()
     table = gate_table(gate)
@@ -258,7 +246,7 @@ def tradeoff_sweep(gate: str, knob: str, grid: Sequence[float], enc: Encoding,
         machine = tradeoff_machine(gate, knob, value, config)
         stats = conditional_outputs(machine, enc, spread)
         xi, invalid = average_error(stats, table)
-        sigma = average_dissipation(machine, enc, tau, beta_z0=beta_z0)
+        sigma = average_dissipation(machine, enc, tau)
         points.append(TradeoffPoint(knob=float(value), avg_sigma=sigma,
                                     avg_xi=xi, avg_invalid=invalid))
     return points

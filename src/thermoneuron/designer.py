@@ -36,6 +36,12 @@ __all__ = [
     "PRESET_WEIGHTS",
 ]
 
+# Fixed settings: gradient descent in `train_perceptron`, the random input rows
+# of `perceptron_identity_residual`, and the steepness `search_alpha` stops at.
+LEARNING_RATE, EPOCHS = 0.5, 20_000
+IDENTITY_TRIALS, IDENTITY_SEED = 8, 1234
+ALPHA_MAX = 4096.0
+
 
 @dataclass(frozen=True)
 class TruthTable:
@@ -131,15 +137,11 @@ def gate_table(name: str) -> TruthTable:
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Steepness, nominal target gap, trainer settings, and physical defaults."""
+    """Steepness, nominal target gap, training seed, and physical defaults."""
 
     alpha: float = 20.0
     eps_z: float = 0.1
-    learning_rate: float = 0.5
-    epochs: int = 20_000
     seed: int = 0
-    net_learning_rate: float = 0.01
-    net_epochs: int = 5_000
     mu: float = 1e-4
     gamma: float = 1.0
     chi: float = 1.0
@@ -152,8 +154,6 @@ class DesignConfig:
             raise ConfigError("alpha must be positive")
         if not (self.eps_z > 0):
             raise ConfigError("eps_z must be positive")
-        if self.epochs < 1 or self.net_epochs < 1:
-            raise ConfigError("epoch counts must be positive")
 
     def physical(self) -> dict:
         return dict(mu=self.mu, gamma=self.gamma, chi=self.chi,
@@ -189,9 +189,9 @@ def train_perceptron(table: TruthTable, config: DesignConfig) -> np.ndarray:
     signs = 2.0 * t - 1.0
     rng = np.random.default_rng(config.seed)
     w = rng.normal(0.0, 0.1, xb.shape[1])
-    for _ in range(config.epochs):
+    for _ in range(EPOCHS):
         p = _sigmoid(xb @ w)
-        w -= config.learning_rate * (xb.T @ (p - t)) / len(t)
+        w -= LEARNING_RATE * (xb.T @ (p - t)) / len(t)
         margins = signs * (xb @ w)
         if margins.min() >= 1.0:
             break
@@ -241,11 +241,11 @@ def weights_to_neuron(w: Sequence[float], config: DesignConfig) -> NeuronSpec:
 
 
 def perceptron_identity_residual(spec: NeuronSpec, w: Sequence[float],
-                                 alpha: float, trials: int = 8,
-                                 seed: int = 1234) -> float:
+                                 alpha: float) -> float:
     """max |eps_z * beta_v - alpha (w_0 + sum w_k beta_k)| over random inputs."""
     w = np.asarray(w, dtype=float)
-    rows = np.random.default_rng(seed).uniform(0.0, 1.0, (trials, spec.n))
+    rows = np.random.default_rng(IDENTITY_SEED).uniform(
+        0.0, 1.0, (IDENTITY_TRIALS, spec.n))
     beta_v, _ = steady_response(spec, rows)
     # One dot product per row keeps the summation order of the scalar form.
     return max((abs(spec.eps_z * bv - alpha * (w[0] + float(w[1:] @ betas)))
@@ -271,17 +271,16 @@ def preset(gate: str, config: DesignConfig | None = None) -> NeuronSpec:
 
 def search_alpha(table: TruthTable, config: DesignConfig,
                  decode_fn: Callable[[float], int | None],
-                 weights: Sequence[float] | None = None,
-                 alpha_max: float = 4096.0) -> float:
+                 weights: Sequence[float] | None = None) -> float:
     """Smallest power-of-two multiple of config.alpha that decodes every row."""
     w = (np.asarray(weights, dtype=float) if weights is not None
          else train_perceptron(table, config))
     alpha = config.alpha
-    while alpha <= alpha_max:
+    while alpha <= ALPHA_MAX:
         spec = weights_to_neuron(w, replace(config, alpha=alpha))
         _, finals = steady_response(spec, [bits for bits, _ in table.rows()])
         if all(decode_fn(final) == out
                for final, out in zip(finals.tolist(), table.outputs)):
             return alpha
         alpha *= 2.0
-    raise DesignError(f"no steepness up to {alpha_max} decodes the table")
+    raise DesignError(f"no steepness up to {ALPHA_MAX} decodes the table")

@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 CSV_HEADER = ("t", "beta_z", "j_C", "j_M", "sigma_dot", "sigma")
+QUASI_RTOL = 1e-9   # relative tolerance of the quasi-static LSODA run
 
 
 @dataclass
@@ -123,8 +124,7 @@ def _check_run(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
 
 
 def evolve_quasi_static(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
-                        tau: float, *, per_decade: int = 200,
-                        rtol: float = 1e-9) -> Trajectory:
+                        tau: float, *, per_decade: int = 200) -> Trajectory:
     """Integrate the calorimetric equation with the fast parts at steady state."""
     from scipy.integrate import cumulative_trapezoid, solve_ivp
 
@@ -134,10 +134,15 @@ def evolve_quasi_static(spec: NeuronSpec, inputs: Sequence[float], beta_z0: floa
     g_v = spec.g_z(beta_v)
     g_r = spec.g_z(spec.beta_r)
 
+    def currents(bz):
+        """(g_z(bz), j_C, j_M) with the reservoir at bz (float or array)."""
+        g_bz = spec.g_z(bz)
+        return (g_bz, spec.mu * spec.eps_z * (g_bz - g_v),
+                spec.mu_prime * spec.eps_z * (g_bz - g_r))
+
     def rhs(_t, y):
-        g_bz = spec.g_z(y[0])
-        j = (spec.mu * (g_bz - g_v) + spec.mu_prime * (g_bz - g_r)) * spec.eps_z
-        return [j / spec.capacity]
+        _, j_c, j_m = currents(y[0])
+        return [(j_c + j_m) / spec.capacity]
 
     def jac(_t, y):
         x = y[0] * spec.eps_z
@@ -150,13 +155,11 @@ def evolve_quasi_static(spec: NeuronSpec, inputs: Sequence[float], beta_z0: floa
         bz = np.array([float(beta_z0)])
     else:
         sol = solve_ivp(rhs, (0.0, tau), [float(beta_z0)], method="LSODA",
-                        t_eval=times, rtol=rtol, atol=1e-13, jac=jac)
+                        t_eval=times, rtol=QUASI_RTOL, atol=1e-13, jac=jac)
         if not sol.success:
             raise SolverError(f"quasi-static integration failed: {sol.message}")
         bz = sol.y[0]
-    g_bz = spec.g_z(bz)
-    j_c = spec.mu * spec.eps_z * (g_bz - g_v)
-    j_m = spec.mu_prime * spec.eps_z * (g_bz - g_r)
+    g_bz, j_c, j_m = currents(bz)
     sdot = (spec.mu * spec.eps_z * (g_v - g_bz) * (bz - beta_v)
             + spec.mu_prime * spec.eps_z * (g_r - g_bz) * (bz - spec.beta_r))
     sigma = (cumulative_trapezoid(sdot, times, initial=0.0)
@@ -395,7 +398,6 @@ def evolve_full(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
 
 
 def accumulated_dissipation(trajectory: Trajectory) -> float:
-    """Time-integrated entropy production, by trapezoidal quadrature."""
-    if len(trajectory.t) < 2:
-        return 0.0
-    return float(np.trapezoid(trajectory.sigma_dot, trajectory.t))
+    """Entropy produced over the whole run: the last sample of the
+    trajectory's running integral ``sigma`` of sigma_dot."""
+    return float(trajectory.sigma[-1])

@@ -22,6 +22,9 @@ from .neuron import NeuronSpec, steady_response
 __all__ = ["NetworkSpec", "NetworkResponse", "eval_layers", "eval_network",
            "train_network"]
 
+# ADAM step size and epoch budget of `train_network`.
+LEARNING_RATE, EPOCHS = 0.01, 5_000
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -134,7 +137,7 @@ def train_network(table: TruthTable, topology: Sequence[int],
     adam_v = [np.zeros_like(w) for w in weights] + [np.zeros_like(b) for b in biases]
     beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
     loss = np.inf
-    for step in range(1, config.net_epochs + 1):
+    for step in range(1, EPOCHS + 1):
         acts = _forward(x_rows, weights, biases)
         out = acts[-1][:, 0]
         loss = float(-(targets * np.log(out + 1e-12)
@@ -154,7 +157,7 @@ def train_network(table: TruthTable, topology: Sequence[int],
             adam_v[i] = beta2 * adam_v[i] + (1 - beta2) * g * g
             m_hat = adam_m[i] / (1 - beta1 ** step)
             v_hat = adam_v[i] / (1 - beta2 ** step)
-            p -= config.net_learning_rate * m_hat / (np.sqrt(v_hat) + eps_adam)
+            p -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps_adam)
         if step % 25 == 0:
             margins, final_bits = _binarized_margins(x_rows, weights, biases)
             if (np.all(final_bits == targets)
@@ -167,7 +170,7 @@ def train_network(table: TruthTable, topology: Sequence[int],
                zip(table.rows(), final_bits, targets) if fb != tg]
         raise TrainingError(
             f"network training failed on rows {bad} after "
-            f"{config.net_epochs} epochs (final loss {loss:.4g}); "
+            f"{EPOCHS} epochs (final loss {loss:.4g}); "
             "try a different seed", loss=loss)
 
     layers, wiring = [], []

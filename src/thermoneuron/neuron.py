@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CalibrationError, ConfigError, SolverError, StructuralError
 from .quantum import _libm, fermi_population
-from .virtual import virtual_gap, virtual_temperature, weighted_bias
+from .virtual import RESONANCE_TOL, virtual_gap, virtual_temperature, weighted_bias
 
 __all__ = [
     "NeuronSpec",
@@ -51,6 +51,7 @@ __all__ = [
 
 RATE_SEPARATION = 100.0
 CALIBRATION_TOL = 1e-10
+SLOPE_STEP = 1e-6   # `transfer_slope` differences the curve at beta1 +- SLOPE_STEP
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ class NeuronSpec:
         if not math.isfinite(self.beta0) or not math.isfinite(self.beta_r):
             raise StructuralError("bath temperatures must be finite")
         signed = -virtual_gap(self.h, self.eps)
-        if abs(signed - self.eps_z) > 1e-9:
+        if abs(signed - self.eps_z) > RESONANCE_TOL:
             raise StructuralError(
                 f"off-resonant design: sum_i (-1)^h_i eps_i = {signed} but "
                 f"eps_z = {self.eps_z}")
@@ -167,14 +168,14 @@ class NeuronSpec:
         """Excited population of a gap-eps_z qubit thermal at beta (float or array)."""
         return fermi_population(beta * self.eps_z)
 
-    def is_calibrated(self, tol: float = CALIBRATION_TOL) -> bool:
+    def is_calibrated(self) -> bool:
         if self.mu <= 0 or self.mu_prime <= 0:
             return False
         target = self.g_z(self.beta_hot) - self.g_z(self.beta_cold)
-        if abs(self.delta - target) > tol:
+        if abs(self.delta - target) > CALIBRATION_TOL:
             return False
         return abs(self.g_z(self.beta_r) * (1.0 - self.delta)
-                   - self.g_z(self.beta_cold)) <= tol
+                   - self.g_z(self.beta_cold)) <= CALIBRATION_TOL
 
     def require_calibrated(self) -> None:
         if not self.is_calibrated():
@@ -198,14 +199,14 @@ def build_neuron(eps: Sequence[float], h: Sequence[int], beta0: float,
                  capacity: float = 1.0) -> NeuronSpec:
     """Assemble a calibrated NeuronSpec; flips the level labels if needed.
 
-    ``eps_z`` must equal |sum_i (-1)^(h_i) eps_i| to within 1e-9 (resonance).
+    ``eps_z`` must equal |sum_i (-1)^(h_i) eps_i| to within RESONANCE_TOL.
     """
     h = tuple(int(b) for b in h)
     signed = -virtual_gap(h, eps)
     if signed < 0:
         h = tuple(1 - b for b in h)
         signed = -signed
-    if abs(signed - eps_z) > 1e-9:
+    if abs(signed - eps_z) > RESONANCE_TOL:
         raise StructuralError(
             f"off-resonant design: |sum_i (-1)^h_i eps_i| = {signed} but "
             f"eps_z = {eps_z}")
@@ -338,9 +339,9 @@ def slope_at_threshold(spec: NeuronSpec) -> float:
         (spec.beta_cold - spec.beta_hot) * spec.eps_z / 4.0)
 
 
-def transfer_slope(spec: NeuronSpec, beta1: float, step: float = 1e-6) -> float:
+def transfer_slope(spec: NeuronSpec, beta1: float) -> float:
     """Central finite-difference slope of the single-input transfer curve."""
     if spec.n != 1:
         raise StructuralError("transfer_slope is defined for single-input neurons")
-    _, (up, dn) = steady_response(spec, [[beta1 + step], [beta1 - step]])
-    return float((up - dn) / (2.0 * step))
+    _, (up, dn) = steady_response(spec, [[beta1 + SLOPE_STEP], [beta1 - SLOPE_STEP]])
+    return float((up - dn) / (2.0 * SLOPE_STEP))

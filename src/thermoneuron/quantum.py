@@ -55,6 +55,8 @@ __all__ = [
 # Dense states and `lindblad_rhs` take registers up to this size; the tests
 # run `steady_state` only up to m = 5 (d = 32).
 MAX_QUBITS = 12
+# Steps, accepted or rejected, after which `integrate_master` gives up.
+MAX_STEPS = 5_000_000
 
 
 def _libm(fn, x):
@@ -236,8 +238,6 @@ class StepControl:
     atol: float = 1e-10
     rtol: float = 1e-8
     h_initial: float | None = None
-    h_max: float = math.inf
-    max_steps: int = 5_000_000
 
 
 # Dormand-Prince 5(4) tableau.
@@ -273,11 +273,11 @@ def integrate_master(rho0: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
     t = 0.0
     k = [rhs(y)] + [None] * 6   # k[0] = rhs(y), kept until y moves
     h = ctrl.h_initial if ctrl.h_initial is not None else min(
-        horizon, 0.1 / (1.0 + float(np.abs(k[0]).max())), ctrl.h_max)
-    for _ in range(ctrl.max_steps):
+        horizon, 0.1 / (1.0 + float(np.abs(k[0]).max())))
+    for _ in range(MAX_STEPS):
         if t >= horizon:
             break
-        h = min(h, horizon - t, ctrl.h_max)
+        h = min(h, horizon - t)
         if h < 1e-14 * max(1.0, t):
             raise SolverError(
                 f"integrate_master: step-size underflow at t = {t:.6e} (h = {h:.3e})")

@@ -188,3 +188,16 @@ class TestBehavioralCompilation:
             cfg = tn.DesignConfig(alpha=1.0, eps_z=0.1, seed=3)
             alpha = search_alpha(table, cfg, additive_decode)
             assert alpha <= 4096.0
+
+    @pytest.mark.parametrize("gate, alpha", [("NOT", 8.0), ("NOR", 4.0), ("MAJ3", 4.0)])
+    def test_search_alpha_on_preset_weights(self, gate, alpha):
+        enc = tn.Encoding(delta=0.1, band="additive")
+        found = search_alpha(tn.gate_table(gate), tn.DesignConfig(alpha=1.0),
+                             lambda beta_z: tn.decode(beta_z, enc),
+                             weights=PRESET_WEIGHTS[gate])
+        assert found == alpha
+
+    def test_search_alpha_gives_up_at_alpha_max(self):
+        with pytest.raises(DesignError, match="no steepness up to 4096"):
+            search_alpha(tn.gate_table("NOR"), tn.DesignConfig(alpha=1.0),
+                         lambda beta_z: None, weights=PRESET_WEIGHTS["NOR"])

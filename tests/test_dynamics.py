@@ -192,6 +192,15 @@ class TestAccumulatedDissipation:
         traj = tn.evolve_quasi_static(paper_not, (0.5,), 0.5, 0.0)
         assert accumulated_dissipation(traj) == 0.0
 
+    def test_is_the_end_of_the_running_integral(self):
+        # One quadrature: the total is the last sample of the trajectory's
+        # sigma column, in both modes (pairwise trapezoid sums differ here).
+        spec = tn.inverter(2.0, 0.5, 0.1, **PAPER_NOT_KW)
+        quasi = tn.evolve_quasi_static(spec, (0.0,), 0.5, 1e8)
+        full = tn.evolve_full(tn.preset("NOT"), (1.0,), 0.5, 1e4)
+        for traj in (quasi, full):
+            assert accumulated_dissipation(traj) == traj.sigma[-1]
+
     def test_balanced_input_dissipates_negligibly(self, paper_not):
         # At beta_1 = beta_0 the virtual temperature equals the reference and
         # only the beta_z(0) transient plus the tiny modulator frustration
