@@ -7,11 +7,11 @@ temperature of a finite reservoir.  Natural units (k_B = hbar = 1)
 throughout.
 """
 
-from .channel import (ChannelStats, Encoding, TradeoffPoint, average_dissipation,
-                      average_error, conditional_outputs, decode, encode,
+from .channel import (ChannelStats, TradeoffPoint, average_dissipation,
+                      average_error, conditional_outputs, dissipation,
                       machine_response, mc_conditional_outputs, tradeoff_sweep)
-from .designer import (DesignConfig, TruthTable, gate_table, preset,
-                       train_perceptron, weights_to_neuron)
+from .designer import (DesignConfig, Encoding, TruthTable, decode, encode,
+                       gate_table, preset, train_perceptron, weights_to_neuron)
 from .dynamics import (Trajectory, accumulated_dissipation, evolve_full,
                        evolve_quasi_static)
 from .errors import (CalibrationError, ConfigError, DegenerateSteadyStateError,

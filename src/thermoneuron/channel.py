@@ -1,22 +1,15 @@
-"""Logical encoding, the stochastic response channel, and error/dissipation averages.
+"""The stochastic response channel, and error/dissipation averages.
 
-Bits enter as bath temperatures (0 -> beta_hot, 1 -> beta_cold) and leave
-through a decoder with a dead band of half-width delta; outputs that land
-in neither band are reported as invalid (None).  The machine's response
-fluctuates as a Gaussian of width ``spread`` around the steady-state
-value, which gives closed-form conditional output probabilities; a seeded
-Monte Carlo estimator doubles as an independent oracle.
-
-Two band conventions are supported.  The literal multiplicative rule
-(y = 0 iff beta_z <= (1+delta) beta_hot) degenerates to a single point
-when beta_hot = 0, so gate verification uses the additive rule
-(y = 0 iff beta_z <= beta_hot + delta (beta_cold - beta_hot)) instead;
-both are selectable.
+Every truth-table consumer evaluates the 2^n rows of `Encoding.rows` and
+decodes them with `decode_array`; both live in `designer` with the encoding
+(and stay importable from here).  The machine's response fluctuates as a
+Gaussian of width ``spread`` around the steady-state value, which gives
+closed-form conditional output probabilities; a seeded Monte Carlo
+estimator doubles as an independent oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -24,87 +17,26 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .designer import DesignConfig, TruthTable, gate_table, preset
+from .designer import (BANDS, DesignConfig, Encoding, TruthTable, decode,
+                       decode_array, encode, gate_table, preset)
 from .dynamics import accumulated_dissipation, evolve_quasi_static
 from .network import NetworkSpec, eval_layers
 from .neuron import NeuronSpec, inverter, steady_response
 
 __all__ = [
-    "Encoding",
     "ChannelStats",
     "TradeoffPoint",
-    "encode",
-    "decode",
-    "decode_array",
     "machine_arity",
     "machine_response",
     "conditional_outputs",
     "mc_conditional_outputs",
     "average_error",
+    "dissipation",
     "average_dissipation",
     "tradeoff_machine",
     "tradeoff_sweep",
     "gaussian_band_probs",
 ]
-
-BANDS = ("multiplicative", "additive")
-
-
-@dataclass(frozen=True)
-class Encoding:
-    """Logic rails plus the decoding tolerance delta."""
-
-    beta_hot: float = 0.0
-    beta_cold: float = 1.0
-    delta: float = 0.1
-    band: str = "multiplicative"
-
-    def __post_init__(self):
-        if not (self.beta_hot < self.beta_cold):
-            raise ConfigError("rails must satisfy beta_hot < beta_cold")
-        if not (0.0 <= self.delta < 1.0):
-            raise ConfigError("delta must lie in [0, 1)")
-        if self.band not in BANDS:
-            raise ConfigError(f"band must be one of {BANDS}")
-        if not (self.low_edge < self.high_edge):
-            raise ConfigError(
-                f"decoding bands overlap: low edge {self.low_edge} >= "
-                f"high edge {self.high_edge}")
-
-    @property
-    def low_edge(self) -> float:
-        if self.band == "multiplicative":
-            return (1.0 + self.delta) * self.beta_hot
-        return self.beta_hot + self.delta * (self.beta_cold - self.beta_hot)
-
-    @property
-    def high_edge(self) -> float:
-        if self.band == "multiplicative":
-            return (1.0 - self.delta) * self.beta_cold
-        return self.beta_cold - self.delta * (self.beta_cold - self.beta_hot)
-
-
-def encode(x: int, enc: Encoding) -> float:
-    """Deterministic point encoding: 0 -> beta_hot, 1 -> beta_cold."""
-    if x == 0:
-        return enc.beta_hot
-    if x == 1:
-        return enc.beta_cold
-    raise ConfigError(f"logical input must be 0 or 1, got {x!r}")
-
-
-def decode_array(beta_z, enc: Encoding) -> np.ndarray:
-    """The band rule elementwise: 0 at or below the low edge, 1 at or above
-    the high edge, -1 (invalid) anywhere else, NaN included."""
-    beta_z = np.asarray(beta_z, dtype=float)
-    return np.where(beta_z <= enc.low_edge, 0, np.where(beta_z >= enc.high_edge, 1, -1))
-
-
-def decode(beta_z: float, enc: Encoding):
-    """0, 1, or None (invalid) depending on which band beta_z falls into."""
-    bit = int(decode_array(beta_z, enc))
-    return bit if bit >= 0 else None
-
 
 def machine_arity(machine) -> int:
     if isinstance(machine, NetworkSpec):
@@ -144,16 +76,9 @@ def gaussian_band_probs(mean: float, spread: float, enc: Encoding):
     return p0, p1, max(0.0, 1.0 - p0 - p1)
 
 
-def _row_means(machine, enc: Encoding) -> np.ndarray:
-    """Steady outputs for the 2^n encoded logical inputs, in truth-table order."""
-    rails = (enc.beta_hot, enc.beta_cold)
-    return machine_response(
-        machine, list(itertools.product(rails, repeat=machine_arity(machine))))
-
-
 def conditional_outputs(machine, enc: Encoding, spread: float) -> ChannelStats:
     """Closed-form Gaussian channel table over all 2^n logical inputs."""
-    means = _row_means(machine, enc)
+    means = machine_response(machine, enc.rows(machine_arity(machine)))
     table = np.array([gaussian_band_probs(m, spread, enc) for m in means.tolist()])
     return ChannelStats(p_y_given_x=table, means=means)
 
@@ -164,7 +89,7 @@ def mc_conditional_outputs(machine, enc: Encoding, spread: float,
     if not (spread > 0.0):
         raise ConfigError("channel spread must be positive")
     rng = np.random.default_rng(seed)
-    means = _row_means(machine, enc)
+    means = machine_response(machine, enc.rows(machine_arity(machine)))
     table = np.empty((len(means), 3))
     for i, m in enumerate(means):
         samples = rng.normal(m, spread, n_samples)
@@ -199,17 +124,22 @@ def average_error(stats: ChannelStats, table: TruthTable,
     return float(xi), float(invalid)
 
 
-def average_dissipation(spec: NeuronSpec, enc: Encoding, tau: float) -> float:
-    """Entropy production over a computation of length tau, averaged over
-    uniformly distributed inputs, each run started at the rails' midpoint."""
+def dissipation(spec: NeuronSpec, rows, enc: Encoding, tau: float) -> np.ndarray:
+    """Entropy produced over a computation of length tau, per input row, each
+    run started at the rails' midpoint."""
     if tau < 0:
         raise ConfigError("tau must be non-negative")
-    n_rows = 1 << spec.n
     start = 0.5 * (enc.beta_hot + enc.beta_cold)
+    return np.array([accumulated_dissipation(evolve_quasi_static(spec, row, start, tau))
+                     for row in rows], dtype=float)
+
+
+def average_dissipation(spec: NeuronSpec, enc: Encoding, tau: float) -> float:
+    """`dissipation` averaged over uniformly distributed logical inputs."""
+    n_rows = 1 << spec.n
     total = 0.0
-    for bits in itertools.product((0, 1), repeat=spec.n):
-        traj = evolve_quasi_static(spec, [encode(b, enc) for b in bits], start, tau)
-        total += (1.0 / n_rows) * accumulated_dissipation(traj)
+    for sigma in dissipation(spec, enc.rows(spec.n), enc, tau).tolist():
+        total += (1.0 / n_rows) * sigma
     return float(total)
 
 

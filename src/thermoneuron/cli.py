@@ -7,9 +7,14 @@ array pass; THERMONEURON_THREADS is ignored.
 
 Input rules, checked once by the parser's converters: every number must be
 finite; counts (--seed, --inset-points, a grid's count) must be >= 0; a
-grid, and a sweep's factorial grid, has at most MAX_GRID_POINTS points;
-negative values are accepted in any float form (-1, -.5, -1e-3, -0.5:1:3);
-`design` and `verify` each need exactly one of --table or --gate.
+grid, a sweep's factorial grid, --inset-points and the tradeoff inset
+(grid x inset points) have at most MAX_GRID_POINTS points; --layers has at
+most MAX_LAYERS widths of at most MAX_LAYER_WIDTH; negative values are
+accepted in any float form (-1, -.5, -1e-3, -0.5:1:3); `design` and
+`verify` each need exactly one of --table or --gate.
+
+`verify` reads its rows' means and p(error) from `channel.conditional_outputs`
+(over `Encoding.rows`) and decodes them all in one `decode_array` call.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ import numpy as np
 
 from . import channel as ch
 from . import serialize as ser
-from .designer import (DesignConfig, TruthTable, gate_table, preset,
+from .designer import (BANDS, DesignConfig, Encoding, TruthTable, decode,
+                       decode_array, gate_table, preset,
                        perceptron_identity_residual, train_perceptron,
                        weights_to_neuron, PRESET_WEIGHTS)
 from .dynamics import CSV_HEADER, evolve_full, evolve_quasi_static
@@ -42,16 +48,21 @@ EXIT_USAGE = 2
 # anything is allocated for it.
 MAX_GRID_POINTS = 1_000_000
 
+# The most layers, and units per layer, that `design --layers` trains.  Training
+# runs at most 5,000 epochs; on XOR, one core, 256,256,1 took 7 s (41 MB) and
+# the largest allowed topology, seven layers of 256 then 1, took 22 s (53 MB).
+MAX_LAYERS, MAX_LAYER_WIDTH = 8, 256
+
 
 def _machine_rails(machine) -> tuple[float, float]:
     spec = machine.layers[0][0] if isinstance(machine, NetworkSpec) else machine
     return spec.beta_hot, spec.beta_cold
 
 
-def _encoding(args, machine=None, band=None) -> ch.Encoding:
+def _encoding(args, machine=None, band=None) -> Encoding:
     rails = _machine_rails(machine) if machine is not None else (0.0, 1.0)
-    return ch.Encoding(beta_hot=rails[0], beta_cold=rails[1],
-                       delta=args.delta, band=band or args.band)
+    return Encoding(beta_hot=rails[0], beta_cold=rails[1],
+                    delta=args.delta, band=band or args.band)
 
 
 # Argument converters, passed to argparse as `type=`.  argparse turns an
@@ -85,6 +96,21 @@ def _check_points(counts, what: str) -> None:
             f"{what} has {total} points, more than {MAX_GRID_POINTS}")
 
 
+def _check_option_points(option: str, counts, what: str) -> None:
+    """`_check_points` for a bound a command checks across its arguments."""
+    try:
+        _check_points(counts, what)
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"argument {option}: {exc}") from None
+
+
+def _points(text: str) -> int:
+    """A count of points (--inset-points), at most MAX_GRID_POINTS."""
+    count = _count(text)
+    _check_points([count], "the inset")
+    return count
+
+
 def _parse_grid(spec: str) -> list[float]:
     """'start:stop:count' -> linspace; 'a,b,c' -> explicit list."""
     if ":" not in spec:
@@ -110,10 +136,15 @@ def _grids(spec: str) -> list[list[float]]:
 
 def _widths(text: str) -> list[int]:
     try:
-        return [int(s) for s in text.split(",")]
+        widths = [int(s) for s in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"want comma-separated integers, got {text!r}") from None
+    if len(widths) > MAX_LAYERS or max(widths) > MAX_LAYER_WIDTH:
+        raise argparse.ArgumentTypeError(
+            f"want at most {MAX_LAYERS} layers of at most {MAX_LAYER_WIDTH} "
+            f"units, got {text!r}")
+    return widths
 
 
 def _table_file(path: str) -> TruthTable:
@@ -218,7 +249,7 @@ def cmd_steady(args) -> int:
         final = response.final
         payload = {"layer_outputs": [list(o) for o in response.layer_outputs],
                    "beta_z_inf": final}
-    bit = ch.decode(final, enc)
+    bit = decode(final, enc)
     payload["decoded"] = bit if bit is not None else "invalid"
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -256,10 +287,7 @@ def cmd_sweep(args) -> int:
     arity = ch.machine_arity(machine)
     grids = args.grid * arity if len(args.grid) == 1 else args.grid
     _check_arity(machine, len(grids), "--grid")
-    try:
-        _check_points(map(len, grids), f"one grid for {arity} inputs")
-    except argparse.ArgumentTypeError as exc:
-        raise ConfigError(f"argument --grid: {exc}") from None
+    _check_option_points("--grid", map(len, grids), f"one grid for {arity} inputs")
     enc = _encoding(args, machine)
     # The factorial grid in CSV row order: the last input varies fastest.
     points = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, arity)
@@ -271,15 +299,18 @@ def cmd_sweep(args) -> int:
     axes = [np.array([f"{v:.12g}" for v in g], dtype=object) for g in grids]
     inputs = [m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")]
     # decode_array gives -1 for invalid, which picks the last label.
-    decoded = np.array(["0", "1", "invalid"], dtype=object)[ch.decode_array(outputs[-1], enc)]
+    decoded = np.array(["0", "1", "invalid"], dtype=object)[decode_array(outputs[-1], enc)]
     header = [f"beta_{i + 1}" for i in range(arity)] + extra + ["beta_z_inf", "decoded"]
     _write_csv(header, (*inputs, *outputs, decoded), args.out)
     return EXIT_OK
 
 
 def cmd_tradeoff(args) -> int:
+    if args.inset:
+        _check_option_points("--inset-points", (len(args.grid), args.inset_points),
+                             "the inset (grid x inset points)")
     enc = _encoding(args)
-    config = DesignConfig(eps_z=args.eps_z, seed=args.seed)
+    config = DesignConfig(eps_z=args.eps_z)
     points = ch.tradeoff_sweep(args.gate, args.knob, args.grid, enc,
                                spread=args.channel_width, tau=args.tau,
                                config=config)
@@ -287,18 +318,15 @@ def cmd_tradeoff(args) -> int:
     rows = [(p.knob, p.avg_sigma, p.avg_xi, p.avg_invalid) for p in points]
     _write_csv(header, np.array(rows, dtype=float).reshape(-1, 4).T, args.out)
     if args.inset:
-        inset_rows = []
-        for value in args.grid:
-            machine = ch.tradeoff_machine(args.gate, args.knob, value, config)
-            for beta_1 in np.linspace(enc.beta_hot, enc.beta_cold, args.inset_points):
-                traj = evolve_quasi_static(
-                    machine, [beta_1] * ch.machine_arity(machine),
-                    0.5 * (enc.beta_hot + enc.beta_cold), args.tau)
-                inset_rows.append((float(value), float(beta_1),
-                                   float(traj.sigma[-1])))
+        beta_1 = np.linspace(enc.beta_hot, enc.beta_cold, args.inset_points)
+        machines = [ch.tradeoff_machine(args.gate, args.knob, value, config)
+                    for value in args.grid]
+        sigmas = [ch.dissipation(m, np.repeat(beta_1[:, None], m.n, axis=1), enc, args.tau)
+                  for m in machines]
         inset_path = (args.out or "tradeoff") + ".inset.csv"
         _write_csv((args.knob, "beta_1", "sigma"),
-                   np.array(inset_rows, dtype=float).reshape(-1, 3).T, inset_path)
+                   (np.repeat(args.grid, len(beta_1)), np.tile(beta_1, len(machines)),
+                    np.reshape(sigmas, -1)), inset_path)
         print(f"wrote {inset_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -308,18 +336,16 @@ def cmd_verify(args) -> int:
     table = args.table or gate_table(args.gate)
     _check_arity(machine, table.n, "the table")
     enc = _encoding(args, machine, band=args.band)
-    finals = ch.machine_response(
-        machine, [[ch.encode(b, enc) for b in bits] for bits, _ in table.rows()])
+    stats = ch.conditional_outputs(machine, enc, args.channel_width)
     failures = []
-    for (bits, expected), final in zip(table.rows(), finals.tolist()):
-        got = ch.decode(final, enc)
-        p0, p1, pinv = ch.gaussian_band_probs(final, args.channel_width, enc)
-        p_err = (p0, p1)[1 - expected]
+    for (bits, expected), final, got, probs in zip(
+            table.rows(), stats.means.tolist(), decode_array(stats.means, enc).tolist(),
+            stats.p_y_given_x.tolist()):
         status = "ok" if got == expected else "FAIL"
-        shown = got if got is not None else "invalid"
+        shown = got if got >= 0 else "invalid"
         print(f"row {' '.join(map(str, bits))} -> beta_z = {final: .6f}  "
               f"decoded = {shown!s:7}  expected = {expected}  "
-              f"p(error) = {p_err:.3e}  [{status}]")
+              f"p(error) = {probs[1 - expected]:.3e}  [{status}]")
         if got != expected:
             failures.append(bits)
     total = 1 << table.n
@@ -353,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common_decode(p, default_band="multiplicative"):
         p.add_argument("--delta", type=_finite, default=0.1,
                        help="decoding tolerance (default 0.1)")
-        p.add_argument("--band", choices=ch.BANDS, default=default_band,
+        p.add_argument("--band", choices=BANDS, default=default_band,
                        help=f"decoding band rule (default {default_band})")
 
     p = sub.add_parser("design", help="compile a gate or truth table to a machine")
@@ -400,10 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", dest="channel_width", type=_finite, default=0.05,
                    help="Gaussian response width (default 0.05)")
     p.add_argument("--eps-z", dest="eps_z", type=_finite, default=0.1)
-    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--inset", action="store_true",
                    help="also emit per-input dissipation curves")
-    p.add_argument("--inset-points", type=_count, default=21)
+    p.add_argument("--inset-points", type=_points, default=21)
     p.add_argument("--out", default=None)
     add_common_decode(p)
     p.set_defaults(func=cmd_tradeoff)

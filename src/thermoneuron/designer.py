@@ -25,6 +25,10 @@ from .neuron import NeuronSpec, build_neuron, steady_response
 from .virtual import virtual_gap
 
 __all__ = [
+    "Encoding",
+    "encode",
+    "decode",
+    "decode_array",
     "TruthTable",
     "DesignConfig",
     "gate_table",
@@ -41,6 +45,74 @@ __all__ = [
 LEARNING_RATE, EPOCHS = 0.5, 20_000
 IDENTITY_TRIALS, IDENTITY_SEED = 8, 1234
 ALPHA_MAX = 4096.0
+
+
+BANDS = ("multiplicative", "additive")
+
+
+@dataclass(frozen=True)
+class Encoding:
+    """Logic rails plus the decoding tolerance delta.  Bits enter as bath
+    temperatures (0 -> beta_hot, 1 -> beta_cold) and leave through bands of
+    half-width delta: multiplicative (y = 0 iff beta_z <= (1+delta) beta_hot, a
+    point when beta_hot = 0) or additive (y = 0 iff beta_z <= beta_hot + delta
+    (beta_cold - beta_hot)), which gate verification uses; else invalid."""
+
+    beta_hot: float = 0.0
+    beta_cold: float = 1.0
+    delta: float = 0.1
+    band: str = "multiplicative"
+
+    def __post_init__(self):
+        if not (self.beta_hot < self.beta_cold):
+            raise ConfigError("rails must satisfy beta_hot < beta_cold")
+        if not (0.0 <= self.delta < 1.0):
+            raise ConfigError("delta must lie in [0, 1)")
+        if self.band not in BANDS:
+            raise ConfigError(f"band must be one of {BANDS}")
+        if not (self.low_edge < self.high_edge):
+            raise ConfigError(
+                f"decoding bands overlap: low edge {self.low_edge} >= "
+                f"high edge {self.high_edge}")
+
+    @property
+    def low_edge(self) -> float:
+        if self.band == "multiplicative":
+            return (1.0 + self.delta) * self.beta_hot
+        return self.beta_hot + self.delta * (self.beta_cold - self.beta_hot)
+
+    @property
+    def high_edge(self) -> float:
+        if self.band == "multiplicative":
+            return (1.0 - self.delta) * self.beta_cold
+        return self.beta_cold - self.delta * (self.beta_cold - self.beta_hot)
+
+    def rows(self, n: int) -> np.ndarray:
+        """The 2^n logical inputs on the rails, (2^n, n), in truth-table order."""
+        rails = (self.beta_hot, self.beta_cold)
+        return np.array(list(itertools.product(rails, repeat=n)), dtype=float)
+
+
+def encode(x: int, enc: Encoding) -> float:
+    """Deterministic point encoding: 0 -> beta_hot, 1 -> beta_cold."""
+    if x == 0:
+        return enc.beta_hot
+    if x == 1:
+        return enc.beta_cold
+    raise ConfigError(f"logical input must be 0 or 1, got {x!r}")
+
+
+def decode_array(beta_z, enc: Encoding) -> np.ndarray:
+    """The band rule elementwise: 0 at or below the low edge, 1 at or above
+    the high edge, -1 (invalid) anywhere else, NaN included."""
+    beta_z = np.asarray(beta_z, dtype=float)
+    return np.where(beta_z <= enc.low_edge, 0, np.where(beta_z >= enc.high_edge, 1, -1))
+
+
+def decode(beta_z: float, enc: Encoding):
+    """0, 1, or None (invalid) depending on which band beta_z falls into."""
+    bit = int(decode_array(beta_z, enc))
+    return bit if bit >= 0 else None
 
 
 @dataclass(frozen=True)
@@ -272,13 +344,14 @@ def preset(gate: str, config: DesignConfig | None = None) -> NeuronSpec:
 def search_alpha(table: TruthTable, config: DesignConfig,
                  decode_fn: Callable[[float], int | None],
                  weights: Sequence[float] | None = None) -> float:
-    """Smallest power-of-two multiple of config.alpha that decodes every row."""
+    """Smallest power-of-two multiple of config.alpha that decodes every row on config's rails."""
     w = (np.asarray(weights, dtype=float) if weights is not None
          else train_perceptron(table, config))
+    rows = Encoding(config.beta_hot, config.beta_cold, band="additive").rows(table.n)
     alpha = config.alpha
     while alpha <= ALPHA_MAX:
         spec = weights_to_neuron(w, replace(config, alpha=alpha))
-        _, finals = steady_response(spec, [bits for bits, _ in table.rows()])
+        _, finals = steady_response(spec, rows)
         if all(decode_fn(final) == out
                for final, out in zip(finals.tolist(), table.outputs)):
             return alpha

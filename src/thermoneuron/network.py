@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, StructuralError, TrainingError
-from .designer import DesignConfig, TruthTable, weights_to_neuron
+from .designer import (DesignConfig, Encoding, TruthTable, decode_array,
+                       weights_to_neuron)
 from .neuron import NeuronSpec, steady_response
 
 __all__ = ["NetworkSpec", "NetworkResponse", "eval_layers", "eval_network",
@@ -189,15 +190,12 @@ def train_network(table: TruthTable, topology: Sequence[int],
         wiring.append(tuple(feeds))
     net = NetworkSpec(n_inputs=table.n, layers=tuple(layers), wiring=tuple(wiring))
 
-    # Behavioral check through the exact steady-state composition (channel
-    # builds on this module, hence the local import).
-    from .channel import Encoding, decode
-
+    # Behavioral check through the exact steady-state composition.
     enc = Encoding(config.beta_hot, config.beta_cold, delta=0.1, band="additive")
-    betas = np.where(x_rows == 1.0, config.beta_cold, config.beta_hot)
-    finals = eval_layers(net, betas)[-1][:, -1]
-    for (bits, out), final in zip(table.rows(), finals.tolist()):
-        if decode(final, enc) != out:
+    finals = eval_layers(net, enc.rows(table.n))[-1][:, -1]
+    decoded = decode_array(finals, enc).tolist()
+    for (bits, out), final, got in zip(table.rows(), finals.tolist(), decoded):
+        if got != out:
             raise TrainingError(
                 f"trained network mis-decodes row {bits}: beta_z = {final:.4g}; "
                 "try a different seed or a larger alpha", loss=loss)

@@ -41,14 +41,42 @@ _NEURON_FIELDS = tuple(f.name for f in dataclasses.fields(NeuronSpec))
 _PROVENANCE_KEYS = ("weights", "alpha", "eps_z", "seed", "tool_version")
 
 
+# The JSON type of each spec field, so that no string, boolean or fraction is
+# coerced into a gap, a bit or an index.  `type(v) is int` rejects booleans.
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float)
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+_FIELD_TYPES = {name: (_is_number, "a number") for name in _NEURON_FIELDS} | {
+    "eps": (_list_of(_is_number), "a list of numbers"),
+    "h": (_list_of(lambda v: _is_int(v) and v in (0, 1)), "a list of the integers 0 and 1"),
+    "n": (_is_int, "an integer"),
+    "n_inputs": (_is_int, "an integer"),
+    "wiring": (_list_of(_is_int), "a list of integers"),
+}
+
+
 def _check_fields(d, fields: Sequence[str], where: str) -> None:
-    """``d`` must be a JSON object holding exactly ``fields``."""
+    """``d`` must be a JSON object holding exactly ``fields``, each of the JSON
+    type `_FIELD_TYPES` gives it."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object")
     _reject_unknown(d, fields, where)
     missing = sorted(set(fields) - set(d))
     if missing:
         raise ConfigError(f"{where} missing fields: {missing}")
+    for name in (f for f in fields if f in _FIELD_TYPES):
+        ok, want = _FIELD_TYPES[name]
+        if not ok(d[name]):
+            raise ConfigError(f"{where} field '{name}' must be {want}")
 
 
 def _reject_unknown(d: dict, allowed: Sequence[str], where: str) -> None:
@@ -69,7 +97,7 @@ def neuron_from_dict(d: dict) -> NeuronSpec:
         if not (math.isfinite(spec.capacity) and spec.capacity > 0.0):
             raise ConfigError(f"reservoir capacity must be positive and finite, "
                               f"got {spec.capacity!r}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed neuron spec: {exc}") from None
     if spec.n != d["n"]:
         raise ConfigError(f"inconsistent input count: n = {d['n']} but "
@@ -95,13 +123,12 @@ def network_from_dict(d: dict) -> NetworkSpec:
             for entry in layer:
                 _check_fields(entry, ("neuron", "wiring"), "network layer entry")
                 units.append(neuron_from_dict(entry["neuron"]))
-                feeds.append(tuple(int(k) for k in entry["wiring"]))
+                feeds.append(tuple(entry["wiring"]))
             layers.append(tuple(units))
             wiring.append(tuple(feeds))
-        n_inputs = int(d["n_inputs"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed network spec: {exc}") from None
-    return NetworkSpec(n_inputs=n_inputs, layers=tuple(layers), wiring=tuple(wiring))
+    return NetworkSpec(n_inputs=d["n_inputs"], layers=tuple(layers), wiring=tuple(wiring))
 
 
 def machine_to_document(machine, provenance: dict) -> dict:
@@ -128,6 +155,8 @@ def machine_from_document(doc: dict):
     for key in ("kind", "spec", "provenance"):
         if key not in doc:
             raise ConfigError(f"machine file missing field '{key}'")
+    if not isinstance(doc["provenance"], dict):
+        raise ConfigError("provenance must be a JSON object")
     _reject_unknown(doc["provenance"], _PROVENANCE_KEYS, "provenance")
     if doc["kind"] == "neuron":
         return neuron_from_dict(doc["spec"]), doc["provenance"]

@@ -1,9 +1,12 @@
 """Encoding/decoding, the Gaussian response channel, and averaged error/dissipation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import thermoneuron as tn
+from thermoneuron import channel, designer
 from thermoneuron.channel import BANDS, decode_array, gaussian_band_probs
 from thermoneuron.dynamics import accumulated_dissipation
 from thermoneuron.errors import ConfigError
@@ -54,6 +57,20 @@ class TestEncoding:
             assert code == (-1 if want is None else want)
         assert set(codes[:2].tolist()) == {0, 1}
         assert codes[6] == -1  # NaN
+
+    def test_rows_on_the_rails_in_table_order(self):
+        enc = tn.Encoding(0.2, 0.7)
+        rows = enc.rows(3)
+        assert rows.shape == (8, 3) and rows.dtype == float
+        want = [[tn.encode(b, enc) for b in bits] for bits, _ in tn.gate_table("MAJ3").rows()]
+        assert rows.tolist() == want
+
+    def test_encoding_has_one_home(self):
+        # The encoding lives in designer; channel and the package re-export it.
+        for name in ("BANDS", "Encoding", "encode", "decode", "decode_array"):
+            assert getattr(channel, name) is getattr(designer, name)
+        for name in ("Encoding", "encode", "decode"):
+            assert getattr(tn, name) is getattr(designer, name)
 
     def test_overlapping_bands_rejected(self):
         with pytest.raises(ConfigError, match="overlap"):
@@ -167,6 +184,20 @@ class TestAverageDissipation:
             per_input.append(accumulated_dissipation(traj))
         avg = tn.average_dissipation(spec, enc, tau)
         assert abs(avg - 0.5 * sum(per_input)) < 1e-9 * max(per_input)
+
+
+    @pytest.mark.parametrize("rails", [(0.0, 1.0), (0.2, 1.5)])
+    def test_dissipation_keeps_the_bits_of_the_row_loop(self, rails):
+        # The loop average_dissipation ran before it shared `dissipation`.
+        spec, enc, tau = tn.preset("NOR"), tn.Encoding(*rails), 1e4
+        start = 0.5 * (enc.beta_hot + enc.beta_cold)
+        total, per_row = 0.0, []
+        for bits in itertools.product((0, 1), repeat=spec.n):
+            traj = tn.evolve_quasi_static(spec, [tn.encode(b, enc) for b in bits], start, tau)
+            per_row.append(accumulated_dissipation(traj))
+            total += (1.0 / 4) * per_row[-1]
+        assert tn.dissipation(spec, enc.rows(spec.n), enc, tau).tolist() == per_row
+        assert tn.average_dissipation(spec, enc, tau) == total
 
 
 class TestTradeoffSweep:

@@ -6,6 +6,7 @@ import math
 import pytest
 
 import thermoneuron as tn
+from thermoneuron import channel as ch
 from thermoneuron.cli import main
 from thermoneuron.errors import ConfigError
 from thermoneuron.serialize import (load_machine, machine_from_document,
@@ -282,6 +283,53 @@ class TestVerify:
         assert main(["verify", out, "--table", str(tmp_path / "no.tt")]) == 2
 
 
+def row_loop_verify_stdout(machine, table, enc, width):
+    """`verify`'s stdout as its own per-row loop wrote it: encode each row's
+    bits, then decode the output and take its Gaussian band probabilities."""
+    finals = ch.machine_response(
+        machine, [[tn.encode(b, enc) for b in bits] for bits, _ in table.rows()])
+    lines, failures = [], []
+    for (bits, expected), final in zip(table.rows(), finals.tolist()):
+        got = tn.decode(final, enc)
+        p0, p1, _ = ch.gaussian_band_probs(final, width, enc)
+        status = "ok" if got == expected else "FAIL"
+        shown = got if got is not None else "invalid"
+        lines.append(f"row {' '.join(map(str, bits))} -> beta_z = {final: .6f}  "
+                     f"decoded = {shown!s:7}  expected = {expected}  "
+                     f"p(error) = {(p0, p1)[1 - expected]:.3e}  [{status}]")
+        if got != expected:
+            failures.append(bits)
+    total = 1 << table.n
+    lines.append(f"{total - len(failures)}/{total} rows correct")
+    if failures:
+        lines.append("failed rows: " + "; ".join(" ".join(map(str, b)) for b in failures))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore:weak time-scale separation")
+@pytest.mark.parametrize("design, table, band, delta, width, code, invalid", [
+    (["--gate", "MAJ3", "--alpha", "10"], "MAJ3", "additive", 0.1, 0.05, 0, False),
+    (["--gate", "NOR", "--alpha", "0.5"], "NOR", "additive", 0.1, 0.05, 1, True),
+    (["--gate", "NOR", "--alpha", "0.5"], "NOR", "multiplicative", 0.1, 0.05, 1, True),
+    (["--gate", "NOR"], "AND", "multiplicative", 0.3, 0.05, 1, True),
+    (["--table", "T", "--layers", "2,1", "--seed", "7"], "T", "additive", 0.1, 0.05, 0, False),
+    (["--gate", "NOT"], "NOT", "additive", 0.1, 1e300, 0, False),
+])
+def test_verify_stdout_equals_the_row_loop(design, table, band, delta, width, code, invalid,
+                                           xor_table, tmp_path, capsys):
+    out = str(tmp_path / "m.json")
+    assert main(["design", *[xor_table if a == "T" else a for a in design], "--out", out]) == 0
+    capsys.readouterr()
+    source = ["--table", xor_table] if table == "T" else ["--gate", table]
+    assert main(["verify", out, *source, "--band", band, "--delta", str(delta),
+                 "--C", str(width)]) == code
+    got = capsys.readouterr().out
+    enc = tn.Encoding(0.0, 1.0, delta=delta, band=band)
+    truth = tn.TruthTable.from_text(XOR_TT) if table == "T" else tn.gate_table(table)
+    assert got == row_loop_verify_stdout(load_machine(out)[0], truth, enc, width)
+    assert ("decoded = invalid" in got) == invalid
+
+
 class TestMachineFiles:
     def test_round_trip_canonical(self, tmp_path):
         out = design_nor(tmp_path)
@@ -343,7 +391,29 @@ def bad_eps_doc():
     return doc
 
 
+def one_input_doc(key, value):
+    """The one-input neuron (gaps 2, 1) with spec field ``key`` set to ``value``;
+    each value below is read as a valid spec by plain coercion."""
+    doc = machine_to_document(tn.build_neuron((2.0, 1.0), (0, 1), 1.0, 1.0), PROVENANCE)
+    doc["spec"][key] = value
+    return doc
+
+
+def one_input_network_doc(key, value):
+    """A network of that neuron, with ``key`` set in its spec or its one entry."""
+    net = tn.NetworkSpec(n_inputs=1, layers=((tn.build_neuron((2.0, 1.0), (0, 1), 1.0, 1.0),),),
+                         wiring=(((0,),),))
+    doc = machine_to_document(net, PROVENANCE)
+    (doc["spec"] if key == "n_inputs" else doc["spec"]["layers"][0][0])[key] = value
+    return doc
+
+
 STEADY = ["steady", "M", "--inputs", "0", "0"]
+STEADY_1 = ["steady", "M", "--inputs", "0"]
+RETYPED = {"spec-eps-string": ("eps", "21"), "spec-h-string": ("h", "01"),
+           "spec-h-fraction-above": ("h", [0, 1.7]), "spec-h-fraction-below": ("h", [0.9, 1]),
+           "spec-chi-boolean": ("chi", True), "spec-n-boolean": ("n", True),
+           "spec-mu-integer-overflows-float": ("mu", 10 ** 400)}
 MALFORMED = {
     "steady-inputs-not-a-number": (nor_doc, ["steady", "M", "--inputs", "abc", "0"]),
     "steady-inputs-nan": (nor_doc, ["steady", "M", "--inputs", "nan", "0"]),
@@ -401,6 +471,22 @@ MALFORMED = {
                                                    "--mode", "full"]),
     "simulate-quasi-beta-z0-overflows": (maj3_doc, ["simulate", "M", "--inputs", "0", "1",
                                                     "1", "--beta-z0", "1e308", "--tau", "10"]),
+    "design-layer-too-wide": (nor_doc, ["design", "--table", "T",
+                                        "--layers", "1000000000000000,1"]),
+    "design-too-many-layers": (nor_doc, ["design", "--table", "T",
+                                         "--layers", "2,2,2,2,2,2,2,2,1"]),
+    "tradeoff-inset-points-too-large": (nor_doc, ["tradeoff", "--gate", "NOT", "--grid", "2",
+                                                  "--inset", "--inset-points",
+                                                  "1000000000000000"]),
+    "tradeoff-seed-removed": (nor_doc, ["tradeoff", "--gate", "NOT", "--grid", "2",
+                                        "--seed", "3", "--tau", "10"]),
+    "provenance-not-an-object": (lambda: nor_doc() | {"provenance": 5}, STEADY),
+    **{case: (lambda k=key, v=value: one_input_doc(k, v), STEADY_1)
+       for case, (key, value) in RETYPED.items()},
+    **{case: (lambda k=key, v=value: one_input_network_doc(k, v), STEADY_1)
+       for case, (key, value) in {"network-wiring-string": ("wiring", "0"),
+                                  "network-wiring-fraction": ("wiring", [0.9]),
+                                  "network-n-inputs-float": ("n_inputs", 1.0)}.items()},
 }
 
 
@@ -417,6 +503,30 @@ def test_malformed_input_exits_2_with_one_line(case, xor_table, tmp_path, capsys
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_machine_file_numbers_may_be_integers(tmp_path, capsys):
+    doc = one_input_doc("eps", [2, 1])
+    doc["spec"]["chi"] = 1
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(doc))
+    assert main(["steady", str(path), "--inputs", "0", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    want = tn.steady_output(tn.build_neuron((2.0, 1.0), (0, 1), 1.0, 1.0), [0.0])
+    assert payload["beta_z_inf"] == want.beta_z_inf
+
+
+def test_tradeoff_inset_is_capped_before_the_sweep(monkeypatch, tmp_path, capsys):
+    # 1000 grid points x 1001 inset points is refused before any machine is
+    # evaluated, although each count alone is within MAX_GRID_POINTS.
+    monkeypatch.setattr(ch, "tradeoff_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+    out = tmp_path / "t.csv"
+    assert main(["tradeoff", "--gate", "NOT", "--grid", "1:2:1000", "--inset",
+                 "--inset-points", "1001", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: argument --inset-points: the inset (grid x inset points) "
+                   "has 1001000 points, more than 1000000"]
     assert not out.exists()
 
 

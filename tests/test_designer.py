@@ -1,11 +1,13 @@
 """Truth tables, perceptron training, and weight-to-machine compilation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import thermoneuron as tn
-from thermoneuron.designer import (PRESET_WEIGHTS, perceptron_identity_residual,
-                                   search_alpha)
+from thermoneuron.designer import (PRESET_WEIGHTS, decode_array,
+                                   perceptron_identity_residual, search_alpha)
 from thermoneuron.errors import ConfigError, DesignError, NotSeparableError
 
 # Frozen 50-digit oracle values for the NOR preset at alpha = 1, eps_z = 0.1.
@@ -196,6 +198,28 @@ class TestBehavioralCompilation:
                              lambda beta_z: tn.decode(beta_z, enc),
                              weights=PRESET_WEIGHTS[gate])
         assert found == alpha
+
+    @pytest.mark.parametrize("gate, alpha", [("NOT", 256.0), ("NOR", 256.0), ("MAJ3", None)])
+    def test_search_alpha_encodes_rows_on_the_rails(self, gate, alpha):
+        # On rails (0, 0.5) the rows enter as 0 and 0.5, not as the bits 0
+        # and 1, so every alpha returned decodes the table on those rails.
+        enc = tn.Encoding(0.0, 0.5, delta=0.1, band="additive")
+        cfg = tn.DesignConfig(alpha=1.0, beta_hot=0.0, beta_cold=0.5)
+        table = tn.gate_table(gate)
+
+        def search():
+            return search_alpha(table, cfg, lambda beta_z: tn.decode(beta_z, enc),
+                                weights=PRESET_WEIGHTS[gate])
+
+        if alpha is None:
+            with pytest.raises(DesignError, match="no steepness up to 4096"):
+                search()
+            return
+        found = search()
+        assert found == alpha
+        spec = tn.weights_to_neuron(PRESET_WEIGHTS[gate], replace(cfg, alpha=found))
+        means = tn.machine_response(spec, enc.rows(table.n))
+        assert decode_array(means, enc).tolist() == list(table.outputs)
 
     def test_search_alpha_gives_up_at_alpha_max(self):
         with pytest.raises(DesignError, match="no steepness up to 4096"):
