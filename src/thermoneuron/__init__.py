@@ -24,7 +24,7 @@ from .neuron import (ModulatorCalibration, NeuronSpec, TransferPoint,
                      build_neuron, calibrate_modulator, inverter,
                      sigmoid_approx, slope_at_threshold, steady_from_virtual,
                      steady_output, steady_response, threshold_point)
-from .quantum import (BathContact, QubitRegister, StepControl, fermi_population,
+from .quantum import (BathContact, QubitRegister, fermi_population,
                       gibbs_qubit, gibbs_register, heat_current,
                       entropy_production_rate, integrate_master, lindblad_rhs,
                       reset_dissipator, steady_state, von_neumann_entropy)

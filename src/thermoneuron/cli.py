@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 1 when a verification fails, 2 for usage,
 configuration or solver errors (one `error:` line, no traceback).  Every
 command with a --seed is byte-deterministic.  Grids are evaluated in one
-array pass; THERMONEURON_THREADS is ignored.
+array pass.
 
 Input rules, checked once by the parser's converters: every number must be
 finite; counts (--seed, --inset-points, a grid's count) must be >= 0; a

@@ -169,10 +169,10 @@ class TruthTable:
         if n is None:
             raise ConfigError("truth table is empty")
         if len(rows) != 1 << n:
-            missing = sorted(set(range(1 << n)) - set(rows))
+            first = list(itertools.islice((k for k in range(1 << n) if k not in rows), 8))
             raise ConfigError(
                 f"truth table incomplete: {len(rows)}/{1 << n} rows "
-                f"(missing indices {missing})")
+                f"({(1 << n) - len(rows)} missing, first indices {first})")
         return cls(n=n, outputs=tuple(rows[k] for k in range(1 << n)))
 
     def rows(self):

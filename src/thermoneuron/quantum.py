@@ -13,13 +13,16 @@ The interaction Hamiltonian must commute with the free Hamiltonian
 (energy-preserving weak coupling); `lindblad_rhs` rejects anything else.
 Such generators split into small invariant blocks (a collector's populations
 plus its one coupled coherence, the other coherences a few apiece), and
-`steady_state` takes one small SVD per block instead of one of size d^2.
+`steady_state` takes one small SVD per block instead of one of size d^2;
+`integrate_master` takes one small matrix exponential per block.
 
 Cost.  `lindblad_rhs` gathers the K resets through index tables cached per
-(m, qubit indices): four d x d products plus O(K d^2).  `steady_state`
-probes the generator with d^2 RHS calls and keeps only the nonzero entries,
-so it needs memory of order nnz + K d^2, never the d^2 x d^2 matrix; its
-time grows as d^5, about 0.2 s at m = 5 and several seconds at m = 6.
+(m, qubit indices): four d x d products plus O(K d^2).  `steady_state` and
+`integrate_master` probe the generator with d^2 RHS calls and keep only the
+nonzero entries, so they need memory of order nnz + K d^2, never the
+d^2 x d^2 matrix; their time grows as d^5, about 0.2 s at m = 5 and several
+seconds at m = 6, and that of `integrate_master` does not grow with the
+horizon.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ __all__ = [
     "MAX_QUBITS",
     "QubitRegister",
     "BathContact",
-    "StepControl",
     "fermi_population",
     "gibbs_qubit",
     "gibbs_register",
@@ -53,10 +55,8 @@ __all__ = [
 ]
 
 # Dense states and `lindblad_rhs` take registers up to this size; the tests
-# run `steady_state` only up to m = 5 (d = 32).
+# run `steady_state` and `integrate_master` only up to m = 5 (d = 32).
 MAX_QUBITS = 12
-# Steps, accepted or rejected, after which `integrate_master` gives up.
-MAX_STEPS = 5_000_000
 
 
 def _libm(fn, x):
@@ -231,83 +231,30 @@ def lindblad_rhs(rho: np.ndarray, h0: np.ndarray, hint: np.ndarray,
     return out
 
 
-@dataclass
-class StepControl:
-    """Adaptive step-size controls for `integrate_master`."""
-
-    atol: float = 1e-10
-    rtol: float = 1e-8
-    h_initial: float | None = None
-
-
-# Dormand-Prince 5(4) tableau.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-          -92097 / 339200, 187 / 2100, 1 / 40)
-
-
 def integrate_master(rho0: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
-                     horizon: float, control: StepControl | None = None) -> np.ndarray:
-    """Propagate rho to the given horizon with an embedded Runge-Kutta 5(4) pair.
+                     horizon: float) -> np.ndarray:
+    """Propagate rho0 to the given horizon exactly: exp(L t) rho0, one matrix
+    exponential per invariant block of the linear generator `rhs`.
 
-    Each accepted step re-Hermitizes the state; the output is additionally
-    trace-renormalized.  Positivity drift beyond 1e-8 is reported via a
-    warning.  Step-size underflow aborts with a diagnostic.
+    `rhs` must be linear; it is probed with d^2 calls, as in `steady_state`.
+    The output is re-Hermitized and trace-renormalized; positivity drift
+    beyond 1e-8 is reported via a warning.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    ctrl = control or StepControl()
+    if not (math.isfinite(horizon) and horizon >= 0.0):
+        raise ValueError(f"horizon must be non-negative and finite, got {horizon!r}")
     y = np.array(rho0, dtype=complex)
+    if y.ndim != 2 or y.shape[0] != y.shape[1]:
+        raise StructuralError(f"state shape {y.shape} is not square")
     if horizon == 0.0:
         return y
-    t = 0.0
-    k = [rhs(y)] + [None] * 6   # k[0] = rhs(y), kept until y moves
-    h = ctrl.h_initial if ctrl.h_initial is not None else min(
-        horizon, 0.1 / (1.0 + float(np.abs(k[0]).max())))
-    for _ in range(MAX_STEPS):
-        if t >= horizon:
-            break
-        h = min(h, horizon - t)
-        if h < 1e-14 * max(1.0, t):
-            raise SolverError(
-                f"integrate_master: step-size underflow at t = {t:.6e} (h = {h:.3e})")
-        if k[0] is None:
-            k[0] = rhs(y)
-        for i in range(1, 7):
-            yi = y
-            for j, a in enumerate(_DP_A[i]):
-                if a != 0.0:
-                    yi = yi + (h * a) * k[j]
-            k[i] = rhs(yi)
-        y5 = y
-        for i, b in enumerate(_DP_B5):
-            if b != 0.0:
-                y5 = y5 + (h * b) * k[i]
-        err = np.zeros_like(y)
-        for i, (b5, b4) in enumerate(zip(_DP_B5, _DP_B4)):
-            d = b5 - b4
-            if d != 0.0:
-                err = err + (h * d) * k[i]
-        scale = ctrl.atol + ctrl.rtol * float(np.abs(y5).max())
-        ratio = float(np.abs(err).max()) / scale
-        if ratio <= 1.0:
-            t += h
-            y = 0.5 * (y5 + y5.conj().T)
-            k[0] = None
-        factor = 0.9 * (max(ratio, 1e-16)) ** (-0.2)
-        h *= min(5.0, max(0.2, factor))
-    else:
-        raise SolverError("integrate_master: step budget exhausted")
+    from scipy.linalg import expm
+    flat, out = y.reshape(-1), np.empty(y.size, dtype=complex)
+    with np.errstate(all="ignore"):
+        for b, block in _blocks(rhs, len(y)):
+            out[b] = expm(block * horizon) @ flat[b]
+    if not np.isfinite(out).all():
+        raise SolverError("integrate_master: propagated state is not finite")
+    y = out.reshape(y.shape)
     y = 0.5 * (y + y.conj().T)
     tr = float(np.trace(y).real)
     if abs(tr) < 1e-12:
@@ -363,15 +310,13 @@ def _invariant_blocks(rows: np.ndarray, cols: np.ndarray, n: int) -> list[np.nda
     return np.split(order, cuts)
 
 
-def steady_state(rhs: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """Unit-trace null vector of a linear generator, by one dense SVD per
-    invariant block of its probed d^2 x d^2 matrix.
+def _blocks(rhs: Callable[[np.ndarray], np.ndarray],
+            dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(indices, dense block) pairs of the invariant blocks of the probed
+    d^2 x d^2 matrix of a linear generator, in row-major vectorization.
 
     The probe keeps only the nonzero entries; each block is scattered into
     its own small dense matrix, so the d^2 x d^2 matrix is never formed.
-    Raises `DegenerateSteadyStateError` when the numerical null space,
-    summed over blocks, has dimension greater than one.  The returned state
-    satisfies max|rhs(rho)| <= 1e-10.
     """
     n2 = dim * dim
     rows, cols, vals = _probe(rhs, dim)
@@ -382,11 +327,24 @@ def steady_state(rhs: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarra
         which[b], place[b] = k, np.arange(len(b))
     entries = np.split(np.argsort(which[rows], kind="stable"),
                        np.cumsum(np.bincount(which[rows], minlength=len(blocks)))[:-1])
-    svds = []
+    out = []
     for b, e in zip(blocks, entries):
-        sub = np.zeros((len(b), len(b)), dtype=complex)
-        sub[place[rows[e]], place[cols[e]]] = vals[e]
-        svds.append(np.linalg.svd(sub))
+        block = np.zeros((len(b), len(b)), dtype=complex)
+        block[place[rows[e]], place[cols[e]]] = vals[e]
+        out.append((b, block))
+    return out
+
+
+def steady_state(rhs: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
+    """Unit-trace null vector of a linear generator, by one dense SVD per
+    invariant block (`_blocks`) of its probed d^2 x d^2 matrix.
+
+    Raises `DegenerateSteadyStateError` when the numerical null space,
+    summed over blocks, has dimension greater than one.  The returned state
+    satisfies max|rhs(rho)| <= 1e-10.
+    """
+    blocks = _blocks(rhs, dim)
+    svds = [np.linalg.svd(block) for _, block in blocks]
     s_max = max(s[0] for _, s, _ in svds)
     tol = s_max * 1e-11 if s_max > 0 else 1e-14
     nullity = sum(int(np.sum(s < tol)) for _, s, _ in svds)
@@ -395,8 +353,8 @@ def steady_state(rhs: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarra
             f"generator null space has dimension {nullity}; "
             "steady state is not unique")
     k = int(np.argmin([s[-1] for _, s, _ in svds]))
-    vec = np.zeros(n2, dtype=complex)
-    vec[blocks[k]] = svds[k][2][-1].conj()
+    vec = np.zeros(dim * dim, dtype=complex)
+    vec[blocks[k][0]] = svds[k][2][-1].conj()
     rho = vec.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     tr = float(np.trace(rho).real)

@@ -282,6 +282,15 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", out, "--table", str(tmp_path / "no.tt")]) == 2
 
+    def test_incomplete_wide_table_exits_2_with_one_short_line(self, tmp_path, capsys):
+        out = design_nor(tmp_path)
+        table = tmp_path / "wide.tt"
+        table.write_text("0 " * 39 + "1 : 1\n")
+        capsys.readouterr()
+        assert main(["verify", out, "--table", str(table)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "incomplete" in err and len(err) < 200
+
 
 def row_loop_verify_stdout(machine, table, enc, width):
     """`verify`'s stdout as its own per-row loop wrote it: encode each row's

@@ -1,5 +1,6 @@
 """Truth tables, perceptron training, and weight-to-machine compilation."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,16 @@ class TestTruthTable:
     def test_incomplete_rejected(self):
         with pytest.raises(ConfigError, match="incomplete"):
             tn.TruthTable.from_text("0 0 : 1\n0 1 : 0\n")
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_incomplete_names_the_count_and_first_missing_rows(self, n):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError) as exc:
+            tn.TruthTable.from_text("0 " * (n - 1) + "1 : 1\n")
+        assert time.perf_counter() - start < 1.0
+        assert str(exc.value) == (
+            f"truth table incomplete: 1/{1 << n} rows "
+            f"({(1 << n) - 1} missing, first indices [0, 2, 3, 4, 5, 6, 7, 8])")
 
     def test_duplicate_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):

@@ -181,10 +181,11 @@ class TestEvolveFull:
 
 def test_import_leaves_the_integrators_unloaded():
     src = os.path.dirname(os.path.dirname(tn.__file__))
-    code = "import sys, thermoneuron; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, thermoneuron; "
+            "print([m in sys.modules for m in ('scipy.integrate', 'scipy.linalg')])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
 
 
 class TestAccumulatedDissipation:

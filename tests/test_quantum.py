@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import thermoneuron as tn
 from thermoneuron.dynamics import (collector_contacts, collector_hamiltonian,
@@ -15,7 +16,7 @@ from thermoneuron.dynamics import (collector_contacts, collector_hamiltonian,
 from thermoneuron import quantum
 from thermoneuron.errors import (DegenerateSteadyStateError, SolverError,
                                  StructuralError)
-from thermoneuron.quantum import BathContact, QubitRegister, StepControl
+from thermoneuron.quantum import BathContact, QubitRegister
 from conftest import random_density_matrix, thermalize_qubit, validate_density_matrix
 
 # Frozen from 50-digit evaluation of 1/(1 + e).
@@ -256,31 +257,14 @@ class TestIntegrateMaster:
         rho0 = np.diag([0.1, 0.9]).astype(complex)
         g = tn.fermi_population(0.8)
         for t in (0.3, 1.0, 4.0):
-            rho_t = tn.integrate_master(rho0, rhs, t,
-                                        StepControl(atol=1e-12, rtol=1e-10))
+            rho_t = tn.integrate_master(rho0, rhs, t)
             expected = g + (0.9 - g) * math.exp(-t)
             assert abs(rho_t[1, 1].real - expected) < 1e-8
-
-    def test_rhs_is_never_evaluated_twice_at_one_state(self):
-        # A first step of the whole horizon is far too long for the tolerance,
-        # so the run starts with rejected steps that all begin at rho0.  The
-        # generator is not Hermiticity-preserving, so re-Hermitizing an
-        # accepted state moves it off the last stage's argument.
-        gen = np.array([[-1.0, 0.5], [0.0, -2.0]], dtype=complex)
-        seen = []
-
-        def rhs(r):
-            seen.append(r.tobytes())
-            return gen @ r
-
-        tn.integrate_master(np.eye(2, dtype=complex), rhs, 4.0,
-                            StepControl(h_initial=4.0))
-        assert len(seen) > 7 and len(set(seen)) == len(seen)
 
     @pytest.mark.filterwarnings("ignore:weak time-scale separation")
     def test_long_horizon_matches_steady_state(self):
         # mu = 1e-2 trades some time-scale separation (ratio 30, warned) for
-        # an affordable explicit integration to equilibrium.
+        # relaxation to equilibrium well within the horizon.
         spec = tn.build_neuron((2.0, 1.0), (0, 1), 1.0, 1.0, mu=1e-2)
         reg = collector_register(spec)
         h0, hint = collector_hamiltonian(spec)
@@ -288,8 +272,7 @@ class TestIntegrateMaster:
         rhs = lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg)
         rho_ss = tn.steady_state(rhs, reg.dim)
         rho0 = tn.gibbs_register(reg, (1.0, 0.3, 0.5))
-        rho_t = tn.integrate_master(rho0, rhs, 3e3,
-                                    StepControl(atol=1e-12, rtol=1e-10))
+        rho_t = tn.integrate_master(rho0, rhs, 3e3)
         assert np.abs(rho_t - rho_ss).max() < 1e-8
 
     def test_trace_and_hermiticity_over_long_horizon(self):
@@ -301,13 +284,26 @@ class TestIntegrateMaster:
         assert np.abs(rho_t - rho_t.conj().T).max() < 1e-10
         validate_density_matrix(rho_t, herm_tol=1e-10, trace_tol=1e-10)
 
-    def test_step_size_underflow_aborts_with_diagnostic(self):
-        # y' = y^2 blows up in finite time; the controller must refuse to
-        # continue rather than silently stall.
+    def test_overflowing_generator_raises_without_warning(self):
+        # The probe of y' = y^2 * 1e6 reads 1e6 on the populations, whose
+        # exponential overflows at t = 1.
         blow_up = lambda r: r @ r * 1e6
-        y0 = np.eye(2, dtype=complex)
-        with pytest.raises(RuntimeError, match="underflow|budget"):
-            tn.integrate_master(y0, blow_up, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="not finite"):
+                tn.integrate_master(np.eye(2, dtype=complex), blow_up, 1.0)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_horizon_rejected_before_any_rhs_call(self, horizon):
+        calls = []
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            tn.integrate_master(np.eye(2, dtype=complex) / 2,
+                                lambda r: calls.append(1) or r, horizon)
+        assert calls == []
+
+    def test_non_square_state_rejected(self):
+        with pytest.raises(StructuralError, match="not square"):
+            tn.integrate_master(np.zeros((2, 4), dtype=complex), lambda r: r, 1.0)
 
 
 class TestSteadyState:
@@ -518,6 +514,46 @@ class TestBlockwiseSteadyState:
         assert _assert_same_as_dense(rhs, dim) is None
         with pytest.raises(SolverError, match="residual 5.000e-01"):
             tn.steady_state(rhs, dim)
+
+
+def _dense_propagate(gen, rho0, t):
+    """Reference: exp(L t) rho0 with the whole d^2 x d^2 generator matrix, then
+    `integrate_master`'s re-Hermitization and trace renormalization."""
+    dim = len(rho0)
+    rho = (expm(gen * t) @ rho0.reshape(-1)).reshape(dim, dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+class TestExactPropagation:
+    """`integrate_master` exponentiates block by block; the whole-matrix
+    exponential is its oracle."""
+
+    def test_random_machines_match_dense_expm(self):
+        for seed in range(24):
+            reg, rhs = _random_machine(np.random.default_rng(seed))
+            rho0 = random_density_matrix(reg.dim, np.random.default_rng(100 + seed))
+            gen = quantum.superoperator_matrix(rhs, reg.dim)
+            for t in (0.1, 10.0, 1e3):
+                want = _dense_propagate(gen, rho0, t)
+                assert np.abs(tn.integrate_master(rho0, rhs, t) - want).max() <= 1e-11
+
+    @pytest.mark.parametrize("gate", ["NOT", "NOR"])
+    def test_collectors_match_dense_expm(self, gate):
+        # The bound is the oracle's own rounding: on NOR (1, 1) at t = 1e4 the
+        # whole-matrix exponential is 1.4e-11 from a 40-digit evaluation and
+        # the block exponentials 2e-13, and the two differ by 1.1e-11.
+        spec = tn.preset(gate)
+        reg = collector_register(spec)
+        h0, hint = collector_hamiltonian(spec)
+        rho0 = random_density_matrix(reg.dim, np.random.default_rng(8))
+        for inputs in itertools.product((spec.beta_hot, spec.beta_cold), repeat=spec.n):
+            contacts = collector_contacts(spec, inputs, 0.5)
+            rhs = lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg)
+            gen = quantum.superoperator_matrix(rhs, reg.dim)
+            for t in (1.0, 1e2, 1e4, 1e6):
+                want = _dense_propagate(gen, rho0, t)
+                assert np.abs(tn.integrate_master(rho0, rhs, t) - want).max() <= 2e-11
 
 
 class TestHeatCurrent:
