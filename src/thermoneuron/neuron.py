@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CalibrationError, ConfigError, SolverError, StructuralError
-from .quantum import _libm, fermi_population
+from .quantum import _distinct, _libm, fermi_population
 from .virtual import RESONANCE_TOL, virtual_gap, virtual_temperature, weighted_bias
 
 __all__ = [
@@ -230,12 +230,18 @@ def inverter(eps_input: float = 20.0, beta0: float = 0.5, eps_z: float = 0.1,
 
 
 def steady_from_virtual(spec: NeuronSpec, beta_v):
-    """Steady output temperature for a virtual temperature (float or array)."""
-    g_v = spec.g_z(beta_v)
+    """Steady output temperature for a virtual temperature (float or array).
+
+    An array of two or more values is evaluated once per distinct float64 bit
+    pattern (-0.0 apart from 0.0) and gathered back: it equals scalar evaluation."""
+    array = isinstance(beta_v, np.ndarray) and beta_v.size > 1
+    values, inverse = _distinct(beta_v) if array else (beta_v, None)
+    g_v = spec.g_z(values)
     g_hot = spec.g_z(spec.beta_hot)
     g_cold = spec.g_z(spec.beta_cold)
     q = g_cold + (g_hot - g_cold) * g_v
-    return (_libm(math.log1p, -q) - _libm(math.log, q)) / spec.eps_z
+    beta_z = (_libm(math.log1p, -q) - _libm(math.log, q)) / spec.eps_z
+    return beta_z[inverse].reshape(beta_v.shape) if array else beta_z
 
 
 def steady_response(spec: NeuronSpec, rows) -> tuple[np.ndarray, np.ndarray]:

@@ -67,6 +67,13 @@ def _libm(fn, x):
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
+def _distinct(x):
+    """Distinct float64 bit patterns of `x` (so 0.0 and -0.0 stay apart) and the
+    inverse index that gathers them back into x.ravel()."""
+    bits, inverse = np.unique(np.ravel(x).astype(float).view(np.int64), return_inverse=True)
+    return bits.view(float), inverse
+
+
 def fermi_population(x):
     """Excited-state occupation 1/(1 + e^x) for dimensionless x = beta*eps.
 

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .network import NetworkSpec
 from .neuron import NeuronSpec
+from .quantum import _distinct
 
 __all__ = [
     "TOOL_VERSION",
@@ -177,16 +178,21 @@ def load_machine(path):
         return machine_from_document(json.load(fh))
 
 
+def _format_floats(col: np.ndarray) -> np.ndarray:
+    """Each distinct float64 bit pattern of `col` formatted once, gathered back."""
+    values, inverse = _distinct(col)
+    return np.array(list(map("{:.12g}".format, values.tolist())), dtype=object)[inverse]
+
+
 def format_csv(header: Sequence[str], columns: Sequence, out: TextIO) -> None:
     """Write `columns` (one per header field, of one length) to `out` as CSV: a
     units comment, the header row, then the rows in blocks of `CSV_BLOCK`, so no
     full list of row strings is held.  Float columns are written with 12
-    significant digits; any other column must hold strings, written as they are.
+    significant digits, each distinct value once (by bit pattern: -0.0 is "-0");
+    any other column must hold strings, written as they are.
     """
-    columns = [np.asarray(col) for col in columns]
+    columns = [_format_floats(c) if c.dtype.kind == "f" else c for c in map(np.asarray, columns)]
     out.write(f"# units: {UNITS_NOTE}\n{','.join(header)}\n")
     for start in range(0, len(columns[0]), CSV_BLOCK):
-        cells = [col[start:start + CSV_BLOCK] for col in columns]
-        cells = [map("{:.12g}".format, c.tolist()) if c.dtype.kind == "f" else c.tolist()
-                 for c in cells]
+        cells = [col[start:start + CSV_BLOCK].tolist() for col in columns]
         out.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")

@@ -211,16 +211,6 @@ class TestSweep:
         main(["sweep", out, "--grid", "0:1:11", "--out", b])
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_thread_cap_does_not_change_output(self, tmp_path, capsys,
-                                               monkeypatch):
-        out = design_nor(tmp_path)
-        capsys.readouterr()
-        a, b = str(tmp_path / "serial.csv"), str(tmp_path / "threaded.csv")
-        main(["sweep", out, "--grid", "0:1:9", "--out", a])
-        monkeypatch.setenv("THERMONEURON_THREADS", "4")
-        main(["sweep", out, "--grid", "0:1:9", "--out", b])
-        assert open(a, "rb").read() == open(b, "rb").read()
-
 
 class TestTradeoff:
     def test_monotone_rows(self, tmp_path, capsys):

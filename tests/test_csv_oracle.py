@@ -5,6 +5,9 @@ value at a time with the scalar band rule, and formats each cell after an
 `isinstance` test.  Every CSV the CLI writes must match it byte for byte.
 """
 
+import io
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ import thermoneuron as tn
 from thermoneuron import channel as ch
 from thermoneuron.cli import _parse_grid, main
 from thermoneuron.dynamics import CSV_HEADER
-from thermoneuron.serialize import UNITS_NOTE
+from thermoneuron.serialize import CSV_BLOCK, UNITS_NOTE, format_csv
 
 
 def row_wise_format_csv(header, rows):
@@ -71,6 +74,11 @@ def machines(tmp_path_factory):
     for name, argv in designs.items():
         paths[name] = str(root / f"{name}.json")
         assert main(["design", *argv, "--out", paths[name]]) == 0
+    # Unequal input gaps: no two points of a grid share beta_v or beta_z.
+    paths["unequal"] = str(root / "unequal.json")
+    unequal = tn.build_neuron((1.14, 0.73, 0.31), (0, 1, 1), 0.5, 0.1)
+    tn.dump_machine(paths["unequal"], unequal, {"weights": [], "alpha": 1.0, "eps_z": 0.1,
+                                                "seed": 0, "tool_version": tn.TOOL_VERSION})
     return paths
 
 
@@ -86,6 +94,7 @@ SWEEPS = [(gate, grid, band, 0.1)
     ("xor", "0.5;0.5", "additive", 0.1),
     ("nor", "0:1:0", "additive", 0.1),
     ("maj3", "0:1:3;0:1:3;", "additive", 0.1),
+    ("unequal", "0:1:31", "additive", 0.1),
 ]
 
 
@@ -97,6 +106,35 @@ def test_sweep_matches_row_wise_writer(machines, tmp_path, gate, grid, band, del
     assert main(argv) == 0
     machine, _ = tn.load_machine(machines[gate])
     assert out.read_text() == reference_sweep(machine, grid, band, delta)
+
+
+def test_unequal_gaps_give_no_repeated_output(machines):
+    machine, _ = tn.load_machine(machines["unequal"])
+    grid = np.linspace(0.0, 1.0, 31)
+    points = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    beta_v, beta_z = tn.steady_response(machine, points)
+    assert len(set(beta_v.tolist())) == len(set(beta_z.tolist())) == len(points)
+
+
+def test_float_columns_match_row_wise_writer():
+    """Repeats (within a block and across the CSV_BLOCK boundary), both signed
+    zeros in one block, +-inf, nan and a subnormal."""
+    rng = np.random.default_rng(18)
+    pool = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+                     1 / 3, -1 / 3, 0.1, 1e300, 123456789.0123])
+    n = 2 * CSV_BLOCK + 7
+    first = rng.choice(pool, n)
+    first[CSV_BLOCK - 3:CSV_BLOCK + 3] = [0.0, -0.0, 1 / 3, 1 / 3, -0.0, 0.0]
+    second = np.repeat(rng.uniform(-1.0, 1.0, 5), -(-n // 5))[:n]
+    labels = np.array(["0", "1", "invalid"], dtype=object)[rng.integers(0, 3, n)]
+    header = ["a", "b", "decoded"]
+    out = io.StringIO()
+    format_csv(header, (first, second, labels), out)
+    rows = zip(first.tolist(), second.tolist(), labels.tolist())
+    assert out.getvalue() == row_wise_format_csv(header, rows)
+    lines = out.getvalue().splitlines()[2:]
+    assert {"0", "-0", "inf", "-inf", "nan", "4.94065645841e-324"} <= {r.split(",")[0]
+                                                                       for r in lines}
 
 
 def test_oracle_cases_cover_invalid_and_empty_output(machines, tmp_path):

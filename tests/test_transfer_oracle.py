@@ -130,3 +130,65 @@ def test_nan_anywhere_in_an_array_raises():
         tn.fermi_population(x)
     with pytest.raises(ValueError, match="NaN"):
         steady_response(tn.preset("NOR"), [[0.0, 0.0], [math.nan, 1.0]])
+
+
+def assert_same_bits(got, want):
+    """Equal shapes and equal float64 bit patterns (so -0.0 differs from 0.0)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _repeats_zeros_infinities(seed):
+    """Virtual temperatures with many repeats, both signed zeros and +-inf."""
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate((rng.uniform(-50.0, 50.0, 40),
+                           [0.0, -0.0, math.inf, -math.inf, 1e-310, -1e-310]))
+    return rng.choice(pool, 4000)
+
+
+@pytest.mark.parametrize("gate", ["NOT", "NOR", "MAJ3"])
+def test_distinct_value_evaluation_equals_scalar_evaluation(gate):
+    spec = tn.preset(gate)
+    beta_v = _repeats_zeros_infinities(seed=15)
+    assert {0.0, math.inf, -math.inf} <= set(beta_v.tolist())
+    assert np.signbit(beta_v[beta_v == 0.0]).any() and not np.signbit(beta_v[beta_v == 0.0]).all()
+    scalar = [tn.steady_from_virtual(spec, b) for b in beta_v.tolist()]
+    assert_same_bits(tn.steady_from_virtual(spec, beta_v), scalar)
+    assert_same_bits(scalar, [ref_steady_from_virtual(spec, b) for b in beta_v.tolist()])
+    grid = beta_v.reshape(50, 80)
+    assert_same_bits(tn.steady_from_virtual(spec, grid), np.reshape(scalar, (50, 80)))
+    one = beta_v[:1]
+    assert_same_bits(tn.steady_from_virtual(spec, one), scalar[:1])
+
+
+def _rows_with_repeats(n, seed):
+    """Input rows drawn from a few values, among them 0.0, -0.0 and +-inf in the
+    first input only, so that no row sums inf and -inf."""
+    rng = np.random.default_rng(seed)
+    rows = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0, 1.5], (3000, n))
+    rows[rng.integers(0, 3000, 60), 0] = math.inf
+    rows[rng.integers(0, 3000, 60), 0] = -math.inf
+    return rows
+
+
+@pytest.mark.parametrize("gate", ["NOT", "NOR", "MAJ3"])
+def test_neuron_batch_with_repeats_equals_batches_of_one(gate):
+    spec = tn.preset(gate)
+    rows = _rows_with_repeats(spec.n, seed=16)
+    beta_v, beta_z = steady_response(spec, rows)
+    ones = [steady_response(spec, row[None, :]) for row in rows]
+    assert_same_bits(beta_v, [v[0] for v, _ in ones])
+    assert_same_bits(beta_z, [z[0] for _, z in ones])
+    assert_same_bits(beta_z, [ref_steady_output(spec, row)[1] for row in rows.tolist()])
+    assert len(np.unique(beta_z)) < len(rows) // 10
+
+
+def test_network_batch_with_repeats_equals_batches_of_one(xor_net):
+    rows = _rows_with_repeats(2, seed=17)[:1000]
+    layers = eval_layers(xor_net, rows)
+    for i, row in enumerate(rows):
+        for got, one in zip(layers, eval_layers(xor_net, row[None, :])):
+            assert_same_bits(got[i], one[0])
+    assert_same_bits(layers[-1][:, -1], [ref_eval_network(xor_net, row)
+                                         for row in rows.tolist()])
