@@ -272,11 +272,12 @@ def cmd_simulate(args) -> int:
     _check_arity(machine, len(args.inputs), "--inputs")
     beta_z0 = args.beta_z0 if args.beta_z0 is not None else 0.5 * (
         machine.beta_hot + machine.beta_cold)
+    # The steady target first: an uncalibrated machine fails before any output.
+    target = steady_output(machine, args.inputs).beta_z_inf
     evolve = evolve_quasi_static if args.mode == "quasi" else evolve_full
     traj = evolve(machine, args.inputs, beta_z0, args.tau)
     _write_csv(CSV_HEADER, (traj.t, traj.beta_z, traj.j_collector,
                             traj.j_modulator, traj.sigma_dot, traj.sigma), args.out)
-    target = steady_output(machine, args.inputs).beta_z_inf
     print(f"endpoint beta_z = {traj.endpoint:.12g}; residual vs steady state = "
           f"{abs(traj.endpoint - target):.3e}", file=sys.stderr)
     return EXIT_OK

@@ -107,8 +107,6 @@ def _check_run(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
     """The inputs as floats, once the run's arguments are known to be valid."""
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ConfigError(f"tau must be non-negative and finite, got {tau!r}")
-    if not (spec.capacity > 0.0):
-        raise StructuralError("reservoir capacity must be positive")
     inputs = tuple(float(b) for b in inputs)
     if len(inputs) != spec.n:
         raise StructuralError(f"expected {spec.n} inputs, got {len(inputs)}")

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CalibrationError, ConfigError, SolverError, StructuralError
 from .quantum import _distinct, _libm, fermi_population
-from .virtual import RESONANCE_TOL, virtual_gap, virtual_temperature, weighted_bias
+from .virtual import (RESONANCE_TOL, flip, virtual_gap, virtual_temperature,
+                      weighted_bias)
 
 __all__ = [
     "NeuronSpec",
@@ -107,6 +108,8 @@ class NeuronSpec:
     ``eps`` are the machine-part gaps (eps_0 reference, eps_1..eps_n inputs),
     ``eps_z`` is the shared gap of the target qubit C_z and the modulator
     qubit, oriented so that sum_i (-1)^(h_i) eps_i = +eps_z (resonance).
+    Every scalar is finite; chi, gamma, mu and mu_prime are >= 0, eps_z and
+    capacity > 0, and the rails satisfy 0 <= beta_hot < beta_cold.
     """
 
     eps: tuple[float, ...]
@@ -133,17 +136,16 @@ class NeuronSpec:
             raise StructuralError("qubit gaps eps must be finite")
         if any(b not in (0, 1) for b in self.h):
             raise StructuralError("h entries must be bits")
-        if not (self.eps_z > 0.0):
-            raise StructuralError("eps_z must be positive")
+        for name in (f.name for f in fields(self) if f.type == "float"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise StructuralError(f"{name} must be finite, got {value!r}")
+            if value < 0 and name in ("chi", "gamma", "mu", "mu_prime"):
+                raise StructuralError(f"{name} must be non-negative, got {value!r}")
+            if value <= 0 and name in ("eps_z", "capacity"):
+                raise StructuralError(f"{name} must be positive, got {value!r}")
         if not (0.0 <= self.beta_hot < self.beta_cold):
             raise StructuralError("rails must satisfy 0 <= beta_hot < beta_cold")
-        for name in ("gamma", "chi"):
-            if getattr(self, name) < 0:
-                raise StructuralError(f"{name} must be non-negative")
-        if self.mu < 0 or self.mu_prime < 0:
-            raise StructuralError("reservoir rates must be non-negative")
-        if not math.isfinite(self.beta0) or not math.isfinite(self.beta_r):
-            raise StructuralError("bath temperatures must be finite")
         signed = -virtual_gap(self.h, self.eps)
         if abs(signed - self.eps_z) > RESONANCE_TOL:
             raise StructuralError(
@@ -202,14 +204,8 @@ def build_neuron(eps: Sequence[float], h: Sequence[int], beta0: float,
     ``eps_z`` must equal |sum_i (-1)^(h_i) eps_i| to within RESONANCE_TOL.
     """
     h = tuple(int(b) for b in h)
-    signed = -virtual_gap(h, eps)
-    if signed < 0:
-        h = tuple(1 - b for b in h)
-        signed = -signed
-    if abs(signed - eps_z) > RESONANCE_TOL:
-        raise StructuralError(
-            f"off-resonant design: |sum_i (-1)^h_i eps_i| = {signed} but "
-            f"eps_z = {eps_z}")
+    if virtual_gap(h, eps) > 0:
+        h = flip(h)
     cal = calibrate_modulator(beta_hot, beta_cold, eps_z, mu)
     return NeuronSpec(eps=tuple(float(e) for e in eps), h=h, beta0=beta0,
                       eps_z=eps_z, beta_r=cal.beta_r, mu_prime=cal.mu_prime,

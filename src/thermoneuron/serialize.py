@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, StructuralError
 from .network import NetworkSpec
 from .neuron import NeuronSpec
 from .quantum import _distinct
@@ -95,10 +94,7 @@ def neuron_from_dict(d: dict) -> NeuronSpec:
     _check_fields(d, ("n",) + _NEURON_FIELDS, "neuron spec")
     try:
         spec = NeuronSpec(**{name: d[name] for name in _NEURON_FIELDS})
-        if not (math.isfinite(spec.capacity) and spec.capacity > 0.0):
-            raise ConfigError(f"reservoir capacity must be positive and finite, "
-                              f"got {spec.capacity!r}")
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (StructuralError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed neuron spec: {exc}") from None
     if spec.n != d["n"]:
         raise ConfigError(f"inconsistent input count: n = {d['n']} but "

@@ -25,6 +25,7 @@ __all__ = [
     "flip",
     "virtual_gap",
     "virtual_population",
+    "weighted_bias",
     "virtual_temperature",
     "virtual_qubit",
     "build_interaction_hamiltonian",

@@ -572,3 +572,82 @@ def test_machine_file_capacity_must_be_positive_and_finite(capacity):
     doc["spec"]["capacity"] = capacity
     with pytest.raises(ConfigError, match="capacity"):
         machine_from_document(json.loads(json.dumps(doc)))
+
+
+@pytest.fixture(scope="module")
+def xor_network_doc(tmp_path_factory):
+    """The seed-7 XOR network's machine document, as `design` writes it."""
+    root = tmp_path_factory.mktemp("xor")
+    (root / "xor.tt").write_text(XOR_TT)
+    out = root / "xor.json"
+    assert main(["design", "--table", str(root / "xor.tt"), "--layers", "2,1",
+                 "--seed", "7", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+SCALAR_FIELDS = ("beta0", "eps_z", "beta_r", "mu_prime", "chi", "gamma", "mu",
+                 "beta_hot", "beta_cold", "capacity")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "0", "-1"])
+@pytest.mark.parametrize("field", SCALAR_FIELDS)
+@pytest.mark.parametrize("kind", ["NOT", "XOR"])
+def test_machine_file_values_exit_0_or_2(kind, field, literal, xor_network_doc,
+                                         tmp_path, capsys):
+    # Each literal is one that json.load accepts; in a network every unit gets it.
+    doc = (machine_to_document(tn.preset("NOT"), PROVENANCE) if kind == "NOT"
+           else json.loads(json.dumps(xor_network_doc)))
+    specs = ([doc["spec"]] if kind == "NOT"
+             else [u["neuron"] for layer in doc["spec"]["layers"] for u in layer])
+    for spec in specs:
+        spec[field] = json.loads(literal)
+    path, out = tmp_path / "machine.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(doc))
+    inputs = ["0"] if kind == "NOT" else ["0", "1"]
+    runs = [["steady", "--inputs", *inputs],
+            ["simulate", "--inputs", *inputs, "--tau", "10", "--mode", "quasi", "--out", out],
+            ["simulate", "--inputs", *inputs, "--tau", "10", "--mode", "full", "--out", out],
+            ["sweep", "--grid", "0:1:3", "--out", out],
+            ["verify", "--gate", kind]]
+    for command, *rest in runs:
+        out.unlink(missing_ok=True)
+        code = main([command, str(path), *map(str, rest)])
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        if code == 2:
+            assert len(err) == 1 and err[0].startswith("error: "), (command, err)
+            assert captured.out == "" and not out.exists(), command
+        elif code == 1:   # verify's verdict that some rows decode wrong
+            assert command == "verify" and err == []
+            assert captured.out.splitlines()[-1].startswith("failed rows: ")
+        else:
+            assert code == 0 and not any(line.startswith("error:") for line in err)
+
+
+@pytest.mark.parametrize("mode", ["quasi", "full"])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_simulate_refuses_uncalibrated_machine_before_output(mode, to_file,
+                                                             tmp_path, capsys):
+    doc = machine_to_document(tn.preset("NOT"), PROVENANCE)
+    doc["spec"]["mu_prime"] *= 2.0
+    path, out = tmp_path / "machine.json", tmp_path / "traj.csv"
+    path.write_text(json.dumps(doc))
+    argv = ["simulate", str(path), "--inputs", "0", "--tau", "10", "--mode", mode]
+    assert main(argv + (["--out", str(out)] if to_file else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: neuron spec is not calibrated; build it via "
+                            "build_neuron() or recalibrate the modulator\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_network_steady_text_matches_eval_network(xor_network_doc, tmp_path, capsys):
+    path = tmp_path / "xor.json"
+    path.write_text(json.dumps(xor_network_doc))
+    assert main(["steady", str(path), "--inputs", "0", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    response = tn.eval_network(load_machine(path)[0], [0.0, 1.0])
+    want = [f"layer {li} outputs = " + ", ".join(f"{v:.12g}" for v in outs)
+            for li, outs in enumerate(response.layer_outputs)]
+    assert lines[:-2] == want
+    assert lines[-2:] == [f"beta_z_inf = {response.final:.12g}", "decoded    = 1"]

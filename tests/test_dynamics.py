@@ -105,12 +105,18 @@ class TestQuasiStatic:
         traj = run(np.nextafter(np.finfo(float).max / 360.0, 0.0))
         assert np.isfinite(traj.sigma_dot).all() and np.isfinite(traj.sigma).all()
 
+    @pytest.mark.parametrize("evolve", [tn.evolve_quasi_static, tn.evolve_full])
+    def test_input_count_checked(self, paper_not, evolve):
+        with pytest.raises(StructuralError, match="expected 1 inputs, got 2"):
+            evolve(paper_not, (0.0, 1.0), 0.5, 1.0)
+
     def test_capacity_guard(self, paper_not):
-        bad = tn.NeuronSpec(
-            eps=paper_not.eps, h=paper_not.h, beta0=paper_not.beta0,
-            eps_z=paper_not.eps_z, beta_r=paper_not.beta_r,
-            mu_prime=paper_not.mu_prime, mu=paper_not.mu, capacity=0.0)
-        with pytest.raises(StructuralError):
+        # A capacity-0 machine cannot be built, so it never reaches a run.
+        with pytest.raises(StructuralError, match="capacity must be positive"):
+            bad = tn.NeuronSpec(
+                eps=paper_not.eps, h=paper_not.h, beta0=paper_not.beta0,
+                eps_z=paper_not.eps_z, beta_r=paper_not.beta_r,
+                mu_prime=paper_not.mu_prime, mu=paper_not.mu, capacity=0.0)
             tn.evolve_quasi_static(bad, (0.0,), 0.5, 1.0)
 
 

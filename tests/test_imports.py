@@ -6,6 +6,7 @@ any that come back.
 """
 
 import ast
+import importlib
 import pathlib
 
 import thermoneuron
@@ -41,3 +42,30 @@ def test_no_module_imports_a_package_module_inside_a_function():
     assert len(modules) > 5
     found = set().union(*map(function_level_package_imports, modules))
     assert found == set()
+
+
+def public_definitions(path: pathlib.Path) -> set[str]:
+    """Names of the module-level functions and classes not starting with '_'."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for node in tree.body
+            if isinstance(node, kinds) and not node.name.startswith("_")}
+
+
+# Modules without an `__all__`: the package root, the command surface `cli`,
+# and `errors`, every name of which is public.
+NO_ALL = {"__init__", "cli", "errors"}
+
+
+def test_each_all_lists_exactly_its_own_functions_and_classes():
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in NO_ALL:
+            continue
+        module = importlib.import_module(f"thermoneuron.{path.stem}")
+        listed = set(module.__all__)
+        assert len(listed) == len(module.__all__), f"{path.name}: duplicate entries"
+        assert all(hasattr(module, name) for name in listed), f"{path.name}: stale entries"
+        # Constants may be listed too; a re-exported function or class may not.
+        code = {name for name in listed
+                if isinstance(getattr(module, name), type) or callable(getattr(module, name))}
+        assert code == public_definitions(path), path.name

@@ -1,6 +1,7 @@
 """Neuron steady state: modulator calibration, exact transfer characteristic,
 sigmoid limit, and the threshold/slope analytics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -78,6 +79,37 @@ class TestNeuronSpec:
         with pytest.raises(StructuralError, match="finite"):
             tn.NeuronSpec(eps=(math.nan, 1.0), h=(0, 1), beta0=0.5, eps_z=1.0,
                           beta_r=0.3, mu_prime=7e-4)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"h": (0, 1, 1)}, "equal lengths"),
+        ({"eps": (2.0,), "h": (0,)}, "reference qubit"),
+        ({"h": (0, 2)}, "bits"),
+        *[({name: value}, f"{name} must be finite")
+          for name in ("beta0", "eps_z", "beta_r", "mu_prime", "chi", "gamma", "mu",
+                       "beta_hot", "beta_cold", "capacity")
+          for value in (math.nan, math.inf, -math.inf)],
+        *[({name: -1.0}, f"{name} must be non-negative")
+          for name in ("chi", "gamma", "mu", "mu_prime")],
+        ({"eps_z": 0.0}, "eps_z must be positive"),
+        ({"capacity": 0.0}, "capacity must be positive"),
+        ({"capacity": -1.0}, "capacity must be positive"),
+        ({"beta_hot": -0.5}, "rails"),
+        ({"beta_cold": 0.0}, "rails"),
+    ])
+    def test_value_rules(self, change, match):
+        spec = tn.build_neuron((2.0, 1.0), (0, 1), 0.5, 1.0)
+        with pytest.raises(StructuralError, match=match):
+            dataclasses.replace(spec, **change)
+
+    @pytest.mark.parametrize("rate", ["mu", "mu_prime"])
+    def test_zero_reservoir_rate_is_not_calibrated(self, fig2_inverter, rate):
+        assert not dataclasses.replace(fig2_inverter, **{rate: 0.0}).is_calibrated()
+
+    def test_build_flips_labels_to_the_resonant_orientation(self):
+        # h = (1, 0) gives sum_i (-1)^h_i eps_i = -1 on gaps (2, 1); flipped, +1.
+        spec = tn.build_neuron((2.0, 1.0), (1, 0), 0.5, 1.0)
+        assert spec.h == (0, 1)
+        assert spec == tn.build_neuron((2.0, 1.0), (0, 1), 0.5, 1.0)
 
     def test_uncalibrated_spec_refused_by_steady_output(self):
         spec = tn.NeuronSpec(eps=(2.0, 1.0), h=(0, 1), beta0=0.5, eps_z=1.0,
