@@ -108,8 +108,10 @@ class NeuronSpec:
     ``eps`` are the machine-part gaps (eps_0 reference, eps_1..eps_n inputs),
     ``eps_z`` is the shared gap of the target qubit C_z and the modulator
     qubit, oriented so that sum_i (-1)^(h_i) eps_i = +eps_z (resonance).
-    Every scalar is finite; chi, gamma, mu and mu_prime are >= 0, eps_z and
-    capacity > 0, and the rails satisfy 0 <= beta_hot < beta_cold.
+    Every scalar is finite; mu and mu_prime are >= 0, chi, gamma, eps_z and
+    capacity > 0 (with chi or gamma at 0 the machine is decoupled from its
+    baths and the closed form does not hold), and the rails satisfy
+    0 <= beta_hot < beta_cold.
     """
 
     eps: tuple[float, ...]
@@ -142,7 +144,7 @@ class NeuronSpec:
                 raise StructuralError(f"{name} must be finite, got {value!r}")
             if value < 0 and name in ("chi", "gamma", "mu", "mu_prime"):
                 raise StructuralError(f"{name} must be non-negative, got {value!r}")
-            if value <= 0 and name in ("eps_z", "capacity"):
+            if value <= 0 and name in ("chi", "gamma", "eps_z", "capacity"):
                 raise StructuralError(f"{name} must be positive, got {value!r}")
         if not (0.0 <= self.beta_hot < self.beta_cold):
             raise StructuralError("rails must satisfy 0 <= beta_hot < beta_cold")
@@ -155,7 +157,8 @@ class NeuronSpec:
         if slow > 0 and self.gamma / slow < RATE_SEPARATION:
             warnings.warn(
                 f"weak time-scale separation: gamma/max(mu, mu') = "
-                f"{self.gamma / slow:.1f} < {RATE_SEPARATION:.0f}", stacklevel=2)
+                f"{self.gamma / slow:.1f} < {RATE_SEPARATION:.0f}",
+                stacklevel=3)   # past the dataclass __init__, at the builder
 
     @property
     def n(self) -> int:

@@ -16,12 +16,16 @@ plus its one coupled coherence, the other coherences a few apiece), and
 `steady_state` takes one small SVD per block instead of one of size d^2;
 `integrate_master` takes one small matrix exponential per block.
 
-Cost.  `lindblad_rhs` gathers the K resets through index tables cached per
-(m, qubit indices): four d x d products plus O(K d^2).  `steady_state` and
-`integrate_master` probe the generator with d^2 RHS calls and keep only the
-nonzero entries, so they need memory of order nnz + K d^2, never the
-d^2 x d^2 matrix; their time grows as d^5, about 0.2 s at m = 5 and several
-seconds at m = 6, and that of `integrate_master` does not grow with the
+Cost.  `lindblad_rhs` acts on the last two axes, so a stack of k operators
+costs one call: one check of the Hamiltonians (two d x d products), two
+(k, d, d) x (d, d) products, and per contact one gather through an index
+table and Gibbs weights cached per (m, qubit) and per (m, qubit, g), in
+(k, d^2) temporaries.  `steady_state` and `integrate_master` take a linear
+`rhs` that acts on the last two axes; they probe it with stacks of basis
+operators, PROBE_BLOCK entries per call, and keep only the nonzero entries,
+so they need memory of order nnz + K d^2, never the d^2 x d^2 matrix.
+Their time grows as d^5: on one core about 2 ms at m = 3, 0.13 s at m = 5
+and 2 s at m = 6.  That of `integrate_master` does not grow with the
 horizon.
 """
 
@@ -31,7 +35,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +61,10 @@ __all__ = [
 # Dense states and `lindblad_rhs` take registers up to this size; the tests
 # run `steady_state` and `integrate_master` only up to m = 5 (d = 32).
 MAX_QUBITS = 12
+# Entries per call when `_probe` reads a generator's matrix: each call gets
+# a stack of max(1, PROBE_BLOCK // d^2) basis operators, so its temporaries
+# stay near 256 KiB whatever d is.
+PROBE_BLOCK = 1 << 14
 
 
 def _libm(fn, x):
@@ -158,56 +166,65 @@ class BathContact:
         if self.beta < 0.0:
             warnings.warn(
                 "bath contact at negative inverse temperature "
-                "(population-inverted bath)", stacklevel=2)
+                "(population-inverted bath)",
+                stacklevel=3)   # past the dataclass __init__, at the builder
 
 
 def _check_state_shape(rho: np.ndarray, register: QubitRegister) -> None:
-    if rho.shape != (register.dim, register.dim):
+    if rho.shape[-2:] != (register.dim, register.dim):
         raise StructuralError(
             f"state shape {rho.shape} does not match register dimension {register.dim}")
 
 
 @functools.lru_cache(maxsize=16)
-def _reset_tables(m: int, qubits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Gather tables of the resets of `qubits`, over flat indices p = i*d + j.
+def _reset_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather table of a reset of qubit k, over flat indices p = i*d + j.
 
-    Row r of `partner` indexes (i xor s, j xor s), s = 2^(m-1-k) for k = qubits[r];
-    row r of `slot` is 3r plus bit k of i, or 3r + 2 where i and j differ there.
+    `partner` indexes (i xor s, j xor s), s = 2^(m-1-k); `slot` is bit k of
+    i, or 2 where i and j differ there.
     """
-    d = 1 << m
+    if not 0 <= k < m:
+        raise StructuralError(f"qubit index {k} outside register of size {m}")
+    d, shift = 1 << m, m - 1 - k
     p = np.arange(d * d)
-    partner = np.empty((len(qubits), d * d), dtype=np.intp)
-    slot = np.empty_like(partner)
-    for r, k in enumerate(qubits):
-        if not 0 <= k < m:
-            raise StructuralError(f"qubit index {k} outside register of size {m}")
-        shift = m - 1 - k
-        partner[r] = p ^ ((d + 1) << shift)
-        bit_i, bit_j = (p >> (m + shift)) & 1, (p >> shift) & 1
-        slot[r] = 3 * r + np.where(bit_i == bit_j, bit_i, 2)
+    partner = p ^ ((d + 1) << shift)
+    bit_i, bit_j = (p >> (m + shift)) & 1, (p >> shift) & 1
+    slot = np.where(bit_i == bit_j, bit_i, 2)
     partner.flags.writeable = slot.flags.writeable = False
     return partner, slot
 
 
+@functools.lru_cache(maxsize=32)
+def _reset_weights(m: int, k: int, g: float) -> np.ndarray:
+    """[1 - g, g, 0][slot] of `_reset_table(m, k)`: the weight of tau(g) at
+    each flat index."""
+    weights = np.array([1.0 - g, g, 0.0], dtype=complex)[_reset_table(m, k)[1]]
+    weights.flags.writeable = False
+    return weights
+
+
 def _reset_rows(rho: np.ndarray, contacts: Sequence[BathContact],
-                register: QubitRegister) -> np.ndarray:
-    """Each contact's gamma * (Tr_k[rho] (x) tau(beta_k) - rho), flattened: one
-    row per contact, rate * (tau[bit] * (rho + rho[partner]) - rho)."""
-    partner, slot = _reset_tables(register.m, tuple(c.qubit_index for c in contacts))
-    tau = np.zeros((len(contacts), 3), dtype=complex)   # rows [1 - g, g, 0]
-    for r, c in enumerate(contacts):
-        g = fermi_population(c.beta * register.gaps[c.qubit_index])
-        tau[r, :2] = 1.0 - g, g
-    rates = np.array([c.rate for c in contacts])
-    flat = rho.reshape(-1)
-    return rates[:, None] * (tau.ravel()[slot] * (flat + flat[partner]) - flat)
+                register: QubitRegister) -> Iterator[np.ndarray]:
+    """Each contact's gamma * (Tr_k[rho] (x) tau(beta_k) - rho), flattened over
+    the last two axes, one contact at a time:
+    rate * (tau[bit] * (rho + rho[partner]) - rho)."""
+    flat = rho.reshape(rho.shape[:-2] + (-1,))
+    for c in contacts:
+        k = c.qubit_index
+        partner, _ = _reset_table(register.m, k)   # checks k before gaps[k]
+        g = fermi_population(c.beta * register.gaps[k])
+        weights = _reset_weights(register.m, k, g)
+        yield c.rate * (weights * (flat + np.take(flat, partner, axis=-1)) - flat)
 
 
 def reset_dissipator(rho: np.ndarray, contact: BathContact,
                      register: QubitRegister) -> np.ndarray:
-    """gamma * (Tr_k[rho] (x) tau(beta_k) - rho); traceless and Hermiticity-preserving."""
+    """gamma * (Tr_k[rho] (x) tau(beta_k) - rho); traceless and Hermiticity-preserving.
+
+    Acts on the last two axes of `rho`.
+    """
     _check_state_shape(rho, register)
-    return _reset_rows(rho, [contact], register)[0].reshape(rho.shape)
+    return next(_reset_rows(rho, [contact], register)).reshape(rho.shape)
 
 
 COMMUTATOR_TOL = 1e-10
@@ -218,23 +235,27 @@ def lindblad_rhs(rho: np.ndarray, h0: np.ndarray, hint: np.ndarray,
                  register: QubitRegister) -> np.ndarray:
     """Local master-equation right-hand side -i[H0+Hint, rho] + sum_k L_k[rho].
 
-    The interaction must conserve energy, [Hint, H0] = 0; a non-commuting
-    interaction violates the weak-coupling validity of the local equation
-    and is rejected.
+    Acts on the last two axes of `rho`, so a stack of states costs one call.
+    The Hamiltonians must be finite and the interaction must conserve
+    energy, [Hint, H0] = 0; a non-commuting interaction violates the
+    weak-coupling validity of the local equation.  Both are checked once
+    per call and rejected with `StructuralError`.
     """
     _check_state_shape(rho, register)
-    if h0.shape != rho.shape or hint.shape != rho.shape:
+    if h0.shape != rho.shape[-2:] or hint.shape != rho.shape[-2:]:
         raise StructuralError("Hamiltonian dimensions do not match the state")
+    h = h0 + hint
+    if not np.isfinite(h).all():
+        raise StructuralError("Hamiltonians must be finite")
     comm = hint @ h0 - h0 @ hint
     worst = float(np.abs(comm).max())
     if worst > COMMUTATOR_TOL:
         raise StructuralError(
             f"interaction does not conserve energy: max|[Hint, H0]| = {worst:.3e} "
             f"> {COMMUTATOR_TOL:.0e}")
-    h = h0 + hint
     out = -1j * (h @ rho - rho @ h)
     for row in _reset_rows(rho, contacts, register):
-        out = out + row.reshape(rho.shape)
+        out += row.reshape(rho.shape)
     return out
 
 
@@ -243,7 +264,8 @@ def integrate_master(rho0: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
     """Propagate rho0 to the given horizon exactly: exp(L t) rho0, one matrix
     exponential per invariant block of the linear generator `rhs`.
 
-    `rhs` must be linear; it is probed with d^2 calls, as in `steady_state`.
+    `rhs` must be linear and act on the last two axes; it is probed as in
+    `steady_state`.
     The output is re-Hermitized and trace-renormalized; positivity drift
     beyond 1e-8 is reported via a warning.
     """
@@ -277,22 +299,29 @@ def integrate_master(rho0: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
 def _probe(apply_fn: Callable[[np.ndarray], np.ndarray],
            dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero entries (rows, cols, values) of the matrix of a linear map on
-    dim x dim operators, in row-major vectorization: one call per column."""
-    basis = np.zeros((dim, dim), dtype=complex)
-    rows, vals = [], []
-    for p in range(dim * dim):
-        basis.flat[p] = 1.0
-        col = apply_fn(basis).reshape(-1)
-        rows.append(np.flatnonzero(col))
-        vals.append(col[rows[-1]])
-        basis.flat[p] = 0.0
-    cols = np.repeat(np.arange(dim * dim), [r.size for r in rows])
-    return np.concatenate(rows), cols, np.concatenate(vals).astype(complex, copy=False)
+    dim x dim operators, in row-major vectorization.  The map acts on the
+    last two axes, so one call images a stack of basis operators: a block of
+    columns, sized by PROBE_BLOCK."""
+    n2 = dim * dim
+    step = max(1, PROBE_BLOCK // n2)
+    rows, cols, vals = [], [], []
+    for start in range(0, n2, step):
+        k = min(step, n2 - start)
+        basis = np.zeros((k, n2), dtype=complex)
+        basis[np.arange(k), np.arange(start, start + k)] = 1.0
+        out = apply_fn(basis.reshape(k, dim, dim)).reshape(k, n2)
+        col, row = np.nonzero(out)
+        rows.append(row)
+        cols.append(col + start)
+        vals.append(out[col, row])
+    return (np.concatenate(rows), np.concatenate(cols),
+            np.concatenate(vals).astype(complex, copy=False))
 
 
 def superoperator_matrix(apply_fn: Callable[[np.ndarray], np.ndarray],
                          dim: int) -> np.ndarray:
-    """Matrix of a linear map on dim x dim operators, in row-major vectorization."""
+    """Matrix of a linear map on dim x dim operators, in row-major
+    vectorization; the map acts on the last two axes, as for `_probe`."""
     rows, cols, vals = _probe(apply_fn, dim)
     mat = np.zeros((dim * dim, dim * dim), dtype=complex)
     mat[rows, cols] = vals
@@ -344,7 +373,9 @@ def _blocks(rhs: Callable[[np.ndarray], np.ndarray],
 
 def steady_state(rhs: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
     """Unit-trace null vector of a linear generator, by one dense SVD per
-    invariant block (`_blocks`) of its probed d^2 x d^2 matrix.
+    invariant block (`_blocks`) of its probed d^2 x d^2 matrix.  `rhs` must
+    be linear and act on the last two axes: it is probed with stacks of
+    basis operators.
 
     Raises `DegenerateSteadyStateError` when the numerical null space,
     summed over blocks, has dimension greater than one.  The returned state

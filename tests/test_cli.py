@@ -574,6 +574,23 @@ def test_machine_file_capacity_must_be_positive_and_finite(capacity):
         machine_from_document(json.loads(json.dumps(doc)))
 
 
+@pytest.mark.parametrize("field", ["chi", "gamma"])
+def test_machine_file_without_bath_coupling_exits_2(field, tmp_path, capsys):
+    # With chi or gamma at 0 the closed form of `steady` would contradict
+    # `simulate --mode full`; the machine file is refused instead.
+    doc = machine_to_document(tn.preset("NOT"), PROVENANCE)
+    doc["spec"][field] = 0.0
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(doc))
+    for command in (["steady", "--inputs", "0"],
+                    ["simulate", "--inputs", "0", "--tau", "10", "--mode", "full"]):
+        assert main([command[0], str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: malformed neuron spec: {field} must be "
+                                "positive, got 0.0\n")
+
+
 @pytest.fixture(scope="module")
 def xor_network_doc(tmp_path_factory):
     """The seed-7 XOR network's machine document, as `design` writes it."""

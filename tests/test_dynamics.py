@@ -1,5 +1,6 @@
 """Slow calorimetric evolution, full co-integration, and dissipation accounting."""
 
+import dataclasses
 import io
 import os
 import subprocess
@@ -8,8 +9,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 import thermoneuron as tn
+from thermoneuron import dynamics
 from thermoneuron.dynamics import CSV_HEADER, accumulated_dissipation
 from thermoneuron.errors import ConfigError, StructuralError
 from thermoneuron.serialize import format_csv
@@ -184,14 +187,76 @@ class TestEvolveFull:
             assert abs(np.trace(rho) - 1.0) <= 1e-7
             assert np.linalg.eigvalsh(rho).min() >= -1e-9
 
+    @pytest.mark.parametrize("gate, row", [("NOT", (0.0,)), ("NOT", (1.0,)),
+                                           ("NOR", (1.0, 0.0)), ("NOR", (1.0, 1.0))])
+    def test_lapack_steps_equal_stock_bdf(self, monkeypatch, gate, row):
+        # The rows, start and horizon of the benchmark's full-dynamics cases.
+        got = tn.evolve_full(tn.preset(gate), row, 0.5, 1e8)
+        monkeypatch.setattr(dynamics, "_lapack_bdf", lambda: "BDF")
+        want = tn.evolve_full(tn.preset(gate), row, 0.5, 1e8)
+        for field in dataclasses.fields(want):
+            g, w = getattr(got, field.name), getattr(want, field.name)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field.name
+
+
+class TestLapackLU:
+    """The LU hooks of `evolve_full`'s BDF call LAPACK directly and behave
+    as `scipy.linalg.lu_factor` and `lu_solve` do."""
+
+    @staticmethod
+    def solver():
+        return dynamics._lapack_bdf()(lambda t, y: -y, 0.0, np.ones(3), 1.0,
+                                      jac=lambda t, y: -np.eye(3))
+
+    def test_same_bits_as_scipy_and_counts_factorizations(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(3, 3)), rng.normal(size=3)
+        solver = self.solver()
+        got = solver.lu(a.copy())
+        want = lu_factor(a.copy(), overwrite_a=True)
+        assert solver.nlu == 1
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        x = solver.solve_lu(got, b.copy())
+        assert x.tobytes() == lu_solve(want, b.copy(), overwrite_b=True).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises_as_scipy_does(self, bad):
+        solver = self.solver()
+        a = np.eye(3)
+        a[1, 2] = bad
+        with pytest.raises(ValueError) as want:
+            lu_factor(a.copy())
+        with pytest.raises(ValueError) as got:
+            solver.lu(a.copy())
+        assert str(got.value) == str(want.value)
+        b = np.ones(3)
+        b[0] = bad
+        factor = solver.lu(np.eye(3))
+        with pytest.raises(ValueError) as want:
+            lu_solve(factor, b.copy())
+        with pytest.raises(ValueError) as got:
+            solver.solve_lu(factor, b.copy())
+        assert str(got.value) == str(want.value)
+
+    def test_singular_factor_warns_as_scipy_does(self):
+        a = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.warns(LinAlgWarning) as want:
+            lu_factor(a.copy())
+        with pytest.warns(LinAlgWarning) as got:
+            self.solver().lu(a.copy())
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+        assert "exactly zero" in str(got[0].message)
+
 
 def test_import_leaves_the_integrators_unloaded():
+    # A process that only imports the package or its CLI loads no scipy
+    # module; the integrators and linear algebra come in on first use.
     src = os.path.dirname(os.path.dirname(tn.__file__))
-    code = ("import sys, thermoneuron; "
-            "print([m in sys.modules for m in ('scipy.integrate', 'scipy.linalg')])")
+    code = ("import sys, thermoneuron, thermoneuron.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "[False, False]"
+    assert out.stdout.strip() == "[]"
 
 
 class TestAccumulatedDissipation:

@@ -73,6 +73,13 @@ class TestNeuronSpec:
         with pytest.warns(UserWarning, match="separation"):
             tn.build_neuron((2.0, 1.0), (0, 1), 0.5, 1.0, mu=0.5)
 
+    def test_weak_separation_warning_names_the_builder(self):
+        # Not the dataclass's generated __init__ ("<string>").
+        with pytest.warns(UserWarning, match="separation") as record:
+            tn.NeuronSpec(eps=(2.0, 1.0), h=(0, 1), beta0=0.5, eps_z=1.0,
+                          beta_r=0.3, mu_prime=0.5)
+        assert [w.filename for w in record] == [__file__]
+
     def test_non_finite_gap_rejected(self):
         # abs(nan - eps_z) > 1e-9 is False, so the resonance check alone
         # would let a NaN gap through.
@@ -95,6 +102,8 @@ class TestNeuronSpec:
         ({"capacity": -1.0}, "capacity must be positive"),
         ({"beta_hot": -0.5}, "rails"),
         ({"beta_cold": 0.0}, "rails"),
+        # A machine with no coupling to its baths has no closed form.
+        *[({name: 0.0}, f"{name} must be positive") for name in ("chi", "gamma")],
     ])
     def test_value_rules(self, change, match):
         spec = tn.build_neuron((2.0, 1.0), (0, 1), 0.5, 1.0)

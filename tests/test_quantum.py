@@ -86,6 +86,11 @@ class TestBathContact:
         with pytest.warns(UserWarning):
             BathContact(0, -1.0, 1.0)
 
+    def test_warning_names_the_builder(self):
+        with pytest.warns(UserWarning, match="negative inverse") as record:
+            BathContact(0, -1.0, 1.0)
+        assert [w.filename for w in record] == [__file__]
+
 
 class TestResetDissipator:
     def test_thermal_fixed_point(self):
@@ -232,6 +237,51 @@ class TestLindbladRHS:
         with pytest.raises(StructuralError, match="conserve energy"):
             tn.lindblad_rhs(np.eye(4, dtype=complex) / 4, h0, bad,
                             [BathContact(0, 1.0, 1.0)], reg)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("which", ["hint", "h0"])
+    def test_non_finite_hamiltonian_rejected(self, bad, which):
+        # max|[Hint, H0]| > tol is False for NaN, so the commutator check
+        # alone would let these through to a non-finite RHS.
+        _, reg, h0, hint, contacts = _not_collector()
+        hams = {"h0": h0.copy(), "hint": hint.copy()}
+        hams[which][0, 0] = bad
+        with pytest.raises(StructuralError, match="must be finite"):
+            tn.lindblad_rhs(np.eye(8, dtype=complex) / 8, hams["h0"], hams["hint"],
+                            contacts, reg)
+
+    def test_stack_equals_calls_slice_by_slice(self):
+        # Random registers and stacks of random operators (not states: the
+        # map is linear), compared by their bytes, so signed zeros count too.
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            m = int(rng.integers(1, 6))
+            reg = QubitRegister(tuple(rng.uniform(-3.0, 3.0, m)))
+            h0 = reg.free_hamiltonian()
+            hint = np.diag(rng.normal(size=reg.dim)).astype(complex)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                contacts = [BathContact(int(k), float(rng.uniform(-2.0, 3.0)),
+                                        float(rng.uniform(0.01, 3.0)))
+                            for k in rng.integers(0, m, int(rng.integers(0, 2 * m + 1)))]
+            shape = ((int(rng.integers(1, 6)),), (2, 3))[int(rng.integers(0, 2))]
+            stack = (rng.normal(size=shape + (reg.dim, reg.dim))
+                     + 1j * rng.normal(size=shape + (reg.dim, reg.dim)))
+            got = tn.lindblad_rhs(stack, h0, hint, contacts, reg)
+            assert got.shape == stack.shape
+            for idx in np.ndindex(shape):
+                want = tn.lindblad_rhs(stack[idx], h0, hint, contacts, reg)
+                assert got[idx].tobytes() == want.tobytes()
+            for contact in contacts:
+                got = tn.reset_dissipator(stack, contact, reg)
+                for idx in np.ndindex(shape):
+                    want = tn.reset_dissipator(stack[idx], contact, reg)
+                    assert got[idx].tobytes() == want.tobytes()
+
+    def test_stack_of_the_wrong_dimension_rejected(self):
+        _, reg, h0, hint, contacts = _not_collector()
+        with pytest.raises(StructuralError, match="does not match"):
+            tn.lindblad_rhs(np.zeros((3, 4, 4), dtype=complex), h0, hint, contacts, reg)
 
     def test_steady_state_self_consistency(self):
         _, reg, h0, hint, contacts = _not_collector()
@@ -390,9 +440,10 @@ def _assert_same_as_dense(rhs, dim):
 
 
 def _matrix_generator(mat):
-    """A generator on d x d operators given by its d^2 x d^2 matrix."""
+    """A generator on d x d operators given by its d^2 x d^2 matrix, acting
+    on the last two axes."""
     dim = math.isqrt(mat.shape[0])
-    return (lambda r: (mat @ r.reshape(-1)).reshape(dim, dim)), dim
+    return (lambda r: (mat @ r.reshape(r.shape[:-2] + (-1, 1))).reshape(r.shape)), dim
 
 
 def _random_machine(rng):
@@ -414,6 +465,60 @@ def _random_machine(rng):
                     for k in range(reg.m) if rng.random() < 0.85]
     h0 = reg.free_hamiltonian()
     return reg, (lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg))
+
+
+def _probe_by_column(apply_fn, dim):
+    """The probe as it was before it took stacks: one call per basis
+    operator, each a 2-D d x d array."""
+    basis = np.zeros((dim, dim), dtype=complex)
+    rows, vals = [], []
+    for p in range(dim * dim):
+        basis.flat[p] = 1.0
+        col = apply_fn(basis).reshape(-1)
+        rows.append(np.flatnonzero(col))
+        vals.append(col[rows[-1]])
+        basis.flat[p] = 0.0
+    cols = np.repeat(np.arange(dim * dim), [r.size for r in rows])
+    return np.concatenate(rows), cols, np.concatenate(vals).astype(complex, copy=False)
+
+
+class TestChunkedProbe:
+    """`_probe` images stacks of basis operators, PROBE_BLOCK entries at a
+    time; the per-column probe is its bit-for-bit oracle."""
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 48, quantum.PROBE_BLOCK])
+    def test_random_machines_match_the_per_column_probe(self, monkeypatch, block):
+        # block = 1 images one column per call; 48 images three at a time
+        # at d = 4, so the last of its six stacks is short.
+        monkeypatch.setattr(quantum, "PROBE_BLOCK", block)
+        for seed in range(12):
+            reg, rhs = _random_machine(np.random.default_rng(seed))
+            self._assert_same_bits(quantum._probe(rhs, reg.dim),
+                                   _probe_by_column(rhs, reg.dim))
+
+    def test_collectors_match_the_per_column_probe(self):
+        for gate in ("NOT", "NOR", "MAJ3"):
+            spec = tn.preset(gate)
+            reg = collector_register(spec)
+            h0, hint = collector_hamiltonian(spec)
+            contacts = collector_contacts(spec, (spec.beta_hot,) * spec.n, 0.5)
+            rhs = lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg)
+            self._assert_same_bits(quantum._probe(rhs, reg.dim),
+                                   _probe_by_column(rhs, reg.dim))
+
+    def test_each_call_gets_one_stack(self):
+        reg, rhs = _random_machine(np.random.default_rng(2))
+        shapes = []
+        quantum._probe(lambda r: shapes.append(r.shape) or rhs(r), reg.dim)
+        step = max(1, quantum.PROBE_BLOCK // reg.dim ** 2)
+        assert len(shapes) == -(-reg.dim ** 2 // step)
+        assert all(s[1:] == (reg.dim, reg.dim) and s[0] <= step for s in shapes)
+        assert sum(s[0] for s in shapes) == reg.dim ** 2
 
 
 class TestBlockwiseSteadyState:
