@@ -214,12 +214,12 @@ class DesignConfig:
     alpha: float = 20.0
     eps_z: float = 0.1
     seed: int = 0
-    mu: float = 1e-4
-    gamma: float = 1.0
-    chi: float = 1.0
-    beta_hot: float = 0.0
-    beta_cold: float = 1.0
-    capacity: float = 1.0
+    mu: float = NeuronSpec.mu
+    gamma: float = NeuronSpec.gamma
+    chi: float = NeuronSpec.chi
+    beta_hot: float = NeuronSpec.beta_hot
+    beta_cold: float = NeuronSpec.beta_cold
+    capacity: float = NeuronSpec.capacity
 
     def __post_init__(self):
         if not (self.alpha > 0):

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -68,7 +68,8 @@ class Trajectory:
     """Sampled slow evolution: reservoir temperature, currents, dissipation.
 
     Full co-integration additionally records the final collector and
-    modulator density matrices (None for quasi-static runs).
+    modulator density matrices (None for quasi-static runs).  ``sigma``, the
+    running trapezoid integral of sigma_dot over t, is derived, not passed.
     """
 
     t: np.ndarray
@@ -76,17 +77,19 @@ class Trajectory:
     j_collector: np.ndarray
     j_modulator: np.ndarray
     sigma_dot: np.ndarray
-    sigma: np.ndarray
+    sigma: np.ndarray = field(init=False)
     final_rho_collector: np.ndarray | None = None
     final_rho_modulator: np.ndarray | None = None
 
     def __post_init__(self):
+        from scipy.integrate import cumulative_trapezoid
         n = len(self.t)
-        for name in ("beta_z", "j_collector", "j_modulator", "sigma_dot", "sigma"):
+        for name in ("beta_z", "j_collector", "j_modulator", "sigma_dot"):
             if len(getattr(self, name)) != n:
                 raise StructuralError(f"trajectory column {name} has wrong length")
         if n > 1 and not np.all(np.diff(self.t) > 0):
             raise StructuralError("trajectory times must be strictly increasing")
+        self.sigma = cumulative_trapezoid(self.sigma_dot, self.t, initial=0.0)
 
     @property
     def endpoint(self) -> float:
@@ -104,6 +107,20 @@ def _sample_times(tau: float, per_decade: int) -> np.ndarray:
     return np.concatenate(([0.0], ts))
 
 
+def _solve(rhs, jac, y0: np.ndarray, tau: float, per_decade: int, failure: str,
+           **solver) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times and the states there (one column each) of dy/dt = rhs from
+    y0; tau = 0 gives y0 alone.  `failure` is the SolverError text around {}."""
+    times = _sample_times(tau, per_decade)
+    if tau <= 0.0:
+        return times, y0[:, None]
+    from scipy.integrate import solve_ivp
+    sol = solve_ivp(rhs, (0.0, tau), y0, t_eval=times, jac=jac, **solver)
+    if not sol.success:
+        raise SolverError(failure.format(sol.message))
+    return times, sol.y
+
+
 def _check_run(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
                tau: float) -> tuple[float, ...]:
     """The inputs as floats, once the run's arguments are known to be valid."""
@@ -113,8 +130,10 @@ def _check_run(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
     if len(inputs) != spec.n:
         raise StructuralError(f"expected {spec.n} inputs, got {len(inputs)}")
     # A bath's beta times a level energy enters every heat and entropy term;
-    # where that product overflows, they come out inf or nan.
-    e_max = float(np.abs(collector_register(spec).level_energies()).max())
+    # where that product overflows, they come out inf or nan.  The largest
+    # level energy in magnitude sums all positive gaps or all negative ones.
+    gaps = spec.eps + (spec.eps_z,)
+    e_max = float(max(sum(g for g in gaps if g > 0), -sum(g for g in gaps if g < 0)))
     names = ["beta_z0"] + [f"input {i}" for i in range(1, spec.n + 1)]
     for name, beta in zip(names, (beta_z0,) + inputs):
         if not math.isfinite(beta * e_max):
@@ -126,8 +145,6 @@ def _check_run(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
 def evolve_quasi_static(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
                         tau: float, *, per_decade: int = 200) -> Trajectory:
     """Integrate the calorimetric equation with the fast parts at steady state."""
-    from scipy.integrate import cumulative_trapezoid, solve_ivp
-
     inputs = _check_run(spec, inputs, beta_z0, tau)
     betas = (spec.beta0,) + inputs
     beta_v = virtual_temperature(spec.h, betas, spec.eps, spec.eps_z)
@@ -141,31 +158,23 @@ def evolve_quasi_static(spec: NeuronSpec, inputs: Sequence[float], beta_z0: floa
                 spec.mu_prime * spec.eps_z * (g_bz - g_r))
 
     def rhs(_t, y):
-        _, j_c, j_m = currents(y[0])
+        _, j_c, j_m = currents(float(y[0]))
         return [(j_c + j_m) / spec.capacity]
 
     def jac(_t, y):
-        x = y[0] * spec.eps_z
-        g = spec.g_z(y[0])
-        dg = -spec.eps_z * g * (1.0 - g) if math.isfinite(x) else 0.0
+        bz = float(y[0])
+        g = spec.g_z(bz)
+        dg = -spec.eps_z * g * (1.0 - g) if math.isfinite(bz * spec.eps_z) else 0.0
         return [[(spec.mu + spec.mu_prime) * spec.eps_z * dg / spec.capacity]]
 
-    times = _sample_times(tau, per_decade)
-    if tau <= 0.0:
-        bz = np.array([float(beta_z0)])
-    else:
-        sol = solve_ivp(rhs, (0.0, tau), [float(beta_z0)], method="LSODA",
-                        t_eval=times, rtol=QUASI_RTOL, atol=1e-13, jac=jac)
-        if not sol.success:
-            raise SolverError(f"quasi-static integration failed: {sol.message}")
-        bz = sol.y[0]
+    times, (bz,) = _solve(rhs, jac, np.array([float(beta_z0)]), tau, per_decade,
+                          "quasi-static integration failed: {}", method="LSODA",
+                          rtol=QUASI_RTOL, atol=1e-13)
     g_bz, j_c, j_m = currents(bz)
     sdot = (spec.mu * spec.eps_z * (g_v - g_bz) * (bz - beta_v)
             + spec.mu_prime * spec.eps_z * (g_r - g_bz) * (bz - spec.beta_r))
-    sigma = (cumulative_trapezoid(sdot, times, initial=0.0)
-             if len(times) > 1 else np.zeros(1))
     return Trajectory(t=times, beta_z=bz, j_collector=j_c, j_modulator=j_m,
-                      sigma_dot=sdot, sigma=sigma)
+                      sigma_dot=sdot)
 
 
 def collector_register(spec: NeuronSpec) -> QubitRegister:
@@ -353,8 +362,6 @@ def evolve_full(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
     slow ones by a factor gamma/mu.  The final density matrices are
     Hermitian by construction and zero off the subspace.
     """
-    from scipy.integrate import cumulative_trapezoid, solve_ivp
-
     inputs = _check_run(spec, inputs, beta_z0, tau)
 
     model = _reduced_model(spec, inputs)
@@ -376,13 +383,13 @@ def evolve_full(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
 
     def rhs(_t, y):
         x = y[:-1]
-        f = k0 @ x + spec.g_z(y[-1]) * (k1 @ x)
+        f = k0 @ x + spec.g_z(float(y[-1])) * (k1 @ x)
         for blk, sums in zip(blocks, col_sums):
             f[blk.start] = sums @ x[blk] - f[blk.start + 1:blk.stop].sum()
         return f
 
     def jac(_t, y):
-        g = spec.g_z(y[-1])
+        g = spec.g_z(float(y[-1]))
         dg = -spec.eps_z * g * (1.0 - g)
         return np.column_stack((k0 + g * k1, dg * (k1 @ y[:-1])))
 
@@ -391,18 +398,10 @@ def evolve_full(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
     p_m0 = gibbs_register(modulator_register(spec), (spec.beta_r,)).diagonal().real
     y0 = np.concatenate((p_c0, [0.0, 0.0], p_m0, [float(beta_z0)]))
 
-    times = _sample_times(tau, per_decade)
-    if tau <= 0.0:
-        ys = y0[:, None]
-    else:
-        sol = solve_ivp(rhs, (0.0, tau), y0, method=_lapack_bdf(), t_eval=times,
-                        rtol=rtol, atol=atol, jac=jac)
-        if not sol.success:
-            raise SolverError(
-                f"full integration failed: {sol.message}; consider rescaling the "
-                "reservoir capacity C to soften the slow time scale")
-        ys = sol.y
-
+    times, ys = _solve(rhs, jac, y0, tau, per_decade,
+                       "full integration failed: {}; consider rescaling the "
+                       "reservoir capacity C to soften the slow time scale",
+                       method=_lapack_bdf(), rtol=rtol, atol=atol)
     xs = ys[:-1].T
     bz_arr = ys[-1].copy()
     g = spec.g_z(bz_arr)
@@ -419,17 +418,13 @@ def evolve_full(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
           + _entropy_rate(w, dw) + _entropy_rate(xs[:, d + 2:], dxs[:, d + 2:]))
     # Heat from every bath, weighted by its inverse temperature.
     sdot = ds - xs @ model.flux - bz_arr * (j_c + j_m)
-    sigma = (cumulative_trapezoid(sdot, times, initial=0.0)
-             if len(times) > 1 else np.zeros(1))
 
     x = xs[-1]
     rho_c = np.diag(x[:d]).astype(complex)
-    rho_c[a, b] = complex(x[d], x[d + 1])
-    rho_c[b, a] = complex(x[d], -x[d + 1])
+    rho_c[a, b], rho_c[b, a] = complex(x[d], x[d + 1]), complex(x[d], -x[d + 1])
     rho_m = np.diag(x[d + 2:]).astype(complex)
     return Trajectory(t=times, beta_z=bz_arr, j_collector=j_c, j_modulator=j_m,
-                      sigma_dot=sdot, sigma=sigma,
-                      final_rho_collector=rho_c, final_rho_modulator=rho_m)
+                      sigma_dot=sdot, final_rho_collector=rho_c, final_rho_modulator=rho_m)
 
 
 def accumulated_dissipation(trajectory: Trajectory) -> float:

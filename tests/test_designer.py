@@ -159,6 +159,20 @@ class TestWeightsToNeuron:
             assert additive_decode(ra) == additive_decode(rb)
 
 
+def test_physical_defaults_are_the_neuron_spec_defaults():
+    # NeuronSpec states the physical defaults; build_neuron and DesignConfig
+    # read them from there.
+    import dataclasses
+    import inspect
+    names = ("mu", "gamma", "chi", "beta_hot", "beta_cold", "capacity")
+    spec = {f.name: f.default for f in dataclasses.fields(tn.NeuronSpec)}
+    config = {f.name: f.default for f in dataclasses.fields(tn.DesignConfig)}
+    build = inspect.signature(tn.build_neuron).parameters
+    for name in names:
+        assert config[name] == build[name].default == spec[name], name
+    assert tn.DesignConfig().physical() == {name: spec[name] for name in names}
+
+
 class TestPreset:
     def test_not_alpha_is_the_input_gap(self):
         spec = tn.preset("NOT", tn.DesignConfig(alpha=20.0, eps_z=0.1))

@@ -108,6 +108,26 @@ class TestQuasiStatic:
         traj = run(np.nextafter(np.finfo(float).max / 360.0, 0.0))
         assert np.isfinite(traj.sigma_dot).all() and np.isfinite(traj.sigma).all()
 
+    @pytest.mark.parametrize("spec", [
+        tn.preset("NOT"), tn.preset("NOR"), tn.preset("MAJ3"),
+        # One negative gap: the largest level energy in magnitude is -4.
+        tn.build_neuron((-1.0, -3.0), (0, 1), 0.5, 2.0)], ids=["NOT", "NOR", "MAJ3", "negative"])
+    def test_overflow_message_names_the_enumerated_level_energy(self, spec):
+        e_max = float(np.abs(dynamics.collector_register(spec).level_energies()).max())
+        want = (f"input 1 must be finite, also times the largest level energy "
+                f"{e_max:.6g}; got 1e+308")
+        with pytest.raises(ConfigError) as err:
+            dynamics._check_run(spec, (1e308,) + (0.0,) * (spec.n - 1), 0.5, 1.0)
+        assert str(err.value) == want
+
+    def test_quasi_static_runs_need_no_register(self):
+        # 11 inputs: the collector would have 13 qubits, past MAX_QUBITS.
+        spec = tn.weights_to_neuron([-5.5] + [1.0] * 11, tn.DesignConfig())
+        traj = tn.evolve_quasi_static(spec, (0.0,) * 11, 0.5, 1e3)
+        assert np.isfinite(traj.beta_z).all() and np.isfinite(traj.sigma).all()
+        with pytest.raises(StructuralError, match="register capped at 12 qubits, got 13"):
+            tn.evolve_full(spec, (0.0,) * 11, 0.5, 1e3)
+
     @pytest.mark.parametrize("evolve", [tn.evolve_quasi_static, tn.evolve_full])
     def test_input_count_checked(self, paper_not, evolve):
         with pytest.raises(StructuralError, match="expected 1 inputs, got 2"):
@@ -129,6 +149,21 @@ class TestTrajectoryInvariants:
         assert np.all(np.diff(traj.t) > 0)
         assert np.all(np.diff(traj.sigma) >= -1e-10)
         assert np.all(traj.sigma_dot >= -1e-10)
+
+    @pytest.mark.parametrize("evolve", [tn.evolve_quasi_static, tn.evolve_full])
+    def test_sigma_is_the_running_trapezoid_of_sigma_dot(self, evolve):
+        from scipy.integrate import cumulative_trapezoid
+        for tau in (1e4, 0.0):
+            traj = evolve(tn.preset("NOR"), (1.0, 0.0), 0.5, tau)
+            want = cumulative_trapezoid(traj.sigma_dot, traj.t, initial=0.0)
+            assert traj.sigma.tobytes() == want.tobytes()
+        assert traj.sigma.tolist() == [0.0]
+
+    def test_sigma_is_derived_not_passed(self):
+        col = np.zeros(3)
+        with pytest.raises(TypeError, match="sigma"):
+            dynamics.Trajectory(t=np.arange(3.0), beta_z=col, j_collector=col,
+                                j_modulator=col, sigma_dot=col, sigma=col)
 
     def test_csv_export(self, paper_not):
         traj = tn.evolve_quasi_static(paper_not, (1.0,), 0.5, 10.0)
