@@ -256,7 +256,7 @@ def _reduced_model(spec: NeuronSpec, inputs: Sequence[float]) -> _ReducedModel:
     """
     reg_c = collector_register(spec)
     d = reg_c.dim
-    a, b = coupled_levels(spec.h, spec.chi, reg_c)
+    a, b = coupled_levels(spec.h, reg_c)
     chi = spec.chi
     re, im, size = d, d + 1, d + 4
     gen0, gen1 = np.zeros((size, size)), np.zeros((size, size))

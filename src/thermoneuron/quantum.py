@@ -12,9 +12,10 @@ population-inverted bath and is accepted with a warning.
 The interaction Hamiltonian must commute with the free Hamiltonian
 (energy-preserving weak coupling); `lindblad_rhs` rejects anything else.
 Such generators split into small invariant blocks (a collector's populations
-plus its one coupled coherence, the other coherences a few apiece), and
-`steady_state` takes one small SVD per block instead of one of size d^2;
-`integrate_master` takes one small matrix exponential per block.
+plus its one coupled coherence, the other coherences a few apiece), the
+connected components of the generator's nonzero pattern.  `steady_state`
+takes one small SVD per block instead of one of size d^2; `integrate_master`
+takes one small matrix exponential per block.
 
 Cost.  `lindblad_rhs` acts on the last two axes, so a stack of k operators
 costs one call: one check of the Hamiltonians (two d x d products), two
@@ -58,8 +59,9 @@ __all__ = [
     "von_neumann_entropy",
 ]
 
-# Dense states and `lindblad_rhs` take registers up to this size; the tests
-# run `steady_state` and `integrate_master` only up to m = 5 (d = 32).
+# Dense states and `lindblad_rhs` take registers up to this size.  The tests run
+# `lindblad_rhs`, `steady_state` and `dynamics.evolve_full` up to m = 5 (d = 32)
+# and `integrate_master` up to m = 4 (d = 16).
 MAX_QUBITS = 12
 # Entries per call when `_probe` reads a generator's matrix: each call gets
 # a stack of max(1, PROBE_BLOCK // d^2) basis operators, so its temporaries
@@ -323,47 +325,37 @@ def superoperator_matrix(apply_fn: Callable[[np.ndarray], np.ndarray],
     return mat
 
 
-def _invariant_blocks(rows: np.ndarray, cols: np.ndarray, n: int) -> list[np.ndarray]:
-    """Index sets of the connected components of the graph on range(n) with
-    the edges rows[e] -- cols[e]: permuted by them, a matrix with nonzeros
-    only at those places is block diagonal."""
-    rows, cols = np.concatenate((rows, cols)), np.concatenate((cols, rows))
-    labels = np.arange(n)
+def _blocks(rhs: Callable[[np.ndarray], np.ndarray],
+            dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(indices, dense block) pairs of the invariant blocks of the probed
+    d^2 x d^2 matrix of a linear generator, in row-major vectorization: the
+    connected components of its nonzero pattern, by smallest index, each
+    ascending.  Every nonzero entry is scattered once into one buffer that
+    holds all the blocks; the d^2 x d^2 matrix is never formed."""
+    n2 = dim * dim
+    rows, cols, vals = _probe(rhs, dim)
+    # Label each index by the smallest index joined to it.
+    labels = np.arange(n2)
     while True:
         new = labels.copy()
         np.minimum.at(new, rows, labels[cols])
+        np.minimum.at(new, cols, labels[rows])
         new = new[new]
         if np.array_equal(new, labels):
             break
         labels = new
+    _, labels, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     order = np.argsort(labels, kind="stable")
-    cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    return np.split(order, cuts)
-
-
-def _blocks(rhs: Callable[[np.ndarray], np.ndarray],
-            dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(indices, dense block) pairs of the invariant blocks of the probed
-    d^2 x d^2 matrix of a linear generator, in row-major vectorization.
-
-    The probe keeps only the nonzero entries; each block is scattered into
-    its own small dense matrix, so the d^2 x d^2 matrix is never formed.
-    """
-    n2 = dim * dim
-    rows, cols, vals = _probe(rhs, dim)
-    blocks = _invariant_blocks(rows, cols, n2)
-    # Each entry goes to the block of its row, at its row's and column's places.
-    which, place = np.empty(n2, dtype=np.intp), np.empty(n2, dtype=np.intp)
-    for k, b in enumerate(blocks):
-        which[b], place[b] = k, np.arange(len(b))
-    entries = np.split(np.argsort(which[rows], kind="stable"),
-                       np.cumsum(np.bincount(which[rows], minlength=len(blocks)))[:-1])
-    out = []
-    for b, e in zip(blocks, entries):
-        block = np.zeros((len(b), len(b)), dtype=complex)
-        block[place[rows[e]], place[cols[e]]] = vals[e]
-        out.append((b, block))
-    return out
+    ends = np.cumsum(sizes)
+    place = np.empty(n2, dtype=np.intp)
+    place[order] = np.arange(n2) - (ends - sizes)[labels[order]]
+    area = sizes * sizes
+    offsets = np.cumsum(area) - area
+    buffer = np.zeros(area.sum(), dtype=complex)
+    k = labels[rows]
+    buffer[offsets[k] + place[rows] * sizes[k] + place[cols]] = vals
+    return [(b, buffer[o:o + n * n].reshape(n, n))
+            for b, o, n in zip(np.split(order, ends[:-1]), offsets, sizes)]
 
 
 def steady_state(rhs: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:

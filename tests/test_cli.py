@@ -141,6 +141,19 @@ class TestSimulate:
         assert code == 0
         assert len(Path(csv_path).read_text().splitlines()) > 10
 
+    def test_full_mode_runs_a_machine_steady_accepts(self, tmp_path, capsys):
+        # A hand-edited NOT machine file with eps[0] off resonance by 5e-10,
+        # within RESONANCE_TOL: both commands run it.
+        doc = machine_to_document(tn.preset("NOT"), PROVENANCE)
+        doc["spec"]["eps"][0] += 5e-10
+        path = tmp_path / "machine.json"
+        path.write_text(json.dumps(doc))
+        for command in (["steady", "--inputs", "1"],
+                        ["simulate", "--inputs", "1", "--tau", "1e4", "--mode", "full",
+                         "--out", str(tmp_path / "full.csv")]):
+            assert main([command[0], str(path), *command[1:]]) == 0
+            assert "error" not in capsys.readouterr().err
+
     def test_solver_failure_exits_2_with_one_line(self, tmp_path, capsys,
                                                   monkeypatch):
         import scipy.integrate

@@ -209,6 +209,16 @@ class TestEvolveFull:
         traj = tn.evolve_full(paper_not, (1.0,), 0.5, 1e6, per_decade=40)
         assert traj.sigma_dot.min() >= -1e-10
 
+    def test_detuning_within_resonance_tolerance_runs(self):
+        # eps[0] off resonance by 5e-10 < RESONANCE_TOL: the spec is valid, so
+        # the full model runs it, detuning included, and ends where the
+        # exact preset does.
+        exact = tn.preset("NOT")
+        nudged = dataclasses.replace(exact, eps=(exact.eps[0] + 5e-10,) + exact.eps[1:])
+        for row in ((0.0,), (1.0,)):
+            got = tn.evolve_full(nudged, row, 0.5, 1e8).endpoint
+            assert abs(got - tn.evolve_full(exact, row, 0.5, 1e8).endpoint) < 1e-9
+
     @pytest.mark.parametrize("gate, row", [("MAJ3", (0.0, 1.0, 1.0)),
                                            ("NOR", (0.0, 0.0))])
     def test_second_law_and_valid_states_over_the_full_horizon(self, gate, row):

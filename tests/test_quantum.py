@@ -446,6 +446,37 @@ def _matrix_generator(mat):
     return (lambda r: (mat @ r.reshape(r.shape[:-2] + (-1, 1))).reshape(r.shape)), dim
 
 
+def _two_null_vectors(case):
+    """A 9 x 9 generator matrix (d = 3) whose null space has dimension 2."""
+    rank_one = np.array([[1.0, -1.0], [2.0, -2.0]])
+    mat = np.zeros((9, 9), dtype=complex)
+    if case == "shared":
+        # One connected 4-block of rank 2, plus an invertible 5-block.
+        u = np.array([[1.0, 2.0, -1.0, 0.5], [0.3, -1.0, 1.0, 2.0]]).T
+        mat[:4, :4] = u @ np.array([[1.0, 1.0, 2.0, -1.0], [0.5, -2.0, 1.0, 1.0]])
+        mat[4:, 4:] = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) + np.diag([0.5] * 4, 1)
+    else:
+        # Null vectors in the {0, 4} block and in a second block: the
+        # singular {1, 8}, or {1} alone, whose entry is tiny only against
+        # the largest singular value of the whole matrix.
+        mat[np.ix_([0, 4], [0, 4])] = rank_one
+        if case == "separate":
+            mat[np.ix_([8, 1], [8, 1])] = rank_one
+        else:
+            mat[1, 1], mat[8, 8] = 1e-13, 1.0
+        mat[np.ix_([2, 3, 5, 6, 7], [2, 3, 5, 6, 7])] = np.eye(5)
+    return mat
+
+
+def _collector_generator(gate, inputs, beta_z=0.5):
+    """The register and `lindblad_rhs` of a preset's collector."""
+    spec = tn.preset(gate)
+    reg = collector_register(spec)
+    h0, hint = collector_hamiltonian(spec)
+    contacts = collector_contacts(spec, inputs, beta_z)
+    return reg, (lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg))
+
+
 def _random_machine(rng):
     """A random register with an energy-conserving rank-2 interaction and
     reset baths of random sign, rate and coverage (some leave a qubit free)."""
@@ -567,45 +598,45 @@ class TestBlockwiseSteadyState:
         assert any(verdicts) and not all(verdicts)
 
     def test_collector_splits_into_small_blocks(self):
-        spec = tn.preset("NOR")
-        reg = collector_register(spec)
-        h0, hint = collector_hamiltonian(spec)
-        contacts = collector_contacts(spec, (0.0, 1.0), 0.5)
-        gen = quantum.superoperator_matrix(
-            lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg), reg.dim)
-        blocks = quantum._invariant_blocks(*np.nonzero(gen), len(gen))
+        reg, rhs = _collector_generator("NOR", (0.0, 1.0))
+        blocks = [b for b, _ in quantum._blocks(rhs, reg.dim)]
         assert sorted(np.concatenate(blocks)) == list(range(reg.dim ** 2))
         assert len(blocks) == 65 and max(map(len, blocks)) == reg.dim + 2
-        mask = np.zeros(gen.shape, dtype=bool)
-        for b in blocks:
-            mask[np.ix_(b, b)] = True
-        assert not gen[~mask].any()
 
     @pytest.mark.parametrize("case", ["separate", "shared", "tiny"])
     def test_two_null_vectors_raise_with_dense_nullity(self, case):
-        rank_one = np.array([[1.0, -1.0], [2.0, -2.0]])
-        mat = np.zeros((9, 9), dtype=complex)
-        if case == "shared":
-            # One connected 4-block of rank 2, plus an invertible 5-block.
-            u = np.array([[1.0, 2.0, -1.0, 0.5], [0.3, -1.0, 1.0, 2.0]]).T
-            mat[:4, :4] = u @ np.array([[1.0, 1.0, 2.0, -1.0], [0.5, -2.0, 1.0, 1.0]])
-            mat[4:, 4:] = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) + np.diag([0.5] * 4, 1)
-        else:
-            # Null vectors in the {0, 4} block and in a second block: the
-            # singular {1, 8}, or {1} alone, whose entry is tiny only against
-            # the largest singular value of the whole matrix.
-            mat[np.ix_([0, 4], [0, 4])] = rank_one
-            if case == "separate":
-                mat[np.ix_([8, 1], [8, 1])] = rank_one
-            else:
-                mat[1, 1], mat[8, 8] = 1e-13, 1.0
-            mat[np.ix_([2, 3, 5, 6, 7], [2, 3, 5, 6, 7])] = np.eye(5)
-        rhs, dim = _matrix_generator(mat)
+        rhs, dim = _matrix_generator(_two_null_vectors(case))
         n_blocks = {"separate": 7, "shared": 2, "tiny": 8}[case]
-        assert len(quantum._invariant_blocks(*np.nonzero(mat), len(mat))) == n_blocks
+        assert len(quantum._blocks(rhs, dim)) == n_blocks
         assert _assert_same_as_dense(rhs, dim) is None
         with pytest.raises(DegenerateSteadyStateError, match="dimension 2;"):
             tn.steady_state(rhs, dim)
+
+    @pytest.mark.parametrize("case", ["NOR", "MAJ3", "separate", "shared", "tiny",
+                                      "diagonal"])
+    def test_blocks_are_the_dense_matrix_blocks(self, case):
+        # Each block is its slice of the probed matrix, bit for bit; the
+        # blocks cover every entry and come ascending, by their first index.
+        if case in ("NOR", "MAJ3"):
+            inputs = {"NOR": (0.0, 1.0), "MAJ3": (0.0, 1.0, 1.0)}[case]
+            reg, rhs = _collector_generator(case, inputs)
+            dim = reg.dim
+        elif case == "diagonal":
+            rhs, dim = _matrix_generator(np.diag([-1.0, -2.0, -3.0, 0.0]) + 0j)
+        else:
+            rhs, dim = _matrix_generator(_two_null_vectors(case))
+        gen = quantum.superoperator_matrix(rhs, dim)
+        blocks = quantum._blocks(rhs, dim)
+        mask = np.zeros(gen.shape, dtype=bool)
+        for b, block in blocks:
+            assert np.all(np.diff(b) > 0)
+            assert block.dtype == gen.dtype and np.array_equal(block, gen[np.ix_(b, b)])
+            mask[np.ix_(b, b)] = True
+        firsts = [b[0] for b, _ in blocks]
+        assert firsts == sorted(firsts) and firsts[0] == 0
+        assert sum(len(b) for b, _ in blocks) == dim * dim
+        assert mask.sum() == sum(len(b) ** 2 for b, _ in blocks)
+        assert not gen[~mask].any()
 
     def test_null_vector_outside_the_first_block(self):
         # Four 1 x 1 blocks; only the last, the (1, 1) population, is singular.

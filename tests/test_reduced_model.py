@@ -33,7 +33,7 @@ def subspace(spec):
     """Row-major vec indices of the populations and of rho_ab, rho_ba."""
     reg = dynamics.collector_register(spec)
     d = reg.dim
-    a, b = coupled_levels(spec.h, spec.chi, reg)
+    a, b = coupled_levels(spec.h, reg)
     return d, a, b, np.arange(d) * (d + 1), a * d + b, b * d + a
 
 

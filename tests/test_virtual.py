@@ -150,6 +150,16 @@ class TestInteractionHamiltonian:
         with pytest.raises(ResonanceError, match="5.0+e-01"):
             tn.build_interaction_hamiltonian((0, 1), 1.0, reg)
 
+    def test_detuning_within_resonance_tolerance_is_accepted(self):
+        # A detuning below RESONANCE_TOL builds the coupling; `lindblad_rhs`,
+        # which takes raw matrices, still holds [Hint, H0] to 1e-10.
+        reg = QubitRegister((2.0 + 5e-10, 1.0, 1.0))
+        hint = tn.build_interaction_hamiltonian((0, 1), 1.0, reg)
+        assert np.count_nonzero(hint) == 2
+        rho = np.eye(reg.dim, dtype=complex) / reg.dim
+        with pytest.raises(StructuralError, match="does not conserve energy"):
+            tn.lindblad_rhs(rho, reg.free_hamiltonian(), hint, [], reg)
+
     def test_negative_virtual_gap_is_relabeled(self):
         # h = (1, 0) has virtual gap +1 on (2, 1); flipping labels gives the
         # same physical coupling as h = (0, 1).
