@@ -1,7 +1,9 @@
 """End-to-end CLI contract: exit codes, determinism, file round-trips."""
 
+import itertools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -171,6 +173,31 @@ class TestSimulate:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: full integration failed")
+
+    @pytest.mark.parametrize("mode, what", [("quasi", "quasi-static"), ("full", "full")])
+    def test_lsoda_failure_exits_2_with_its_reason_on_one_line(self, tmp_path, capsys,
+                                                                monkeypatch, mode, what):
+        # g_z off by +-1e6 after 50 calls makes LSODA's corrector fail for
+        # real; LSODA gives its reason only as a warning, which must not leak.
+        out = str(tmp_path / "nor.json")
+        main(["design", "--gate", "NOR", "--out", out])
+        capsys.readouterr()
+        g_z, calls = tn.NeuronSpec.g_z, itertools.count(1)
+
+        def perturbed(spec, beta):
+            n = next(calls)
+            return g_z(spec, beta) + (0.0 if n <= 50 else 1e6 if n % 2 else -1e6)
+
+        monkeypatch.setattr(tn.NeuronSpec, "g_z", perturbed)
+        with warnings.catch_warnings(record=True) as leaked:
+            warnings.simplefilter("always")
+            code = main(["simulate", out, "--inputs", "1", "0", "--tau", "1e8",
+                         "--mode", mode, "--out", str(tmp_path / "run.csv")])
+        assert code == 2 and leaked == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {what} integration failed: lsoda: "
+                                 "Repeated convergence failures")
 
 
 class TestSweep:

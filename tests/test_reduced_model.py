@@ -190,8 +190,9 @@ def dense_evolve_full(spec, inputs, beta_z0, tau, per_decade, rtol, atol):
 
 @pytest.mark.parametrize("name", ["NOT", "NOR"])
 def test_reduced_and_dense_co_integration_agree(name):
-    # Both runs at tolerances tight enough that BDF's global error (about
-    # 2e-7 in beta_z at the default rtol = 1e-8) does not hide a model error.
+    # Both runs at tolerances tight enough that the integrators' global error
+    # (up to about 2e-7 in beta_z at the default rtol = 1e-8) does not hide a
+    # model error.
     spec, inputs = MACHINES[name]
     tol = dict(rtol=1e-12, atol=1e-15)
     traj = tn.evolve_full(spec, inputs, 0.5, 1e3, per_decade=20, **tol)
