@@ -10,8 +10,8 @@ finite; counts (--seed, --inset-points, a grid's count) must be >= 0; a
 grid, a sweep's factorial grid, --inset-points and the tradeoff inset
 (grid x inset points) have at most MAX_GRID_POINTS points; --layers has at
 most MAX_LAYERS widths of at most MAX_LAYER_WIDTH; negative values are
-accepted in any float form (-1, -.5, -1e-3, -0.5:1:3); `design` and
-`verify` each need exactly one of --table or --gate.
+accepted in any float form (-1, -.5, -1e-3, -0.5:1:3); `design` (whose
+--layers needs --table) and `verify` each need exactly one of --table or --gate.
 
 `verify` reads its rows' means and p(error) from `channel.conditional_outputs`
 (over `Encoding.rows`) and decodes them all in one `decode_array` call.
@@ -177,6 +177,8 @@ def _write_csv(header, columns, out: str | None) -> None:
 
 
 def cmd_design(args) -> int:
+    if args.gate and args.layers is not None:
+        raise ConfigError("argument --layers: not allowed with argument --gate")
     config = DesignConfig(alpha=args.alpha, eps_z=args.eps_z, seed=args.seed)
     if args.gate:
         weights = np.asarray(PRESET_WEIGHTS[args.gate.upper()], dtype=float)

@@ -232,6 +232,10 @@ class DesignConfig:
                     beta_hot=self.beta_hot, beta_cold=self.beta_cold,
                     capacity=self.capacity)
 
+    def encoding(self) -> Encoding:
+        """The rule a design must decode under: additive bands, delta = 0.1, on the rails."""
+        return Encoding(self.beta_hot, self.beta_cold, delta=0.1, band="additive")
+
 
 def _sigmoid(z):
     out = np.empty_like(z)
@@ -342,18 +346,17 @@ def preset(gate: str, config: DesignConfig | None = None) -> NeuronSpec:
 
 
 def search_alpha(table: TruthTable, config: DesignConfig,
-                 decode_fn: Callable[[float], int | None],
                  weights: Sequence[float] | None = None) -> float:
-    """Smallest power-of-two multiple of config.alpha that decodes every row on config's rails."""
+    """Smallest power-of-two multiple of config.alpha at which every row decodes by
+    config.encoding()."""
     w = (np.asarray(weights, dtype=float) if weights is not None
          else train_perceptron(table, config))
-    rows = Encoding(config.beta_hot, config.beta_cold, band="additive").rows(table.n)
-    alpha = config.alpha
+    enc, alpha = config.encoding(), config.alpha
+    rows = enc.rows(table.n)
     while alpha <= ALPHA_MAX:
         spec = weights_to_neuron(w, replace(config, alpha=alpha))
         _, finals = steady_response(spec, rows)
-        if all(decode_fn(final) == out
-               for final, out in zip(finals.tolist(), table.outputs)):
+        if decode_array(finals, enc).tolist() == list(table.outputs):
             return alpha
         alpha *= 2.0
     raise DesignError(f"no steepness up to {ALPHA_MAX} decodes the table")

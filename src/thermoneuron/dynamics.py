@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, SolverError, StructuralError
 from .neuron import NeuronSpec
-from .quantum import BathContact, QubitRegister, gibbs_qubit, gibbs_register
+from .quantum import BathContact, QubitRegister, fermi_population
 from .virtual import (build_interaction_hamiltonian, coupled_levels,
                       virtual_temperature)
 
@@ -54,7 +54,6 @@ __all__ = [
     "collector_register",
     "collector_hamiltonian",
     "collector_contacts",
-    "modulator_register",
     "modulator_contacts",
 ]
 
@@ -126,7 +125,7 @@ def _solve(rhs, jac, y0: np.ndarray, tau: float, per_decade: int, failure: str,
     seen = {(str(w.message), w.category, w.filename, w.lineno): w for w in caught}
     if not sol.success:
         reasons = [str(w.message) for w in seen.values()] or [sol.message]
-        raise SolverError(failure.format("; ".join(reasons)))
+        raise SolverError(failure.format("; ".join(r.removesuffix(".") for r in reasons)))
     for w in seen.values():
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     return times, sol.y
@@ -210,10 +209,6 @@ def collector_contacts(spec: NeuronSpec, inputs: Sequence[float],
     return contacts
 
 
-def modulator_register(spec: NeuronSpec) -> QubitRegister:
-    return QubitRegister((spec.eps_z,))
-
-
 def modulator_contacts(spec: NeuronSpec, beta_z: float) -> list[BathContact]:
     contacts = [BathContact(0, spec.beta_r, spec.gamma)]
     if spec.mu_prime > 0:
@@ -221,19 +216,15 @@ def modulator_contacts(spec: NeuronSpec, beta_z: float) -> list[BathContact]:
     return contacts
 
 
-def _level_map(register: QubitRegister, qubit: int,
-               tau: Sequence[float]) -> np.ndarray:
-    """Tr_k[rho] (x) diag(tau) restricted to populations, as a d x d matrix.
+def _thermal(beta: float, gap: float) -> tuple[float, float]:
+    """Gibbs populations (1 - f, f) of a qubit, f = fermi_population(beta gap)."""
+    f = fermi_population(beta * gap)
+    return 1.0 - f, f
 
-    Level i receives tau[bit_k(i)] * (p_i + p_j), with j = i xor bit_k.
-    """
-    shift = register.m - 1 - qubit
-    idx = np.arange(register.dim)
-    weight = np.asarray(tau, dtype=float)[(idx >> shift) & 1]
-    out = np.zeros((register.dim, register.dim))
-    out[idx, idx] = weight
-    out[idx, idx ^ (1 << shift)] = weight
-    return out
+
+def _lift(rates: np.ndarray, qubit: int, m: int) -> np.ndarray:
+    """1 (x) rates (x) 1: one qubit's 2 x 2 rates on 2^m populations (qubit 0 is the MSB)."""
+    return np.kron(np.kron(np.eye(1 << qubit), rates), np.eye(1 << (m - 1 - qubit)))
 
 
 class _ReducedModel(NamedTuple):
@@ -257,12 +248,14 @@ class _ReducedModel(NamedTuple):
 
 
 def _reduced_model(spec: NeuronSpec, inputs: Sequence[float]) -> _ReducedModel:
-    """Assemble the reduced generator from the register structure.
+    """Assemble the reduced generator from per-qubit rates.
 
-    Every reset contact moves population between i and i xor bit_k and, as
-    a and b differ in every qubit, damps c at its own rate.  The interaction
-    chi (|a><b| + |b><a|) exchanges p_a and p_b through Im c.  Heat terms
-    are Tr[(H0 + Hint) L_k rho] = E . (L_k p) + 2 chi Re (L_k c).
+    Each qubit has its own reset: at rate r toward (1 - f, f), the 2 x 2 rate
+    matrix R = r [[-f, 1 - f], [f, -(1 - f)]], lifted as 1 (x) R (x) 1 onto the
+    populations.  As a and b differ in every qubit, every reset also damps c
+    at its own rate.  The interaction chi (|a><b| + |b><a|) exchanges p_a and
+    p_b through Im c.  Heat terms are Tr[(H0 + Hint) L_k rho] = E . (L_k p)
+    + 2 chi Re (L_k c).
     """
     reg_c = collector_register(spec)
     d = reg_c.dim
@@ -274,34 +267,35 @@ def _reduced_model(spec: NeuronSpec, inputs: Sequence[float]) -> _ReducedModel:
     flux = np.zeros(size)
 
     betas = (spec.beta0,) + tuple(inputs)
-    fixed_c = [BathContact(i, beta, spec.gamma) for i, beta in enumerate(betas)]
-    bath_m = BathContact(0, spec.beta_r, spec.gamma)
-    registers = ((reg_c, fixed_c, spec.mu, slice(0, d)),
-                 (modulator_register(spec), [bath_m], spec.mu_prime, slice(d + 2, size)))
-    for row, (reg, fixed, rate, blk) in enumerate(registers):
-        energies, eye = reg.level_energies(), np.eye(reg.dim)
-        for c in fixed:
-            tau = gibbs_qubit(c.beta, reg.gaps[c.qubit_index]).diagonal().real
-            rates = c.rate * (_level_map(reg, c.qubit_index, tau) - eye)
+    energies_c = reg_c.level_energies()
+    # Collector, then modulator: fixed baths on the leading qubits, the reservoir on the last.
+    registers = ((reg_c.gaps, energies_c, betas, spec.mu, slice(0, d)),
+                 ((spec.eps_z,), np.array([0.0, spec.eps_z]), (spec.beta_r,),
+                  spec.mu_prime, slice(d + 2, size)))
+    for row, (gaps, energies, fixed, rate, blk) in enumerate(registers):
+        m = len(gaps)
+        for k, beta in enumerate(fixed):
+            # r((1 - f) - 1), the dense reset's form; -f would move the outputs' last bits.
+            q, f = _thermal(beta, gaps[k])
+            rates = _lift(spec.gamma * np.array([[q - 1.0, q], [f, f - 1.0]]), k, m)
             gen0[blk, blk] += rates
-            flux[blk] += c.beta * (energies @ rates)
-        # The reservoir resets the last qubit toward
-        # diag(1 - g, g) = diag(1, 0) + g diag(-1, 1).
-        res0 = rate * (_level_map(reg, reg.m - 1, (1.0, 0.0)) - eye)
-        res1 = rate * _level_map(reg, reg.m - 1, (-1.0, 1.0))
+            flux[blk] += beta * (energies @ rates)
+        # The reservoir resets the last qubit toward (1 - g, g) = (1, 0) + g (-1, 1).
+        res0 = _lift(rate * np.array([[0.0, 1.0], [0.0, -1.0]]), m - 1, m)
+        res1 = _lift(rate * np.array([[-1.0, -1.0], [1.0, 1.0]]), m - 1, m)
         gen0[blk, blk] += res0
         gen1[blk, blk] += res1
         heat0[row, blk], heat1[row, blk] = energies @ res0, energies @ res1
 
-    # The pair: every contact damps c; the interaction exchanges p_a and p_b
+    # The pair: every reset damps c; the interaction exchanges p_a and p_b
     # through Im c.  E_a - E_b is zero up to the resonance tolerance.
-    decay = sum(c.rate for c in fixed_c) + spec.mu
-    detuning = reg_c.level_energies()[a] - reg_c.level_energies()[b]
+    decay = sum(spec.gamma for _ in betas) + spec.mu
+    detuning = energies_c[a] - energies_c[b]
     gen0[a, im], gen0[b, im] = -2.0 * chi, 2.0 * chi
     gen0[re, re], gen0[re, im] = -decay, detuning
     gen0[im, re], gen0[im, im] = -detuning, -decay
     gen0[im, a], gen0[im, b] = chi, -chi
-    flux[re] = -2.0 * chi * sum(c.beta * c.rate for c in fixed_c)
+    flux[re] = -2.0 * chi * sum(beta * spec.gamma for beta in betas)
     heat0[0, re] = -2.0 * chi * spec.mu
     return _ReducedModel(gen0, gen1, heat0, heat1, flux, (a, b))
 
@@ -368,10 +362,11 @@ def evolve_full(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
         dg = -spec.eps_z * g * (1.0 - g)
         return np.column_stack((k0 + g * k1, dg * (k1 @ y[:-1])))
 
-    betas = (spec.beta0,) + inputs
-    p_c0 = gibbs_register(collector_register(spec), betas + (beta_z0,)).diagonal().real
-    p_m0 = gibbs_register(modulator_register(spec), (spec.beta_r,)).diagonal().real
-    y0 = np.concatenate((p_c0, [0.0, 0.0], p_m0, [float(beta_z0)]))
+    # Product Gibbs states: Kronecker products of the qubits' populations.
+    p_c0 = np.ones(1)
+    for beta, gap in zip((spec.beta0,) + inputs + (beta_z0,), spec.eps + (spec.eps_z,)):
+        p_c0 = np.kron(p_c0, _thermal(beta, gap))
+    y0 = np.concatenate((p_c0, [0.0, 0.0], _thermal(spec.beta_r, spec.eps_z), [beta_z0]))
 
     times, ys = _solve(rhs, jac, y0, tau, per_decade,
                        "full integration failed: {}; consider rescaling the "

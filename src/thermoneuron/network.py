@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, StructuralError, TrainingError
-from .designer import (DesignConfig, Encoding, TruthTable, decode_array,
-                       weights_to_neuron)
+from .designer import DesignConfig, TruthTable, decode_array, weights_to_neuron
 from .neuron import NeuronSpec, steady_response
 
 __all__ = ["NetworkSpec", "NetworkResponse", "eval_layers", "eval_network",
@@ -191,7 +190,7 @@ def train_network(table: TruthTable, topology: Sequence[int],
     net = NetworkSpec(n_inputs=table.n, layers=tuple(layers), wiring=tuple(wiring))
 
     # Behavioral check through the exact steady-state composition.
-    enc = Encoding(config.beta_hot, config.beta_cold, delta=0.1, band="additive")
+    enc = config.encoding()
     finals = eval_layers(net, enc.rows(table.n))[-1][:, -1]
     decoded = decode_array(finals, enc).tolist()
     for (bits, out), final, got in zip(table.rows(), finals.tolist(), decoded):

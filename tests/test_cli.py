@@ -3,6 +3,9 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -60,6 +63,15 @@ class TestDesign:
             decoded = 0 if final <= 0.1 else (1 if final >= 0.9 else None)
             assert decoded == want
 
+    @pytest.mark.parametrize("layers", ["2,1", "0"])
+    def test_gate_with_layers_is_a_usage_error(self, tmp_path, capsys, layers):
+        out = tmp_path / "g.json"
+        code = main(["design", "--gate", "NOT", "--layers", layers, "--out", str(out)])
+        assert code == 2 and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: argument --layers: not allowed with argument --gate\n"
+
     def test_missing_table_exits_2(self, tmp_path):
         code = main(["design", "--table", str(tmp_path / "nope.tt"),
                      "--out", str(tmp_path / "x.json")])
@@ -109,6 +121,19 @@ class TestSimulate:
         assert residual <= 1e-4
         lines = Path(csv_path).read_text().splitlines()
         assert lines[1] == "t,beta_z,j_C,j_M,sigma_dot,sigma"
+
+    def test_full_mode_with_a_negative_input_temperature_warns_nothing(self, tmp_path):
+        # In a fresh process any warning would reach stderr; only the
+        # endpoint line may.
+        out = design_nor(tmp_path)
+        src = str(Path(tn.__file__).parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "thermoneuron.cli", "simulate", out, "--inputs", "0",
+             "-1e-3", "--mode", "full", "--tau", "1e3", "--out", str(tmp_path / "run.csv")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == 0
+        err = run.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("endpoint beta_z = ")
 
     def test_quasi_mode_has_no_register_cap(self, tmp_path, capsys):
         # An 11-input neuron: 13 collector qubits, past MAX_QUBITS.  The
@@ -173,6 +198,7 @@ class TestSimulate:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: full integration failed")
+        assert "between numbers; consider rescaling" in err[0]
 
     @pytest.mark.parametrize("mode, what", [("quasi", "quasi-static"), ("full", "full")])
     def test_lsoda_failure_exits_2_with_its_reason_on_one_line(self, tmp_path, capsys,
@@ -198,6 +224,10 @@ class TestSimulate:
         assert len(err) == 1
         assert err[0].startswith(f"error: {what} integration failed: lsoda: "
                                  "Repeated convergence failures")
+        assert ".;" not in err[0]
+        if mode == "full":
+            assert err[0].endswith("tolerances); consider rescaling the reservoir "
+                                   "capacity C to soften the slow time scale")
 
 
 class TestSweep:

@@ -213,14 +213,12 @@ class TestBehavioralCompilation:
         for gate in ("NOT", "NOR", "OR", "AND", "NAND", "MAJ3"):
             table = tn.gate_table(gate)
             cfg = tn.DesignConfig(alpha=1.0, eps_z=0.1, seed=3)
-            alpha = search_alpha(table, cfg, additive_decode)
+            alpha = search_alpha(table, cfg)
             assert alpha <= 4096.0
 
     @pytest.mark.parametrize("gate, alpha", [("NOT", 8.0), ("NOR", 4.0), ("MAJ3", 4.0)])
     def test_search_alpha_on_preset_weights(self, gate, alpha):
-        enc = tn.Encoding(delta=0.1, band="additive")
         found = search_alpha(tn.gate_table(gate), tn.DesignConfig(alpha=1.0),
-                             lambda beta_z: tn.decode(beta_z, enc),
                              weights=PRESET_WEIGHTS[gate])
         assert found == alpha
 
@@ -233,8 +231,7 @@ class TestBehavioralCompilation:
         table = tn.gate_table(gate)
 
         def search():
-            return search_alpha(table, cfg, lambda beta_z: tn.decode(beta_z, enc),
-                                weights=PRESET_WEIGHTS[gate])
+            return search_alpha(table, cfg, weights=PRESET_WEIGHTS[gate])
 
         if alpha is None:
             with pytest.raises(DesignError, match="no steepness up to 4096"):
@@ -247,6 +244,11 @@ class TestBehavioralCompilation:
         assert decode_array(means, enc).tolist() == list(table.outputs)
 
     def test_search_alpha_gives_up_at_alpha_max(self):
+        # NOR's weights never compute XOR, however steep.
         with pytest.raises(DesignError, match="no steepness up to 4096"):
-            search_alpha(tn.gate_table("NOR"), tn.DesignConfig(alpha=1.0),
-                         lambda beta_z: None, weights=PRESET_WEIGHTS["NOR"])
+            search_alpha(tn.gate_table("XOR"), tn.DesignConfig(alpha=1.0),
+                         weights=PRESET_WEIGHTS["NOR"])
+
+    def test_design_encoding_is_additive_on_the_rails(self):
+        enc = tn.DesignConfig(beta_hot=0.2, beta_cold=0.7).encoding()
+        assert enc == tn.Encoding(0.2, 0.7, delta=0.1, band="additive")

@@ -15,6 +15,7 @@ import thermoneuron as tn
 from thermoneuron import dynamics
 from thermoneuron.dynamics import CSV_HEADER, accumulated_dissipation
 from thermoneuron.errors import ConfigError, StructuralError
+from thermoneuron.quantum import QubitRegister, gibbs_register
 from thermoneuron.serialize import format_csv
 
 PAPER_NOT_KW = dict(mu=1e-4, gamma=1.0, chi=1.0, capacity=1.0)
@@ -231,6 +232,26 @@ class TestEvolveFull:
         for row in ((0.0,), (1.0,)):
             got = tn.evolve_full(nudged, row, 0.5, 1e8).endpoint
             assert abs(got - tn.evolve_full(exact, row, 0.5, 1e8).endpoint) < 1e-9
+
+    @pytest.mark.parametrize("gate, row", [("NOT", (0.0,)), ("NOR", (1.0, 0.0)),
+                                           ("MAJ3", (0.0, 1.0, 1.0)), ("NOR", (0.0, -1e-3))])
+    def test_starts_in_the_dense_product_gibbs_state_bit_for_bit(self, gate, row):
+        spec, beta_z0 = tn.preset(gate), 0.5
+        traj = tn.evolve_full(spec, row, beta_z0, 0.0)
+        want_c = gibbs_register(dynamics.collector_register(spec),
+                                (spec.beta0,) + row + (beta_z0,))
+        want_m = gibbs_register(QubitRegister((spec.eps_z,)), (spec.beta_r,))
+        assert np.array_equal(traj.final_rho_collector.diagonal().real,
+                              want_c.diagonal().real)
+        assert np.array_equal(traj.final_rho_modulator.diagonal().real,
+                              want_m.diagonal().real)
+
+    def test_negative_input_temperature_warns_nothing(self):
+        # A population-inverted input bath is a valid row of the full model.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = tn.evolve_full(tn.preset("NOR"), (0.0, -1e-3), 0.5, 1e3)
+        assert np.isfinite(traj.endpoint)
 
     @pytest.mark.parametrize("gate, row", [("MAJ3", (0.0, 1.0, 1.0)),
                                            ("NOR", (0.0, 0.0))])

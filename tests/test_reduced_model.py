@@ -12,8 +12,9 @@ from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 import thermoneuron as tn
 from thermoneuron import dynamics
-from thermoneuron.quantum import (BathContact, gibbs_register, heat_current,
-                                  lindblad_rhs, reset_dissipator, superoperator_matrix)
+from thermoneuron.quantum import (BathContact, QubitRegister, gibbs_register,
+                                  heat_current, lindblad_rhs, reset_dissipator,
+                                  superoperator_matrix)
 from thermoneuron.virtual import coupled_levels
 from conftest import thermalize_qubit
 
@@ -81,7 +82,7 @@ def test_reduced_generator_is_the_restricted_dense_one(name, beta_z):
     assert np.abs(gen[:d + 2, :d + 2] - want).max() <= 1e-14
     assert not gen[:d + 2, d + 2:].any() and not gen[d + 2:, :d + 2].any()
 
-    reg_m = dynamics.modulator_register(spec)
+    reg_m = QubitRegister((spec.eps_z,))
     contacts = dynamics.modulator_contacts(spec, beta_z)
     dense_m = superoperator_matrix(
         lambda r: sum(reset_dissipator(r, c, reg_m) for c in contacts), reg_m.dim)
@@ -99,7 +100,7 @@ def test_heat_rows_are_the_dense_currents(name):
     rho_c = np.diag(x[:d]).astype(complex)
     rho_c[a, b], rho_c[b, a] = complex(x[d], x[d + 1]), complex(x[d], -x[d + 1])
     rho_m = np.diag(x[d + 2:]).astype(complex)
-    reg_c, reg_m = dynamics.collector_register(spec), dynamics.modulator_register(spec)
+    reg_c, reg_m = dynamics.collector_register(spec), QubitRegister((spec.eps_z,))
     h0, hint = dynamics.collector_hamiltonian(spec)
     h_c, h_m = h0 + hint, reg_m.free_hamiltonian()
     beta_z = 0.37
@@ -122,7 +123,7 @@ def dense_evolve_full(spec, inputs, beta_z0, tau, per_decade, rtol, atol):
     """The dense co-integration: both density matrices as 2 d^2 real numbers,
     BDF with a finite-difference Jacobian, one sample at a time."""
     reg_c = dynamics.collector_register(spec)
-    reg_m = dynamics.modulator_register(spec)
+    reg_m = QubitRegister((spec.eps_z,))
     h0, hint = dynamics.collector_hamiltonian(spec)
     h_c, h_m = h0 + hint, reg_m.free_hamiltonian()
     betas = (spec.beta0,) + tuple(inputs)
