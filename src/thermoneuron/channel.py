@@ -88,6 +88,8 @@ def mc_conditional_outputs(machine, enc: Encoding, spread: float,
     """Monte Carlo estimate of the channel table (independent sampling oracle)."""
     if not (spread > 0.0):
         raise ConfigError("channel spread must be positive")
+    if n_samples < 1:
+        raise ConfigError(f"n_samples must be at least 1, got {n_samples!r}")
     rng = np.random.default_rng(seed)
     means = machine_response(machine, enc.rows(machine_arity(machine)))
     table = np.empty((len(means), 3))
@@ -114,7 +116,8 @@ def average_error(stats: ChannelStats, table: TruthTable,
     if stats.p_y_given_x.shape[0] != n_rows:
         raise StructuralError("channel table and truth table arity mismatch")
     p_x = _uniform(n_rows) if input_dist is None else np.asarray(input_dist, float)
-    if len(p_x) != n_rows or abs(p_x.sum() - 1.0) > 1e-9 or np.any(p_x < 0):
+    if (len(p_x) != n_rows or not np.isfinite(p_x).all()
+            or abs(p_x.sum() - 1.0) > 1e-9 or np.any(p_x < 0)):
         raise ConfigError("input distribution must be a probability vector")
     xi = 0.0
     invalid = 0.0

@@ -59,10 +59,10 @@ def _machine_rails(machine) -> tuple[float, float]:
     return spec.beta_hot, spec.beta_cold
 
 
-def _encoding(args, machine=None, band=None) -> Encoding:
+def _encoding(args, machine=None) -> Encoding:
     rails = _machine_rails(machine) if machine is not None else (0.0, 1.0)
     return Encoding(beta_hot=rails[0], beta_cold=rails[1],
-                    delta=args.delta, band=band or args.band)
+                    delta=args.delta, band=args.band)
 
 
 # Argument converters, passed to argparse as `type=`.  argparse turns an
@@ -338,7 +338,7 @@ def cmd_verify(args) -> int:
     machine, _ = _load_machine(args.machine)
     table = args.table or gate_table(args.gate)
     _check_arity(machine, table.n, "the table")
-    enc = _encoding(args, machine, band=args.band)
+    enc = _encoding(args, machine)
     stats = ch.conditional_outputs(machine, enc, args.channel_width)
     failures = []
     for (bits, expected), final, got, probs in zip(

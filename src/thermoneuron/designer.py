@@ -139,14 +139,18 @@ class TruthTable:
 
     @classmethod
     def from_text(cls, text: str) -> "TruthTable":
-        """Parse lines of the form 'b1 b2 ... bn : r' (the colon is optional)."""
+        """Parse lines of the form 'b1 b2 ... bn : r'.  The colon is optional;
+        a line with one has at least one bit before it and one output after."""
         rows = {}
         n = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            tokens = line.replace(":", " ").split()
+            head, colon, tail = line.partition(":")
+            if colon and (":" in tail or not head.split() or len(tail.split()) != 1):
+                raise ConfigError(f"truth table line {lineno}: expected 'bits : output'")
+            tokens = head.split() + tail.split()
             if len(tokens) < 2:
                 raise ConfigError(f"truth table line {lineno}: need bits and an output")
             try:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, SolverError, StructuralError
 from .neuron import NeuronSpec
-from .quantum import BathContact, QubitRegister, fermi_population
+from .quantum import BathContact, QubitRegister, _thermal
 from .virtual import (build_interaction_hamiltonian, coupled_levels,
                       virtual_temperature)
 
@@ -214,12 +214,6 @@ def modulator_contacts(spec: NeuronSpec, beta_z: float) -> list[BathContact]:
     if spec.mu_prime > 0:
         contacts.append(BathContact(0, beta_z, spec.mu_prime))
     return contacts
-
-
-def _thermal(beta: float, gap: float) -> tuple[float, float]:
-    """Gibbs populations (1 - f, f) of a qubit, f = fermi_population(beta gap)."""
-    f = fermi_population(beta * gap)
-    return 1.0 - f, f
 
 
 def _lift(rates: np.ndarray, qubit: int, m: int) -> np.ndarray:

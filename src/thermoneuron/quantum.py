@@ -19,9 +19,9 @@ takes one small matrix exponential per block.
 
 Cost.  `lindblad_rhs` acts on the last two axes, so a stack of k operators
 costs one call: one check of the Hamiltonians (two d x d products), two
-(k, d, d) x (d, d) products, and per contact one gather through an index
-table and Gibbs weights cached per (m, qubit) and per (m, qubit, beta*gap), in
-(k, d^2) temporaries.  `steady_state` and `integrate_master` take a linear
+(k, d, d) x (d, d) products, and per contact four elementwise operations on
+a reshaped view, with no index table and no cached state, in (k, d^2)
+temporaries.  `steady_state` and `integrate_master` take a linear
 `rhs` that acts on the last two axes; they probe it with stacks of basis
 operators, PROBE_BLOCK entries per call, and keep only the nonzero entries,
 so they need memory of order nnz + K d^2, never the d^2 x d^2 matrix.
@@ -32,7 +32,6 @@ horizon.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -98,10 +97,15 @@ def fermi_population(x):
     return z / (1.0 + z) if x >= 0.0 else 1.0 / (1.0 + z)
 
 
+def _thermal(beta: float, gap: float) -> tuple[float, float]:
+    """Gibbs populations (1 - f, f) of a qubit, f = fermi_population(beta gap)."""
+    f = fermi_population(beta * gap)
+    return 1.0 - f, f
+
+
 def gibbs_qubit(beta: float, eps: float) -> np.ndarray:
     """Single-qubit thermal state diag(1 - g, g) with g = fermi_population(beta*eps)."""
-    g = fermi_population(beta * eps)
-    return np.diag([1.0 - g, g]).astype(complex)
+    return np.diag(_thermal(beta, eps)).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -178,47 +182,24 @@ def _check_state_shape(rho: np.ndarray, register: QubitRegister) -> None:
             f"state shape {rho.shape} does not match register dimension {register.dim}")
 
 
-@functools.lru_cache(maxsize=16)
-def _reset_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather table of a reset of qubit k, over flat indices p = i*d + j.
-
-    `partner` indexes (i xor s, j xor s), s = 2^(m-1-k); `slot` is bit k of
-    i, or 2 where i and j differ there.
-    """
-    if not 0 <= k < m:
-        raise StructuralError(f"qubit index {k} outside register of size {m}")
-    d, shift = 1 << m, m - 1 - k
-    p = np.arange(d * d)
-    partner = p ^ ((d + 1) << shift)
-    bit_i, bit_j = (p >> (m + shift)) & 1, (p >> shift) & 1
-    slot = np.where(bit_i == bit_j, bit_i, 2)
-    partner.flags.writeable = slot.flags.writeable = False
-    return partner, slot
-
-
-@functools.lru_cache(maxsize=32)
-def _reset_weights(m: int, k: int, x: float) -> np.ndarray:
-    """[1 - g, g, 0][slot] of `_reset_table(m, k)`, g = fermi_population(x)
-    for x = beta * gap: the weight of tau at each flat index."""
-    g = fermi_population(x)
-    weights = np.array([1.0 - g, g, 0.0], dtype=complex)[_reset_table(m, k)[1]]
-    weights.flags.writeable = False
-    return weights
-
-
 def reset_dissipator(rho: np.ndarray, contact: BathContact,
                      register: QubitRegister) -> np.ndarray:
     """gamma * (Tr_k[rho] (x) tau(beta_k) - rho); traceless and Hermiticity-preserving.
 
-    Acts on the last two axes of `rho`, as one gather over the flattened
-    operator: rate * (tau[bit] * (rho + rho[partner]) - rho).
+    Acts on the last two axes of `rho`, each split as (2^k, 2, 2^(m-1-k)) so
+    that qubit k has an axis of size 2 on either side.  With rho' the view of
+    rho with qubit k flipped on both sides and w = diag(tau) on those two axes,
+    it is rate * (w * (rho + rho') - rho): where the sides agree, the sum is
+    the partial trace, weighted by tau; where they differ, it is dropped.
     """
     _check_state_shape(rho, register)
     k, m = contact.qubit_index, register.m
-    partner, _ = _reset_table(m, k)   # checks k before gaps[k]
-    weights = _reset_weights(m, k, contact.beta * register.gaps[k])
-    flat = rho.reshape(rho.shape[:-2] + (-1,))
-    out = contact.rate * (weights * (flat + np.take(flat, partner, axis=-1)) - flat)
+    if not 0 <= k < m:
+        raise StructuralError(f"qubit index {k} outside register of size {m}")
+    t = rho.reshape(rho.shape[:-2] + (1 << k, 2, 1 << (m - 1 - k)) * 2)
+    tau = np.array(_thermal(contact.beta, register.gaps[k]), dtype=complex)
+    w = np.diag(tau).reshape(2, 1, 1, 2, 1)
+    out = contact.rate * (w * (t + t[..., ::-1, :, :, ::-1, :]) - t)
     return out.reshape(rho.shape)
 
 
@@ -249,10 +230,8 @@ def lindblad_rhs(rho: np.ndarray, h0: np.ndarray, hint: np.ndarray,
             f"interaction does not conserve energy: max|[Hint, H0]| = {worst:.3e} "
             f"> {COMMUTATOR_TOL:.0e}")
     out = -1j * (h @ rho - rho @ h)
-    # Each term is freed only after the next is made: freed at once, a stack's
-    # temporaries go back to the OS and fault in again (1.7x slower at d = 32).
-    for row in (reset_dissipator(rho, c, register) for c in contacts):
-        out += row
+    for c in contacts:
+        out += reset_dissipator(rho, c, register)
     return out
 
 

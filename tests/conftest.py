@@ -69,7 +69,7 @@ def random_density_matrix(dim, rng):
 def thermalize_qubit(rho, k, m, tau):
     """Tr_k[rho] tensored with tau reinserted at slot k, by einsum over the
     last two axes: the formula `quantum.reset_dissipator` used before it
-    gathered through cached index tables, kept as its bit-for-bit oracle."""
+    became elementwise, kept as its bit-for-bit oracle."""
     d1 = 1 << k
     d2 = 1 << (m - k - 1)
     t = rho.reshape(rho.shape[:-2] + (d1, 2, d2, d1, 2, d2))

@@ -120,6 +120,12 @@ class TestGaussianChannel:
                     se = np.sqrt(max(p * (1 - p), 1e-12) / n_samples)
                     assert abs(mc.p_y_given_x[i, j] - p) <= 3.0 * se
 
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_monte_carlo_needs_a_sample(self, n_samples):
+        spec = tn.preset("NOT", tn.DesignConfig(alpha=5.0))
+        with pytest.raises(ConfigError, match="n_samples must be at least 1"):
+            tn.mc_conditional_outputs(spec, tn.Encoding(), 0.05, n_samples, seed=1)
+
 
 class TestAverageError:
     def test_perfect_machine_has_zero_error(self):
@@ -154,6 +160,14 @@ class TestAverageError:
         stats = tn.conditional_outputs(spec, enc, 0.1)
         xi_0, _ = tn.average_error(stats, tn.gate_table("NOT"), (1.0, 0.0))
         assert abs(xi_0 - stats.p_y_given_x[0, 0]) < 1e-15
+
+    @pytest.mark.parametrize("dist", [[np.nan] * 4, [0.5, 0.5, np.nan, 0.0],
+                                      [np.inf, 0.0, 0.0, 0.0]])
+    def test_non_finite_input_distribution_rejected(self, dist):
+        spec = tn.preset("NOR", tn.DesignConfig(alpha=20.0))
+        stats = tn.conditional_outputs(spec, tn.Encoding(), 0.1)
+        with pytest.raises(ConfigError, match="probability vector"):
+            tn.average_error(stats, tn.gate_table("NOR"), dist)
 
 
 class TestAverageDissipation:

@@ -356,6 +356,17 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", out, "--table", str(tmp_path / "no.tt")]) == 2
 
+    def test_misplaced_colon_in_table_exits_2_with_one_line(self, tmp_path, capsys):
+        out = design_nor(tmp_path)
+        table = tmp_path / "bad.tt"
+        table.write_text("0 0 : 1\n0 1 : 0\n1 0 : 0\n1 : 1 0\n")
+        capsys.readouterr()
+        assert main(["verify", out, "--table", str(table)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: argument --table: truth table line 4: "
+                              "expected 'bits : output'")
+
     def test_incomplete_wide_table_exits_2_with_one_short_line(self, tmp_path, capsys):
         out = design_nor(tmp_path)
         table = tmp_path / "wide.tt"

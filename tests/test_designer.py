@@ -30,6 +30,14 @@ class TestTruthTable:
         table = tn.TruthTable.from_text("1 1\n0 0\n")
         assert table.n == 1 and table.outputs == (0, 1)
 
+    @pytest.mark.parametrize("line", ["0 : 0 1", ": 0 0 1", "0 0 :", "0 : 1 : 0",
+                                      "0 :: 1", "0 : 1:"])
+    def test_misplaced_colon_rejected(self, line):
+        text = f"0 0 : 1\n{line}\n"
+        with pytest.raises(ConfigError,
+                           match=r"^truth table line 2: expected 'bits : output'$"):
+            tn.TruthTable.from_text(text)
+
     def test_incomplete_rejected(self):
         with pytest.raises(ConfigError, match="incomplete"):
             tn.TruthTable.from_text("0 0 : 1\n0 1 : 0\n")

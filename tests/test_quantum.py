@@ -138,8 +138,8 @@ def _einsum_rhs(rho, h0, hint, contacts, reg):
 
 
 class TestGatheredReset:
-    """The resets gathered through cached index tables equal the einsum
-    partial trace bit for bit."""
+    """The resets, computed on a flipped view of the state with no index
+    table or cache, equal the einsum partial trace bit for bit."""
 
     CASES = {
         "no-contacts": ((1.0, 0.5), []),
@@ -196,9 +196,10 @@ class TestGatheredReset:
         reg = QubitRegister((1.0, 0.5))
         rho = np.eye(4, dtype=complex) / 4
         tn.reset_dissipator(rho, BathContact(1, 1.0, 1.0), reg)
-        for _ in range(2):
-            with pytest.raises(StructuralError, match="qubit index 2 outside"):
-                tn.reset_dissipator(rho, BathContact(2, 1.0, 1.0), reg)
+        # -1 would otherwise read gaps[-1], the last qubit's gap.
+        for k in (2, -1, 2):
+            with pytest.raises(StructuralError, match=f"qubit index {k} outside"):
+                tn.reset_dissipator(rho, BathContact(k, 1.0, 1.0), reg)
 
 
 def _not_collector():
