@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .designer import (BANDS, DesignConfig, Encoding, TruthTable, decode,
-                       decode_array, encode, gate_table, preset)
+from .designer import (BANDS, DesignConfig, Encoding, TruthTable, _check_count,
+                       decode, decode_array, encode, gate_table, preset)
 from .dynamics import accumulated_dissipation, evolve_quasi_static
 from .network import NetworkSpec, eval_layers
 from .neuron import NeuronSpec, inverter, steady_response
@@ -36,7 +36,12 @@ __all__ = [
     "tradeoff_machine",
     "tradeoff_sweep",
     "gaussian_band_probs",
+    "TRADEOFF_KNOBS",
 ]
+
+# The steepness a tradeoff sweeps: the inverter's input gap, or a preset's alpha.
+TRADEOFF_KNOBS = ("eps1", "alpha")
+
 
 def machine_arity(machine) -> int:
     if isinstance(machine, NetworkSpec):
@@ -88,8 +93,8 @@ def mc_conditional_outputs(machine, enc: Encoding, spread: float,
     """Monte Carlo estimate of the channel table (independent sampling oracle)."""
     if not (spread > 0.0):
         raise ConfigError("channel spread must be positive")
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be at least 1, got {n_samples!r}")
+    _check_count("n_samples", n_samples, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     means = machine_response(machine, enc.rows(machine_arity(machine)))
     table = np.empty((len(means), 3))
@@ -116,7 +121,7 @@ def average_error(stats: ChannelStats, table: TruthTable,
     if stats.p_y_given_x.shape[0] != n_rows:
         raise StructuralError("channel table and truth table arity mismatch")
     p_x = _uniform(n_rows) if input_dist is None else np.asarray(input_dist, float)
-    if (len(p_x) != n_rows or not np.isfinite(p_x).all()
+    if (p_x.shape != (n_rows,) or not np.isfinite(p_x).all()
             or abs(p_x.sum() - 1.0) > 1e-9 or np.any(p_x < 0)):
         raise ConfigError("input distribution must be a probability vector")
     xi = 0.0
@@ -154,10 +159,18 @@ class TradeoffPoint:
     avg_invalid: float
 
 
+def _check_knob(gate: str, knob: str) -> None:
+    if knob not in TRADEOFF_KNOBS:
+        raise ConfigError("knob must be 'eps1' or 'alpha'")
+    if knob == "eps1" and gate.upper() != "NOT":
+        raise ConfigError("the eps1 knob applies to the NOT gate only")
+
+
 def tradeoff_machine(gate: str, knob: str, value: float,
                      config: DesignConfig) -> NeuronSpec:
     """The machine at one knob value: the inverter with input gap eps_1 = value
-    (knob 'eps1'), or the gate's preset at steepness alpha = value."""
+    (knob 'eps1', NOT only), or the gate's preset at steepness alpha = value."""
+    _check_knob(gate, knob)
     if knob == "eps1":
         return inverter(eps_input=float(value), beta0=0.5, eps_z=config.eps_z,
                         **config.physical())
@@ -170,10 +183,7 @@ def tradeoff_sweep(gate: str, knob: str, grid: Sequence[float], enc: Encoding,
     """Dissipation-vs-error curve along a steepness grid (eps1 or alpha)."""
     config = config or DesignConfig()
     table = gate_table(gate)
-    if knob not in ("eps1", "alpha"):
-        raise ConfigError("knob must be 'eps1' or 'alpha'")
-    if knob == "eps1" and gate.upper() != "NOT":
-        raise ConfigError("the eps1 knob applies to the NOT gate only")
+    _check_knob(gate, knob)   # before the loop, which an empty grid skips
     points = []
     for value in grid:
         machine = tradeoff_machine(gate, knob, value, config)

@@ -24,6 +24,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -423,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tradeoff", help="dissipation-vs-error curve")
     p.add_argument("--gate", default="NOT", choices=sorted(PRESET_WEIGHTS))
-    p.add_argument("--knob", choices=("eps1", "alpha"), default="eps1")
+    p.add_argument("--knob", choices=ch.TRADEOFF_KNOBS, default="eps1")
     p.add_argument("--grid", type=_parse_grid, required=True)
     p.add_argument("--tau", type=_finite, default=1e8)
     p.add_argument("--C", dest="channel_width", type=_finite, default=0.05,
@@ -448,15 +449,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:   # --help
-        return int(exc.code) if exc.code is not None else EXIT_USAGE
-    except (ThermoneuronError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # A warning prints as one line, like an error; the filters stay as they are.
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except SystemExit as exc:   # --help
+            return int(exc.code) if exc.code is not None else EXIT_USAGE
+        except (ThermoneuronError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ the perceptron's weighted sum.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -50,6 +52,14 @@ ALPHA_MAX = 4096.0
 BANDS = ("multiplicative", "additive")
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a count or seed that is not an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Encoding:
     """Logic rails plus the decoding tolerance delta.  Bits enter as bath
@@ -64,8 +74,8 @@ class Encoding:
     band: str = "multiplicative"
 
     def __post_init__(self):
-        if not (self.beta_hot < self.beta_cold):
-            raise ConfigError("rails must satisfy beta_hot < beta_cold")
+        if not (-math.inf < self.beta_hot < self.beta_cold < math.inf):
+            raise ConfigError("rails must be finite and satisfy beta_hot < beta_cold")
         if not (0.0 <= self.delta < 1.0):
             raise ConfigError("delta must lie in [0, 1)")
         if self.band not in BANDS:
@@ -213,28 +223,25 @@ def gate_table(name: str) -> TruthTable:
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Steepness, nominal target gap, training seed, and physical defaults."""
+    """Steepness, nominal target gap, training seed, the reservoir rate mu and
+    the rails.  A design's chi, gamma and capacity are NeuronSpec's defaults."""
 
     alpha: float = 20.0
     eps_z: float = 0.1
     seed: int = 0
     mu: float = NeuronSpec.mu
-    gamma: float = NeuronSpec.gamma
-    chi: float = NeuronSpec.chi
     beta_hot: float = NeuronSpec.beta_hot
     beta_cold: float = NeuronSpec.beta_cold
-    capacity: float = NeuronSpec.capacity
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ConfigError("alpha must be positive")
-        if not (self.eps_z > 0):
-            raise ConfigError("eps_z must be positive")
+        for name in ("alpha", "eps_z"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        _check_count("seed", self.seed, 0)
 
     def physical(self) -> dict:
-        return dict(mu=self.mu, gamma=self.gamma, chi=self.chi,
-                    beta_hot=self.beta_hot, beta_cold=self.beta_cold,
-                    capacity=self.capacity)
+        return dict(mu=self.mu, beta_hot=self.beta_hot, beta_cold=self.beta_cold)
 
     def encoding(self) -> Encoding:
         """The rule a design must decode under: additive bands, delta = 0.1, on the rails."""

@@ -59,6 +59,8 @@ __all__ = [
 
 CSV_HEADER = ("t", "beta_z", "j_C", "j_M", "sigma_dot", "sigma")
 QUASI_RTOL = 1e-9   # relative tolerance of the quasi-static run
+FULL_RTOL, FULL_ATOL = 1e-8, 1e-12   # tolerances of the full co-integration
+PER_DECADE = 200    # samples per decade of t, from min(1e-2, tau/10) to tau
 
 
 @dataclass
@@ -96,25 +98,25 @@ class Trajectory:
         return float(self.beta_z[-1])
 
 
-def _sample_times(tau: float, per_decade: int) -> np.ndarray:
+def _sample_times(tau: float) -> np.ndarray:
     if tau <= 0.0:
         return np.array([0.0])
     lo = min(1e-2, tau / 10.0)
     decades = math.log10(tau / lo)
-    npts = max(2, int(math.ceil(decades * per_decade)))
+    npts = max(2, int(math.ceil(decades * PER_DECADE)))
     ts = np.geomspace(lo, tau, npts)
     ts[-1] = tau
     return np.concatenate(([0.0], ts))
 
 
-def _solve(rhs, jac, y0: np.ndarray, tau: float, per_decade: int, failure: str,
+def _solve(rhs, jac, y0: np.ndarray, tau: float, failure: str,
            rtol: float, atol: float) -> tuple[np.ndarray, np.ndarray]:
     """Sample times and the states there (one column each) of dy/dt = rhs from
     y0 by LSODA; tau = 0 gives y0 alone.  `failure` is the SolverError text
     around {}.  LSODA states why it failed only in a warning, so the warnings
     of the solve are held: a failure raises with their text in place of
     solve_ivp's generic message, a success re-emits them once each."""
-    times = _sample_times(tau, per_decade)
+    times = _sample_times(tau)
     if tau <= 0.0:
         return times, y0[:, None]
     from scipy.integrate import solve_ivp
@@ -153,7 +155,7 @@ def _check_run(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
 
 
 def evolve_quasi_static(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
-                        tau: float, *, per_decade: int = 200) -> Trajectory:
+                        tau: float) -> Trajectory:
     """Integrate the calorimetric equation with the fast parts at steady state."""
     inputs = _check_run(spec, inputs, beta_z0, tau)
     betas = (spec.beta0,) + inputs
@@ -177,7 +179,7 @@ def evolve_quasi_static(spec: NeuronSpec, inputs: Sequence[float], beta_z0: floa
         dg = -spec.eps_z * g * (1.0 - g) if math.isfinite(bz * spec.eps_z) else 0.0
         return [[(spec.mu + spec.mu_prime) * spec.eps_z * dg / spec.capacity]]
 
-    times, (bz,) = _solve(rhs, jac, np.array([float(beta_z0)]), tau, per_decade,
+    times, (bz,) = _solve(rhs, jac, np.array([float(beta_z0)]), tau,
                           "quasi-static integration failed: {}", QUASI_RTOL, 1e-13)
     g_bz, j_c, j_m = currents(bz)
     sdot = (spec.mu * spec.eps_z * (g_v - g_bz) * (bz - beta_v)
@@ -311,8 +313,7 @@ def _pair_block(x: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 def evolve_full(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
-                tau: float, *, per_decade: int = 200, rtol: float = 1e-8,
-                atol: float = 1e-12) -> Trajectory:
+                tau: float) -> Trajectory:
     """Co-integrate collector state, modulator state, and the reservoir temperature.
 
     The collector and modulator evolve as separate registers (they share no
@@ -362,10 +363,10 @@ def evolve_full(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
         p_c0 = np.kron(p_c0, _thermal(beta, gap))
     y0 = np.concatenate((p_c0, [0.0, 0.0], _thermal(spec.beta_r, spec.eps_z), [beta_z0]))
 
-    times, ys = _solve(rhs, jac, y0, tau, per_decade,
+    times, ys = _solve(rhs, jac, y0, tau,
                        "full integration failed: {}; consider rescaling the "
                        "reservoir capacity C to soften the slow time scale",
-                       rtol, atol)
+                       FULL_RTOL, FULL_ATOL)
     xs = ys[:-1].T
     bz_arr = ys[-1].copy()
     g = spec.g_z(bz_arr)

@@ -157,7 +157,7 @@ class NeuronSpec:
         if slow > 0 and self.gamma / slow < RATE_SEPARATION:
             warnings.warn(
                 f"weak time-scale separation: gamma/max(mu, mu') = "
-                f"{self.gamma / slow:.1f} < {RATE_SEPARATION:.0f}",
+                f"{self.gamma / slow:.3g} < {RATE_SEPARATION:.0f}",
                 stacklevel=3)   # past the dataclass __init__, at the builder
 
     @property
@@ -200,12 +200,13 @@ class TransferPoint:
 
 def build_neuron(eps: Sequence[float], h: Sequence[int], beta0: float,
                  eps_z: float, *, mu: float = NeuronSpec.mu,
-                 gamma: float = NeuronSpec.gamma, chi: float = NeuronSpec.chi,
-                 beta_hot: float = NeuronSpec.beta_hot, beta_cold: float = NeuronSpec.beta_cold,
-                 capacity: float = NeuronSpec.capacity) -> NeuronSpec:
+                 beta_hot: float = NeuronSpec.beta_hot,
+                 beta_cold: float = NeuronSpec.beta_cold) -> NeuronSpec:
     """Assemble a calibrated NeuronSpec; flips the level labels if needed.
 
     ``eps_z`` must equal |sum_i (-1)^(h_i) eps_i| to within RESONANCE_TOL.
+    The modulator is calibrated to the rails at rate ``mu``; chi, gamma and
+    the capacity C are NeuronSpec's defaults.
     """
     h = tuple(int(b) for b in h)
     if virtual_gap(h, eps) > 0:
@@ -213,8 +214,7 @@ def build_neuron(eps: Sequence[float], h: Sequence[int], beta0: float,
     cal = calibrate_modulator(beta_hot, beta_cold, eps_z, mu)
     return NeuronSpec(eps=tuple(float(e) for e in eps), h=h, beta0=beta0,
                       eps_z=eps_z, beta_r=cal.beta_r, mu_prime=cal.mu_prime,
-                      chi=chi, gamma=gamma, mu=mu, beta_hot=beta_hot,
-                      beta_cold=beta_cold, capacity=capacity)
+                      mu=mu, beta_hot=beta_hot, beta_cold=beta_cold)
 
 
 def inverter(eps_input: float = 20.0, beta0: float = 0.5, eps_z: float = 0.1,

@@ -47,7 +47,7 @@ def test_02_two_timescale_consistency():
     # Full 4-qubit co-integration vs the quasi-static endpoint (1% relative)
     # and the quasi-static endpoint vs the closed-form fixed point (1e-4).
     start = time.perf_counter()
-    spec = tn.inverter(20.0, 0.5, 0.1, mu=1e-4, gamma=1.0, chi=1.0, capacity=1.0)
+    spec = tn.inverter(20.0, 0.5, 0.1, mu=1e-4)
     tau = 1e8
     full = tn.evolve_full(spec, (0.0,), 0.5, tau)
     quasi = tn.evolve_quasi_static(spec, (0.0,), 0.5, tau)
@@ -178,7 +178,7 @@ def test_08_second_law():
         spec = random_neuron(rng)
         inputs = random_inputs(rng, spec)
         beta_z0 = float(rng.uniform(spec.beta_hot, spec.beta_cold))
-        traj = tn.evolve_quasi_static(spec, inputs, beta_z0, 1e3, per_decade=15)
+        traj = tn.evolve_quasi_static(spec, inputs, beta_z0, 1e3)
         worst_rate = min(worst_rate, float(traj.sigma_dot.min()))
 
     spec = tn.inverter(20.0, 0.5, 0.1)

@@ -82,6 +82,9 @@ class TestEncoding:
             tn.encode(2, enc)
         with pytest.raises(ConfigError):
             tn.Encoding(beta_hot=1.0, beta_cold=0.0)
+        for rails in ((0.0, np.inf), (-np.inf, 1.0)):
+            with pytest.raises(ConfigError, match="rails must be finite"):
+                tn.Encoding(*rails)
 
 
 class TestGaussianChannel:
@@ -126,6 +129,17 @@ class TestGaussianChannel:
         with pytest.raises(ConfigError, match="n_samples must be at least 1"):
             tn.mc_conditional_outputs(spec, tn.Encoding(), 0.05, n_samples, seed=1)
 
+    @pytest.mark.parametrize("n_samples, seed, message", [
+        (2.5, 1, "n_samples must be an integer, got 2.5"),
+        (True, 1, "n_samples must be an integer, got True"),
+        (10, -1, "seed must be at least 0, got -1"),
+        (10, 1.0, "seed must be an integer, got 1.0"),
+    ])
+    def test_monte_carlo_needs_integer_counts(self, n_samples, seed, message):
+        spec = tn.preset("NOT")
+        with pytest.raises(ConfigError, match=message):
+            tn.mc_conditional_outputs(spec, tn.Encoding(), 0.05, n_samples, seed)
+
 
 class TestAverageError:
     def test_perfect_machine_has_zero_error(self):
@@ -168,6 +182,11 @@ class TestAverageError:
         stats = tn.conditional_outputs(spec, tn.Encoding(), 0.1)
         with pytest.raises(ConfigError, match="probability vector"):
             tn.average_error(stats, tn.gate_table("NOR"), dist)
+
+    def test_scalar_input_distribution_rejected(self):
+        stats = tn.conditional_outputs(tn.preset("NOR"), tn.Encoding(), 0.1)
+        with pytest.raises(ConfigError, match="probability vector"):
+            tn.average_error(stats, tn.gate_table("NOR"), 0.25)
 
 
 class TestAverageDissipation:
@@ -249,3 +268,13 @@ class TestTradeoffSweep:
     def test_eps1_knob_not_only(self):
         with pytest.raises(ConfigError):
             tn.tradeoff_sweep("NOR", "eps1", [2.0], tn.Encoding(), 0.05, 1e6)
+
+    @pytest.mark.parametrize("gate, knob, message", [
+        ("MAJ3", "eps1", "the eps1 knob applies to the NOT gate only"),
+        ("NOT", "foo", "knob must be 'eps1' or 'alpha'"),
+    ])
+    def test_machine_refuses_an_unsupported_knob(self, gate, knob, message):
+        with pytest.raises(ConfigError, match=message):
+            channel.tradeoff_machine(gate, knob, 2.0, tn.DesignConfig())
+        with pytest.raises(ConfigError, match=message):
+            tn.tradeoff_sweep(gate, knob, [], tn.Encoding(), 0.05, 1e6)

@@ -78,6 +78,22 @@ class TestDesign:
         assert code == 2
 
 
+    def test_warnings_show_as_one_line_each(self, tmp_path):
+        # In a fresh process, as a user runs it: one `warning:` line per
+        # warning, without the library line that raised it.
+        table = tmp_path / "nor.tt"
+        table.write_text("0 0 : 1\n0 1 : 0\n1 0 : 0\n1 1 : 0\n")
+        src = str(Path(tn.__file__).parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "thermoneuron.cli", "design", "--table", str(table),
+             "--eps-z", "1e-12", "--out", str(tmp_path / "a.json")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == 0
+        assert run.stderr.splitlines() == [
+            "warning: modulator coupling nearly vanishes (delta = 5.000e-12)",
+            "warning: weak time-scale separation: gamma/max(mu, mu') = 5e-08 < 100"]
+
+
 class TestSteady:
     def test_not_preset_inverts(self, tmp_path, capsys):
         out = str(tmp_path / "not.json")

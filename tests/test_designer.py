@@ -167,12 +167,25 @@ class TestWeightsToNeuron:
             assert additive_decode(ra) == additive_decode(rb)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("alpha", np.inf, "alpha must be positive and finite, got inf"),
+    ("alpha", np.nan, "alpha must be positive and finite, got nan"),
+    ("eps_z", np.inf, "eps_z must be positive and finite, got inf"),
+    ("eps_z", 0.0, "eps_z must be positive and finite, got 0.0"),
+    ("seed", -1, "seed must be at least 0, got -1"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+])
+def test_design_config_refuses_what_would_fail_later(field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        tn.DesignConfig(**{field: value})
+
+
 def test_physical_defaults_are_the_neuron_spec_defaults():
     # NeuronSpec states the physical defaults; build_neuron and DesignConfig
     # read them from there.
     import dataclasses
     import inspect
-    names = ("mu", "gamma", "chi", "beta_hot", "beta_cold", "capacity")
+    names = ("mu", "beta_hot", "beta_cold")
     spec = {f.name: f.default for f in dataclasses.fields(tn.NeuronSpec)}
     config = {f.name: f.default for f in dataclasses.fields(tn.DesignConfig)}
     build = inspect.signature(tn.build_neuron).parameters

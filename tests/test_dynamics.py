@@ -18,7 +18,7 @@ from thermoneuron.errors import ConfigError, StructuralError
 from thermoneuron.quantum import QubitRegister, gibbs_register
 from thermoneuron.serialize import format_csv
 
-PAPER_NOT_KW = dict(mu=1e-4, gamma=1.0, chi=1.0, capacity=1.0)
+PAPER_NOT_KW = dict(mu=1e-4)
 
 
 @pytest.fixture(scope="module")
@@ -194,23 +194,22 @@ class TestEvolveFull:
     def test_decoupled_reservoir_stays_put(self):
         spec = tn.NeuronSpec(eps=(2.0, 1.0), h=(0, 1), beta0=1.0, eps_z=1.0,
                              beta_r=0.4, mu_prime=0.0, mu=0.0)
-        traj = tn.evolve_full(spec, (0.3,), 0.62, 50.0, per_decade=40)
+        traj = tn.evolve_full(spec, (0.3,), 0.62, 50.0)
         assert np.abs(traj.beta_z - 0.62).max() < 1e-12
 
     def test_matches_quasi_static_on_the_slow_manifold(self, paper_not):
         # gamma/mu = 1e4; after the fast transient the two descriptions agree
         # pointwise to a few per mille at the hot input.
         tau = 1e7
-        full = tn.evolve_full(paper_not, (0.0,), 0.5, tau, per_decade=40)
-        quasi = tn.evolve_quasi_static(paper_not, (0.0,), 0.5, tau,
-                                       per_decade=40)
+        full = tn.evolve_full(paper_not, (0.0,), 0.5, tau)
+        quasi = tn.evolve_quasi_static(paper_not, (0.0,), 0.5, tau)
         mask = full.t > 10.0
         rel = np.abs(full.beta_z[mask] - quasi.beta_z[mask]) / np.abs(
             quasi.beta_z[mask])
         assert rel.max() < 0.05
 
     def test_fast_subsystem_tracks_virtual_temperature(self, paper_not):
-        traj = tn.evolve_full(paper_not, (0.0,), 0.5, 1e5, per_decade=40)
+        traj = tn.evolve_full(paper_not, (0.0,), 0.5, 1e5)
         rho_c = traj.final_rho_collector
         dim = rho_c.shape[0]
         excited = (np.arange(dim) & 1) == 1
@@ -220,7 +219,7 @@ class TestEvolveFull:
         assert abs(p_z - paper_not.g_z(beta_v)) < 2e-3
 
     def test_entropy_rate_non_negative_along_full_trajectory(self, paper_not):
-        traj = tn.evolve_full(paper_not, (1.0,), 0.5, 1e6, per_decade=40)
+        traj = tn.evolve_full(paper_not, (1.0,), 0.5, 1e6)
         assert traj.sigma_dot.min() >= -1e-10
 
     def test_detuning_within_resonance_tolerance_runs(self):
@@ -309,7 +308,7 @@ def test_solve_reemits_its_warnings_once_on_success():
 
     with warnings.catch_warnings(record=True) as got:
         warnings.simplefilter("always")
-        times, ys = dynamics._solve(rhs, None, np.ones(1), 10.0, 10, "failed: {}",
+        times, ys = dynamics._solve(rhs, None, np.ones(1), 10.0, "failed: {}",
                                     1e-8, 1e-12)
     assert [(w.category, str(w.message)) for w in got] == [(RuntimeWarning, "from rhs")]
     assert abs(ys[0, -1] - np.exp(-10.0)) < 1e-8
@@ -372,7 +371,6 @@ class TestAccumulatedDissipation:
             spec = random_neuron(rng)
             inputs = random_inputs(rng, spec)
             beta_z0 = float(rng.uniform(spec.beta_hot, spec.beta_cold))
-            traj = tn.evolve_quasi_static(spec, inputs, beta_z0, 1e5,
-                                          per_decade=25)
+            traj = tn.evolve_quasi_static(spec, inputs, beta_z0, 1e5)
             assert traj.sigma_dot.min() >= -1e-10
             assert accumulated_dissipation(traj) >= 0.0

@@ -119,7 +119,7 @@ def test_heat_rows_are_the_dense_currents(name):
         assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
 
 
-def dense_evolve_full(spec, inputs, beta_z0, tau, per_decade, rtol, atol):
+def dense_evolve_full(spec, inputs, beta_z0, tau, rtol, atol):
     """The dense co-integration: both density matrices as 2 d^2 real numbers,
     BDF with a finite-difference Jacobian, one sample at a time."""
     reg_c = dynamics.collector_register(spec)
@@ -165,7 +165,7 @@ def dense_evolve_full(spec, inputs, beta_z0, tau, per_decade, rtol, atol):
     rho_c = gibbs_register(reg_c, betas + (beta_z0,)).reshape(-1)
     rho_m = gibbs_register(reg_m, (spec.beta_r,)).reshape(-1)
     y0 = np.concatenate((rho_c.real, rho_c.imag, rho_m.real, rho_m.imag, [beta_z0]))
-    times = dynamics._sample_times(tau, per_decade)
+    times = dynamics._sample_times(tau)
     ys = solve_ivp(rhs, (0.0, tau), y0, method="BDF", t_eval=times,
                    rtol=rtol, atol=atol).y
     j_c, j_m, sdot = (np.zeros(len(times)) for _ in range(3))
@@ -190,14 +190,16 @@ def dense_evolve_full(spec, inputs, beta_z0, tau, per_decade, rtol, atol):
 
 
 @pytest.mark.parametrize("name", ["NOT", "NOR"])
-def test_reduced_and_dense_co_integration_agree(name):
+def test_reduced_and_dense_co_integration_agree(name, monkeypatch):
     # Both runs at tolerances tight enough that the integrators' global error
-    # (up to about 2e-7 in beta_z at the default rtol = 1e-8) does not hide a
-    # model error.
+    # (up to about 2e-7 in beta_z at the default FULL_RTOL = 1e-8) does not
+    # hide a model error, on 20 samples per decade.
     spec, inputs = MACHINES[name]
-    tol = dict(rtol=1e-12, atol=1e-15)
-    traj = tn.evolve_full(spec, inputs, 0.5, 1e3, per_decade=20, **tol)
-    dense = dense_evolve_full(spec, inputs, 0.5, 1e3, 20, **tol)
+    monkeypatch.setattr(dynamics, "PER_DECADE", 20)
+    monkeypatch.setattr(dynamics, "FULL_RTOL", 1e-12)
+    monkeypatch.setattr(dynamics, "FULL_ATOL", 1e-15)
+    traj = tn.evolve_full(spec, inputs, 0.5, 1e3)
+    dense = dense_evolve_full(spec, inputs, 0.5, 1e3, rtol=1e-12, atol=1e-15)
     for field, want in dense.items():
         got = getattr(traj, field)
         assert got.shape == want.shape
