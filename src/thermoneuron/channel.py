@@ -106,30 +106,26 @@ def mc_conditional_outputs(machine, enc: Encoding, spread: float,
     return ChannelStats(p_y_given_x=table, means=means)
 
 
-def _uniform(n_rows: int) -> np.ndarray:
-    return np.full(n_rows, 1.0 / n_rows)
+def _uniform_mean(values) -> float:
+    """The mean under uniform inputs: a sum of (1/n) * value in row order (a
+    plain loop; `sum` rounds differently on Python 3.12 and later)."""
+    weight, total = 1.0 / len(values), 0.0
+    for value in values:
+        total += weight * value
+    return float(total)
 
 
-def average_error(stats: ChannelStats, table: TruthTable,
-                  input_dist: Sequence[float] | None = None):
-    """(avg wrong-bit probability, avg invalid probability) over the input law.
+def average_error(stats: ChannelStats, table: TruthTable):
+    """(avg wrong-bit probability, avg invalid probability) over uniform inputs.
 
     Only valid outputs count as errors: the error at input x is the
     probability of the bit 1 - R(x); invalid outcomes are tallied apart.
     """
-    n_rows = 1 << table.n
-    if stats.p_y_given_x.shape[0] != n_rows:
+    if stats.p_y_given_x.shape[0] != 1 << table.n:
         raise StructuralError("channel table and truth table arity mismatch")
-    p_x = _uniform(n_rows) if input_dist is None else np.asarray(input_dist, float)
-    if (p_x.shape != (n_rows,) or not np.isfinite(p_x).all()
-            or abs(p_x.sum() - 1.0) > 1e-9 or np.any(p_x < 0)):
-        raise ConfigError("input distribution must be a probability vector")
-    xi = 0.0
-    invalid = 0.0
-    for idx, out in enumerate(table.outputs):
-        xi += p_x[idx] * stats.p_y_given_x[idx, 1 - out]
-        invalid += p_x[idx] * stats.p_y_given_x[idx, 2]
-    return float(xi), float(invalid)
+    p = stats.p_y_given_x
+    return (_uniform_mean([p[idx, 1 - out] for idx, out in enumerate(table.outputs)]),
+            _uniform_mean(p[:, 2].tolist()))
 
 
 def dissipation(spec: NeuronSpec, rows, enc: Encoding, tau: float) -> np.ndarray:
@@ -144,11 +140,7 @@ def dissipation(spec: NeuronSpec, rows, enc: Encoding, tau: float) -> np.ndarray
 
 def average_dissipation(spec: NeuronSpec, enc: Encoding, tau: float) -> float:
     """`dissipation` averaged over uniformly distributed logical inputs."""
-    n_rows = 1 << spec.n
-    total = 0.0
-    for sigma in dissipation(spec, enc.rows(spec.n), enc, tau).tolist():
-        total += (1.0 / n_rows) * sigma
-    return float(total)
+    return _uniform_mean(dissipation(spec, enc.rows(spec.n), enc, tau).tolist())
 
 
 @dataclass(frozen=True)
@@ -172,8 +164,7 @@ def tradeoff_machine(gate: str, knob: str, value: float,
     (knob 'eps1', NOT only), or the gate's preset at steepness alpha = value."""
     _check_knob(gate, knob)
     if knob == "eps1":
-        return inverter(eps_input=float(value), beta0=0.5, eps_z=config.eps_z,
-                        **config.physical())
+        return inverter(eps_input=float(value), eps_z=config.eps_z, **config.physical())
     return preset(gate, replace(config, alpha=float(value)))
 
 

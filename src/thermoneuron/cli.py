@@ -31,9 +31,8 @@ import numpy as np
 from . import channel as ch
 from . import serialize as ser
 from .designer import (BANDS, DesignConfig, Encoding, TruthTable, decode,
-                       decode_array, gate_table, preset,
-                       perceptron_identity_residual, train_perceptron,
-                       weights_to_neuron, PRESET_WEIGHTS)
+                       decode_array, gate_table, perceptron_identity_residual,
+                       train_perceptron, weights_to_neuron, PRESET_WEIGHTS)
 from .dynamics import CSV_HEADER, evolve_full, evolve_quasi_static
 from .errors import ConfigError, NotSeparableError, ThermoneuronError
 from .network import NetworkSpec, eval_network, train_network
@@ -60,10 +59,8 @@ def _machine_rails(machine) -> tuple[float, float]:
     return spec.beta_hot, spec.beta_cold
 
 
-def _encoding(args, machine=None) -> Encoding:
-    rails = _machine_rails(machine) if machine is not None else (0.0, 1.0)
-    return Encoding(beta_hot=rails[0], beta_cold=rails[1],
-                    delta=args.delta, band=args.band)
+def _encoding(args, rails) -> Encoding:
+    return Encoding(*rails, delta=args.delta, band=args.band)
 
 
 # Argument converters, passed to argparse as `type=`.  argparse turns an
@@ -181,20 +178,19 @@ def cmd_design(args) -> int:
     if args.gate and args.layers is not None:
         raise ConfigError("argument --layers: not allowed with argument --gate")
     config = DesignConfig(alpha=args.alpha, eps_z=args.eps_z, seed=args.seed)
-    if args.gate:
-        weights = np.asarray(PRESET_WEIGHTS[args.gate.upper()], dtype=float)
-        machine = preset(args.gate, config)
-        weights_doc = [list(weights)]
-    elif args.layers:
+    if args.layers:
         machine = train_network(args.table, args.layers, config)
         weights_doc = [[list(np.concatenate(([b], w)))
                         for w, b in _network_unit_weights(machine, config)]]
     else:
-        try:
-            weights = train_perceptron(args.table, config)
-        except NotSeparableError as exc:
-            raise ConfigError(f"{exc} (supply --layers to train a network "
-                              "for non-separable functions such as XOR)") from None
+        if args.gate:
+            weights = np.asarray(PRESET_WEIGHTS[args.gate], dtype=float)
+        else:
+            try:
+                weights = train_perceptron(args.table, config)
+            except NotSeparableError as exc:
+                raise ConfigError(f"{exc} (supply --layers to train a network "
+                                  "for non-separable functions such as XOR)") from None
         machine = weights_to_neuron(weights, config)
         weights_doc = [list(weights)]
 
@@ -242,7 +238,7 @@ def _design_report(machine, weights_doc, config):
 def cmd_steady(args) -> int:
     machine, _ = _load_machine(args.machine)
     _check_arity(machine, len(args.inputs), "--inputs")
-    enc = _encoding(args, machine)
+    enc = _encoding(args, _machine_rails(machine))
     if isinstance(machine, NeuronSpec):
         point = steady_output(machine, args.inputs)
         beta_v, final = point.beta_v, point.beta_z_inf
@@ -292,7 +288,7 @@ def cmd_sweep(args) -> int:
     grids = args.grid * arity if len(args.grid) == 1 else args.grid
     _check_arity(machine, len(grids), "--grid")
     _check_option_points("--grid", map(len, grids), f"one grid for {arity} inputs")
-    enc = _encoding(args, machine)
+    enc = _encoding(args, _machine_rails(machine))
     # The factorial grid in CSV row order: the last input varies fastest.
     points = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, arity)
     if isinstance(machine, NeuronSpec):
@@ -313,8 +309,8 @@ def cmd_tradeoff(args) -> int:
     if args.inset:
         _check_option_points("--inset-points", (len(args.grid), args.inset_points),
                              "the inset (grid x inset points)")
-    enc = _encoding(args)
     config = DesignConfig(eps_z=args.eps_z)
+    enc = _encoding(args, (config.beta_hot, config.beta_cold))
     points = ch.tradeoff_sweep(args.gate, args.knob, args.grid, enc,
                                spread=args.channel_width, tau=args.tau,
                                config=config)
@@ -339,7 +335,7 @@ def cmd_verify(args) -> int:
     machine, _ = _load_machine(args.machine)
     table = args.table or gate_table(args.gate)
     _check_arity(machine, table.n, "the table")
-    enc = _encoding(args, machine)
+    enc = _encoding(args, _machine_rails(machine))
     stats = ch.conditional_outputs(machine, enc, args.channel_width)
     failures = []
     for (bits, expected), final, got, probs in zip(

@@ -224,7 +224,8 @@ def gate_table(name: str) -> TruthTable:
 @dataclass(frozen=True)
 class DesignConfig:
     """Steepness, nominal target gap, training seed, the reservoir rate mu and
-    the rails.  A design's chi, gamma and capacity are NeuronSpec's defaults."""
+    the rails, which obey Encoding's rule.  A design's chi, gamma and capacity
+    are NeuronSpec's defaults."""
 
     alpha: float = 20.0
     eps_z: float = 0.1
@@ -239,6 +240,7 @@ class DesignConfig:
             if not (0.0 < value < math.inf):
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         _check_count("seed", self.seed, 0)
+        self.encoding()   # the rails rule of Encoding
 
     def physical(self) -> dict:
         return dict(mu=self.mu, beta_hot=self.beta_hot, beta_cold=self.beta_cold)
@@ -282,7 +284,6 @@ def train_perceptron(table: TruthTable, config: DesignConfig) -> np.ndarray:
         margins = signs * (xb @ w)
         if margins.min() >= 1.0:
             break
-    margins = signs * (xb @ w)
     if margins.min() <= 0.0:
         bad = [bits for (bits, _), m in zip(table.rows(), margins) if m <= 0]
         rows = [" ".join(map(str, b)) for b in bad]

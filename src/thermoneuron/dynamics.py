@@ -28,7 +28,13 @@ machine's entropy is constant and the rate reduces to
     sigma_dot = mu  eps_z [g_z(beta_v) - g_z(beta_z)] (beta_z - beta_v)
               + mu' eps_z [g_z(beta_r) - g_z(beta_z)] (beta_z - beta_r),
 
-which is non-negative term by term.
+which is non-negative term by term.  It also integrates in closed form:
+j_C + j_M = C d(beta_z)/dt, and mu' j_C - mu j_M = mu mu' eps_z (g_r - g_v)
+is constant (g_r = g_z(beta_r), g_v = g_z(beta_v)), so from beta_z(0) = beta_z0
+
+    sigma(t) = -C (beta_z(t)^2 - beta_z0^2) / 2
+               + [C (mu beta_v + mu' beta_r) (beta_z(t) - beta_z0)
+                  + mu mu' eps_z (g_r - g_v) (beta_v - beta_r) t] / (mu + mu').
 """
 
 from __future__ import annotations

@@ -133,26 +133,23 @@ def train_network(table: TruthTable, topology: Sequence[int],
     x_rows = np.array([bits for bits, _ in table.rows()], dtype=float)
     targets = np.array(table.outputs, dtype=float)
 
-    adam_m = [np.zeros_like(w) for w in weights] + [np.zeros_like(b) for b in biases]
-    adam_v = [np.zeros_like(w) for w in weights] + [np.zeros_like(b) for b in biases]
+    # The ADAM step updates each array in place, so weights and biases see it.
+    params = weights + biases
+    adam_m = [np.zeros_like(p) for p in params]
+    adam_v = [np.zeros_like(p) for p in params]
     beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
-    loss = np.inf
     for step in range(1, EPOCHS + 1):
         acts = _forward(x_rows, weights, biases)
         out = acts[-1][:, 0]
-        loss = float(-(targets * np.log(out + 1e-12)
-                       + (1 - targets) * np.log(1 - out + 1e-12)).mean())
         delta = (out - targets)[:, None] / len(targets)
-        grads_w, grads_b = [], []
+        grads_w, grads_b = [], []   # last layer first
         for li in reversed(range(len(weights))):
-            grads_w.insert(0, delta.T @ acts[li])
-            grads_b.insert(0, delta.sum(axis=0))
+            grads_w.append(delta.T @ acts[li])
+            grads_b.append(delta.sum(axis=0))
             if li > 0:
                 a = acts[li]
                 delta = (delta @ weights[li]) * a * (1.0 - a)
-        params = weights + biases
-        grads = grads_w + grads_b
-        for i, (p, g) in enumerate(zip(params, grads)):
+        for i, (p, g) in enumerate(zip(params, grads_w[::-1] + grads_b[::-1])):
             adam_m[i] = beta1 * adam_m[i] + (1 - beta1) * g
             adam_v[i] = beta2 * adam_v[i] + (1 - beta2) * g * g
             m_hat = adam_m[i] / (1 - beta1 ** step)
@@ -163,6 +160,9 @@ def train_network(table: TruthTable, topology: Sequence[int],
             if (np.all(final_bits == targets)
                     and min(m.min() for m in margins) >= 1.0):
                 break
+    # Cross-entropy of the last forward pass, which the error messages report.
+    loss = float(-(targets * np.log(out + 1e-12)
+                   + (1 - targets) * np.log(1 - out + 1e-12)).mean())
 
     margins, final_bits = _binarized_margins(x_rows, weights, biases)
     if not np.all(final_bits == targets):

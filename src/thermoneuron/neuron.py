@@ -217,16 +217,14 @@ def build_neuron(eps: Sequence[float], h: Sequence[int], beta0: float,
                       mu=mu, beta_hot=beta_hot, beta_cold=beta_cold)
 
 
-def inverter(eps_input: float = 20.0, beta0: float = 0.5, eps_z: float = 0.1,
-             **physical) -> NeuronSpec:
+def inverter(eps_input: float = 20.0, eps_z: float = 0.1, **physical) -> NeuronSpec:
     """The canonical single-input inverting neuron.
 
     Reference gap eps_0 = eps_input + eps_z, input gap eps_1 = eps_input,
-    h = (0, 1); the virtual temperature is
-    beta_v = (beta0 * eps_0 - beta_1 * eps_1) / eps_z.
+    h = (0, 1) and reference temperature beta_0 = 0.5; the virtual temperature is
+    beta_v = (0.5 * eps_0 - beta_1 * eps_1) / eps_z.
     """
-    return build_neuron((eps_input + eps_z, eps_input), (0, 1), beta0, eps_z,
-                        **physical)
+    return build_neuron((eps_input + eps_z, eps_input), (0, 1), 0.5, eps_z, **physical)
 
 
 def steady_from_virtual(spec: NeuronSpec, beta_v):

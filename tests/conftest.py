@@ -17,7 +17,7 @@ def small_collector():
 @pytest.fixture
 def fig2_inverter():
     """The steep inverter: input gap 20, beta0 = 0.5, target gap 0.1."""
-    return tn.inverter(20.0, 0.5, 0.1)
+    return tn.inverter(20.0, 0.1)
 
 
 def random_neuron(rng, n_max=3, mu=1e-4):

@@ -33,7 +33,7 @@ def test_01_not_gate_rails():
     # Steep inverter (input gap 20, beta0 = 0.5, eps_z = 0.1, rails (0, 1))
     # saturates both logic rails to 1e-3.
     start = time.perf_counter()
-    spec = tn.inverter(20.0, 0.5, 0.1)
+    spec = tn.inverter(20.0, 0.1)
     hot_in = tn.steady_output(spec, (0.0,)).beta_z_inf
     cold_in = tn.steady_output(spec, (1.0,)).beta_z_inf
     elapsed = time.perf_counter() - start
@@ -47,7 +47,7 @@ def test_02_two_timescale_consistency():
     # Full 4-qubit co-integration vs the quasi-static endpoint (1% relative)
     # and the quasi-static endpoint vs the closed-form fixed point (1e-4).
     start = time.perf_counter()
-    spec = tn.inverter(20.0, 0.5, 0.1, mu=1e-4)
+    spec = tn.inverter(20.0, 0.1, mu=1e-4)
     tau = 1e8
     full = tn.evolve_full(spec, (0.0,), 0.5, tau)
     quasi = tn.evolve_quasi_static(spec, (0.0,), 0.5, tau)
@@ -86,7 +86,7 @@ def test_03_virtual_temperature_oracle():
 
 
 def test_04_fixed_point_identity():
-    spec = tn.inverter(20.0, 0.5, 0.1)
+    spec = tn.inverter(20.0, 0.1)
     worst = 0.0
     for beta_v in np.linspace(-40.0, 40.0, 1000):
         bz = steady_from_virtual(spec, beta_v)
@@ -131,12 +131,12 @@ def test_05_gate_truth_tables():
 
 
 def test_06_threshold_slope_analytics():
-    spec = tn.inverter(20.0, 0.5, 0.5)
+    spec = tn.inverter(20.0, 0.5)
     closed = tn.slope_at_threshold(spec)
     reference = -40.0 * math.tanh(0.125)
     fd = transfer_slope(spec, tn.threshold_point(spec))
     rel = abs(fd - closed) / abs(closed)
-    tiny = tn.inverter(20.0, 0.5, 1e-3, mu=1e-6)
+    tiny = tn.inverter(20.0, 1e-3, mu=1e-6)
     limit_err = abs(tn.slope_at_threshold(tiny) - (-5.0)) / 5.0
     ok = (abs(closed - reference) < 1e-10 and rel <= 1e-6
           and limit_err <= 1e-3)
@@ -151,13 +151,13 @@ def test_07_sigmoid_expansion_scaling():
     # the linear term cancels and the deviation is exactly O(eps_z^2); that
     # quadratic ratio is asserted alongside.)
     def dev_input_form(eps_z):
-        spec = tn.inverter(20.0, 0.5, eps_z)
+        spec = tn.inverter(20.0, eps_z)
         return max(abs(tn.steady_output(spec, (b1,)).beta_z_inf
                        - tn.neuron.sigmoid_approx_input_form(spec, b1))
                    for b1 in np.linspace(0.0, 1.0, 801))
 
     def dev_virtual_form(eps_z):
-        spec = tn.inverter(20.0, 0.5, eps_z)
+        spec = tn.inverter(20.0, eps_z)
         return max(abs(steady_from_virtual(spec, beta_v)
                        - tn.fermi_population(-eps_z * beta_v))
                    for beta_v in np.linspace(-8 / eps_z, 8 / eps_z, 801))
@@ -181,7 +181,7 @@ def test_08_second_law():
         traj = tn.evolve_quasi_static(spec, inputs, beta_z0, 1e3)
         worst_rate = min(worst_rate, float(traj.sigma_dot.min()))
 
-    spec = tn.inverter(20.0, 0.5, 0.1)
+    spec = tn.inverter(20.0, 0.1)
     quiet = accumulated_dissipation(
         tn.evolve_quasi_static(spec, (0.5,), 0.5, 1e8))
     loud = accumulated_dissipation(

@@ -168,36 +168,16 @@ class TestAverageError:
                       for idx, out in enumerate(table.outputs))
         assert abs(xi + invalid + correct - 1.0) < 1e-9
 
-    def test_custom_input_distribution(self):
-        enc = tn.Encoding(delta=0.1)
-        spec = tn.preset("NOT", tn.DesignConfig(alpha=3.0))
-        stats = tn.conditional_outputs(spec, enc, 0.1)
-        xi_0, _ = tn.average_error(stats, tn.gate_table("NOT"), (1.0, 0.0))
-        assert abs(xi_0 - stats.p_y_given_x[0, 0]) < 1e-15
-
-    @pytest.mark.parametrize("dist", [[np.nan] * 4, [0.5, 0.5, np.nan, 0.0],
-                                      [np.inf, 0.0, 0.0, 0.0]])
-    def test_non_finite_input_distribution_rejected(self, dist):
-        spec = tn.preset("NOR", tn.DesignConfig(alpha=20.0))
-        stats = tn.conditional_outputs(spec, tn.Encoding(), 0.1)
-        with pytest.raises(ConfigError, match="probability vector"):
-            tn.average_error(stats, tn.gate_table("NOR"), dist)
-
-    def test_scalar_input_distribution_rejected(self):
-        stats = tn.conditional_outputs(tn.preset("NOR"), tn.Encoding(), 0.1)
-        with pytest.raises(ConfigError, match="probability vector"):
-            tn.average_error(stats, tn.gate_table("NOR"), 0.25)
-
 
 class TestAverageDissipation:
     def test_zero_horizon(self):
-        spec = tn.inverter(20.0, 0.5, 0.1)
+        spec = tn.inverter(20.0, 0.1)
         assert tn.average_dissipation(spec, tn.Encoding(), 0.0) == 0.0
 
     def test_late_time_linearity(self):
         # Past the relaxation, dissipation accrues at the constant
         # steady-state rate.
-        spec = tn.inverter(20.0, 0.5, 0.1)
+        spec = tn.inverter(20.0, 0.1)
         enc = tn.Encoding()
         tau = 1e7
         traj = tn.evolve_quasi_static(spec, (1.0,), 0.5, 2 * tau)
@@ -208,7 +188,7 @@ class TestAverageDissipation:
         assert abs((s2 - s1) - tau * rate_ss) <= 0.02 * (s2 - s1)
 
     def test_averages_over_inputs(self):
-        spec = tn.inverter(5.0, 0.5, 0.1)
+        spec = tn.inverter(5.0, 0.1)
         enc = tn.Encoding()
         tau = 1e6
         per_input = []

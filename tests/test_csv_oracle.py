@@ -182,7 +182,7 @@ def test_tradeoff_and_inset_csvs_match_row_wise_writer(tmp_path):
         ("eps1", "avg_sigma", "avg_xi", "avg_invalid"), rows)
     inset_rows = []
     for value in grid:
-        machine = tn.inverter(eps_input=value, beta0=0.5, eps_z=config.eps_z,
+        machine = tn.inverter(eps_input=value, eps_z=config.eps_z,
                               **config.physical())
         for beta_1 in np.linspace(0.0, 1.0, n_inset):
             traj = tn.evolve_quasi_static(machine, [beta_1], 0.5, tau)

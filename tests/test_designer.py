@@ -167,6 +167,9 @@ class TestWeightsToNeuron:
             assert additive_decode(ra) == additive_decode(rb)
 
 
+RAILS = "rails must be finite and satisfy beta_hot < beta_cold"
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("alpha", np.inf, "alpha must be positive and finite, got inf"),
     ("alpha", np.nan, "alpha must be positive and finite, got nan"),
@@ -174,6 +177,10 @@ class TestWeightsToNeuron:
     ("eps_z", 0.0, "eps_z must be positive and finite, got 0.0"),
     ("seed", -1, "seed must be at least 0, got -1"),
     ("seed", 1.5, "seed must be an integer, got 1.5"),
+    # The rails obey Encoding's rule, not a later error naming beta_r.
+    ("beta_cold", np.inf, RAILS), ("beta_hot", -np.inf, RAILS),
+    ("beta_hot", np.nan, RAILS), ("beta_cold", np.nan, RAILS),
+    ("beta_hot", 1.0, RAILS), ("beta_cold", -1.0, RAILS),
 ])
 def test_design_config_refuses_what_would_fail_later(field, value, message):
     with pytest.raises(ConfigError, match=message):

@@ -15,6 +15,7 @@ import thermoneuron as tn
 from thermoneuron import dynamics
 from thermoneuron.dynamics import CSV_HEADER, accumulated_dissipation
 from thermoneuron.errors import ConfigError, StructuralError
+from thermoneuron.neuron import RATE_SEPARATION
 from thermoneuron.quantum import QubitRegister, gibbs_register
 from thermoneuron.serialize import format_csv
 
@@ -23,7 +24,7 @@ PAPER_NOT_KW = dict(mu=1e-4)
 
 @pytest.fixture(scope="module")
 def paper_not():
-    return tn.inverter(20.0, 0.5, 0.1, **PAPER_NOT_KW)
+    return tn.inverter(20.0, 0.1, **PAPER_NOT_KW)
 
 
 class TestQuasiStatic:
@@ -266,6 +267,32 @@ class TestEvolveFull:
             assert abs(np.trace(rho) - 1.0) <= 1e-7
             assert np.linalg.eigvalsh(rho).min() >= -1e-9
 
+    def test_second_law_and_valid_states_on_random_machines(self):
+        # 40 random machines with mu log-uniform in [1e-6, 1e-1], 8 of them
+        # weakly separated.  Measured: sigma_dot >= 6.3e-11, |Tr - 1| <=
+        # 1.9e-11, eigenvalues >= 5.0e-7.
+        from conftest import random_inputs, random_neuron
+        rng = np.random.default_rng(5)
+        weak_machines = 0
+        for _ in range(40):
+            mu = float(10.0 ** rng.uniform(-6.0, -1.0))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                spec = random_neuron(rng, mu=mu)
+            # A large mu comes within RATE_SEPARATION of gamma, and says so.
+            weak = spec.gamma / max(spec.mu, spec.mu_prime) < RATE_SEPARATION
+            assert [(w.category, str(w.message).split(":")[0]) for w in caught] == (
+                [(UserWarning, "weak time-scale separation")] if weak else [])
+            weak_machines += weak
+            beta_z0 = float(rng.uniform(spec.beta_hot, spec.beta_cold))
+            traj = tn.evolve_full(spec, random_inputs(rng, spec), beta_z0, 1e5)
+            assert traj.sigma_dot.min() >= -1e-10
+            for rho in (traj.final_rho_collector, traj.final_rho_modulator):
+                assert np.abs(rho - rho.conj().T).max() <= 1e-12
+                assert abs(np.trace(rho) - 1.0) <= 1e-7
+                assert np.linalg.eigvalsh(rho).min() >= -1e-9
+        assert 0 < weak_machines < 40
+
     @pytest.mark.parametrize("gate, row", [("NOT", (0.0,)), ("NOT", (1.0,)),
                                            ("NOR", (1.0, 0.0)), ("NOR", (1.0, 1.0))])
     def test_matches_stock_bdf_on_the_benchmark_rows(self, monkeypatch, gate, row):
@@ -338,7 +365,7 @@ class TestAccumulatedDissipation:
     def test_is_the_end_of_the_running_integral(self):
         # One quadrature: the total is the last sample of the trajectory's
         # sigma column, in both modes (pairwise trapezoid sums differ here).
-        spec = tn.inverter(2.0, 0.5, 0.1, **PAPER_NOT_KW)
+        spec = tn.inverter(2.0, 0.1, **PAPER_NOT_KW)
         quasi = tn.evolve_quasi_static(spec, (0.0,), 0.5, 1e8)
         full = tn.evolve_full(tn.preset("NOT"), (1.0,), 0.5, 1e4)
         for traj in (quasi, full):
@@ -359,10 +386,29 @@ class TestAccumulatedDissipation:
     def test_grows_with_input_gap(self):
         total = []
         for eps_in in (5.0, 10.0, 20.0):
-            spec = tn.inverter(eps_in, 0.5, 0.1, **PAPER_NOT_KW)
+            spec = tn.inverter(eps_in, 0.1, **PAPER_NOT_KW)
             traj = tn.evolve_quasi_static(spec, (1.0,), 0.5, 1e8)
             total.append(accumulated_dissipation(traj))
         assert total[0] < total[1] < total[2]
+
+    @pytest.mark.parametrize("machine, row", [
+        ("NOT", (0.0,)), ("NOT", (1.0,)), ("NOT", (0.3,)),
+        ("NOR", (0.0, 0.0)), ("NOR", (1.0, 0.0)), ("NOR", (1.0, 1.0)),
+        ("MAJ3", (0.0, 1.0, 1.0)), ("MAJ3", (0.0, 0.0, 0.0)),
+        ("inverter", (0.0,)), ("inverter", (1.0,))])
+    def test_matches_the_closed_form_entropy_balance(self, machine, row):
+        # The identity in the dynamics module docstring, against the sampled
+        # running integral.  Measured: at most 1.8e-9 sigma(tau) apart.
+        spec = tn.inverter(5.0, 0.1) if machine == "inverter" else tn.preset(machine)
+        beta_z0, tau = 0.5, 1e8
+        traj = tn.evolve_quasi_static(spec, row, beta_z0, tau)
+        beta_v = tn.virtual_temperature(spec.h, (spec.beta0,) + row, spec.eps, spec.eps_z)
+        mu, mu_p, cap, beta_r = spec.mu, spec.mu_prime, spec.capacity, spec.beta_r
+        drift = mu * mu_p * spec.eps_z * (spec.g_z(beta_r) - spec.g_z(beta_v))
+        want = (-cap * (traj.beta_z ** 2 - beta_z0 ** 2) / 2
+                + (cap * (mu * beta_v + mu_p * beta_r) * (traj.beta_z - beta_z0)
+                   + drift * (beta_v - beta_r) * traj.t) / (mu + mu_p))
+        assert np.abs(traj.sigma - want).max() <= 1e-8 * traj.sigma[-1]
 
     def test_non_negative_on_random_machines(self):
         from conftest import random_inputs, random_neuron

@@ -201,7 +201,7 @@ class TestSigmoidApprox:
         # The input-side sigmoid drifts from the exact curve at O(eps_z):
         # its max deviation halves when eps_z halves.
         def max_dev(eps_z):
-            spec = tn.inverter(20.0, 0.5, eps_z)
+            spec = tn.inverter(20.0, eps_z)
             return max(abs(tn.steady_output(spec, (b1,)).beta_z_inf
                            - tn.neuron.sigmoid_approx_input_form(spec, b1))
                        for b1 in np.linspace(0.0, 1.0, 801))
@@ -213,7 +213,7 @@ class TestSigmoidApprox:
         # In the eps_z*beta_v argument the O(eps_z) term cancels exactly;
         # the residual is eps_z^2 * y(1-y^2)/12 on rails (0, 1).
         def max_dev(eps_z):
-            spec = tn.inverter(20.0, 0.5, eps_z)
+            spec = tn.inverter(20.0, eps_z)
             grid = np.linspace(-8.0 / eps_z, 8.0 / eps_z, 801)
             return max(abs(steady_from_virtual(spec, beta_v)
                            - tn.fermi_population(-eps_z * beta_v))
@@ -228,7 +228,7 @@ class TestSigmoidApprox:
 
 class TestThresholdAndSlope:
     def _appendix_machine(self):
-        return tn.inverter(20.0, 0.5, 0.5)
+        return tn.inverter(20.0, 0.5)
 
     def test_threshold_closed_form(self):
         spec = self._appendix_machine()
@@ -254,7 +254,7 @@ class TestThresholdAndSlope:
 
     def test_small_gap_threshold_approaches_beta0(self):
         # mu = 1e-6 keeps the time scales separated at this tiny gap.
-        spec = tn.inverter(20.0, 0.5, 1e-3, mu=1e-6)
+        spec = tn.inverter(20.0, 1e-3, mu=1e-6)
         assert abs(tn.threshold_point(spec) - 0.5) < 1e-3
 
     def test_symmetric_rails_drop_the_offset(self):
@@ -273,11 +273,11 @@ class TestThresholdAndSlope:
         assert abs(fd - closed) <= 1e-6 * abs(closed)
 
     def test_small_gap_limit_is_quarter_input_gap(self):
-        spec = tn.inverter(20.0, 0.5, 1e-3, mu=1e-6)
+        spec = tn.inverter(20.0, 1e-3, mu=1e-6)
         assert abs(tn.slope_at_threshold(spec) - (-5.0)) <= 0.001 * 5.0
 
     def test_magnitude_grows_with_input_gap(self):
-        slopes = [abs(tn.slope_at_threshold(tn.inverter(e, 0.5, 0.5)))
+        slopes = [abs(tn.slope_at_threshold(tn.inverter(e, 0.5)))
                   for e in (5.0, 10.0, 20.0, 40.0)]
         assert all(b > a for a, b in zip(slopes, slopes[1:]))
 
