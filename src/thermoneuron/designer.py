@@ -235,7 +235,7 @@ class DesignConfig:
     beta_cold: float = NeuronSpec.beta_cold
 
     def __post_init__(self):
-        for name in ("alpha", "eps_z"):
+        for name in ("alpha", "eps_z", "mu"):
             value = getattr(self, name)
             if not (0.0 < value < math.inf):
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")

@@ -175,6 +175,10 @@ RAILS = "rails must be finite and satisfy beta_hot < beta_cold"
     ("alpha", np.nan, "alpha must be positive and finite, got nan"),
     ("eps_z", np.inf, "eps_z must be positive and finite, got inf"),
     ("eps_z", 0.0, "eps_z must be positive and finite, got 0.0"),
+    # Not a later error naming mu_prime.
+    ("mu", np.inf, "mu must be positive and finite, got inf"),
+    ("mu", np.nan, "mu must be positive and finite, got nan"),
+    ("mu", 0.0, "mu must be positive and finite, got 0.0"),
     ("seed", -1, "seed must be at least 0, got -1"),
     ("seed", 1.5, "seed must be an integer, got 1.5"),
     # The rails obey Encoding's rule, not a later error naming beta_r.

@@ -269,8 +269,10 @@ class TestEvolveFull:
 
     def test_second_law_and_valid_states_on_random_machines(self):
         # 40 random machines with mu log-uniform in [1e-6, 1e-1], 8 of them
-        # weakly separated.  Measured: sigma_dot >= 6.3e-11, |Tr - 1| <=
-        # 1.9e-11, eigenvalues >= 5.0e-7.
+        # weakly separated, each run to three horizons, so that the final
+        # states include ones inside the fast transient.  Measured over all
+        # three: sigma_dot >= 6.3e-11, |Tr - 1| <= 1.9e-11, eigenvalues >=
+        # 5.1e-7 (3.7e-6 at tau = 1, 2.6e-6 at tau = 1e2).
         from conftest import random_inputs, random_neuron
         rng = np.random.default_rng(5)
         weak_machines = 0
@@ -285,13 +287,50 @@ class TestEvolveFull:
                 [(UserWarning, "weak time-scale separation")] if weak else [])
             weak_machines += weak
             beta_z0 = float(rng.uniform(spec.beta_hot, spec.beta_cold))
-            traj = tn.evolve_full(spec, random_inputs(rng, spec), beta_z0, 1e5)
-            assert traj.sigma_dot.min() >= -1e-10
-            for rho in (traj.final_rho_collector, traj.final_rho_modulator):
-                assert np.abs(rho - rho.conj().T).max() <= 1e-12
-                assert abs(np.trace(rho) - 1.0) <= 1e-7
-                assert np.linalg.eigvalsh(rho).min() >= -1e-9
+            inputs = random_inputs(rng, spec)
+            for tau in (1.0, 1e2, 1e5):
+                traj = tn.evolve_full(spec, inputs, beta_z0, tau)
+                assert traj.sigma_dot.min() >= -1e-10
+                for rho in (traj.final_rho_collector, traj.final_rho_modulator):
+                    assert np.abs(rho - rho.conj().T).max() <= 1e-12
+                    assert abs(np.trace(rho) - 1.0) <= 1e-7
+                    assert np.linalg.eigvalsh(rho).min() >= -1e-9
         assert 0 < weak_machines < 40
+
+    def test_pair_eigenvalues_match_eigh(self):
+        # The reference: LAPACK's eigenvalues of random Hermitian pair blocks,
+        # and their first-order rates u^H dB u.  Measured: 8.9e-16 and 1.8e-15.
+        def block(v):
+            c = v[:, 2] + 1j * v[:, 3]
+            return np.stack((np.stack((v[:, 0], c), -1),
+                             np.stack((c.conj(), v[:, 1]), -1)), -2)
+
+        def eigh(pair, dpair):
+            w, u = np.linalg.eigh(block(pair))
+            return w, np.einsum("sji,sjk,ski->si", u.conj(), block(dpair), u).real
+
+        rng = np.random.default_rng(11)
+        pair = np.column_stack((rng.uniform(0.0, 1.0, (1000, 2)),
+                                rng.uniform(-0.5, 0.5, (1000, 2))))
+        dpair = rng.normal(size=(1000, 4))
+        w, dw = eigh(pair, dpair)
+        got_w, got_dw = dynamics._pair_eigenvalues(pair, dpair)
+        assert np.abs(got_w[:, ::-1] - w).max() <= 1e-14
+        assert np.abs(got_dw[:, ::-1] - dw).max() <= 1e-14
+
+        # A degenerate block (p_a = p_b, c = 0) takes the r = 0 branch, and
+        # both forms give -2 dm log m with no warning.
+        m = np.array([0.3, 0.125, 1e-3])
+        pair = np.column_stack((m, m, np.zeros(3), np.zeros(3)))
+        dpair = rng.normal(size=(3, 4))
+        want = -(dpair[:, 0] + dpair[:, 1]) * np.log(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_w, got_dw = dynamics._pair_eigenvalues(pair, dpair)
+        assert np.array_equal(got_w, np.column_stack((m, m)))
+        for rate in (dynamics._entropy_rate(got_w, got_dw),
+                     dynamics._entropy_rate(*eigh(pair, dpair))):
+            assert np.allclose(rate, want, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("gate, row", [("NOT", (0.0,)), ("NOT", (1.0,)),
                                            ("NOR", (1.0, 0.0)), ("NOR", (1.0, 1.0))])
