@@ -100,9 +100,8 @@ def mc_conditional_outputs(machine, enc: Encoding, spread: float,
     table = np.empty((len(means), 3))
     for i, m in enumerate(means):
         samples = rng.normal(m, spread, n_samples)
-        p0 = float(np.mean(samples <= enc.low_edge))
-        p1 = float(np.mean(samples >= enc.high_edge))
-        table[i] = (p0, p1, 1.0 - p0 - p1)
+        table[i] = (np.mean(samples <= enc.low_edge), np.mean(samples >= enc.high_edge),
+                    np.mean((enc.low_edge < samples) & (samples < enc.high_edge)))
     return ChannelStats(p_y_given_x=table, means=means)
 
 
@@ -128,19 +127,19 @@ def average_error(stats: ChannelStats, table: TruthTable):
             _uniform_mean(p[:, 2].tolist()))
 
 
-def dissipation(spec: NeuronSpec, rows, enc: Encoding, tau: float) -> np.ndarray:
+def dissipation(spec: NeuronSpec, rows, tau: float) -> np.ndarray:
     """Entropy produced over a computation of length tau, per input row, each
-    run started at the rails' midpoint."""
+    run started at the midpoint of the machine's rails."""
     if tau < 0:
         raise ConfigError("tau must be non-negative")
-    start = 0.5 * (enc.beta_hot + enc.beta_cold)
+    start = 0.5 * (spec.beta_hot + spec.beta_cold)
     return np.array([accumulated_dissipation(evolve_quasi_static(spec, row, start, tau))
                      for row in rows], dtype=float)
 
 
 def average_dissipation(spec: NeuronSpec, enc: Encoding, tau: float) -> float:
     """`dissipation` averaged over uniformly distributed logical inputs."""
-    return _uniform_mean(dissipation(spec, enc.rows(spec.n), enc, tau).tolist())
+    return _uniform_mean(dissipation(spec, enc.rows(spec.n), tau).tolist())
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def tradeoff_machine(gate: str, knob: str, value: float,
     (knob 'eps1', NOT only), or the gate's preset at steepness alpha = value."""
     _check_knob(gate, knob)
     if knob == "eps1":
-        return inverter(eps_input=float(value), eps_z=config.eps_z, **config.physical())
+        return inverter(eps_input=float(value), eps_z=config.eps_z, mu=config.mu)
     return preset(gate, replace(config, alpha=float(value)))
 
 

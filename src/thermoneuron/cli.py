@@ -54,13 +54,9 @@ MAX_GRID_POINTS = 1_000_000
 MAX_LAYERS, MAX_LAYER_WIDTH = 8, 256
 
 
-def _machine_rails(machine) -> tuple[float, float]:
+def _encoding(args, machine) -> Encoding:
     spec = machine.layers[0][0] if isinstance(machine, NetworkSpec) else machine
-    return spec.beta_hot, spec.beta_cold
-
-
-def _encoding(args, rails) -> Encoding:
-    return Encoding(*rails, delta=args.delta, band=args.band)
+    return Encoding(spec.beta_hot, spec.beta_cold, delta=args.delta, band=args.band)
 
 
 # Argument converters, passed to argparse as `type=`.  argparse turns an
@@ -238,7 +234,7 @@ def _design_report(machine, weights_doc, config):
 def cmd_steady(args) -> int:
     machine, _ = _load_machine(args.machine)
     _check_arity(machine, len(args.inputs), "--inputs")
-    enc = _encoding(args, _machine_rails(machine))
+    enc = _encoding(args, machine)
     if isinstance(machine, NeuronSpec):
         point = steady_output(machine, args.inputs)
         beta_v, final = point.beta_v, point.beta_z_inf
@@ -288,7 +284,7 @@ def cmd_sweep(args) -> int:
     grids = args.grid * arity if len(args.grid) == 1 else args.grid
     _check_arity(machine, len(grids), "--grid")
     _check_option_points("--grid", map(len, grids), f"one grid for {arity} inputs")
-    enc = _encoding(args, _machine_rails(machine))
+    enc = _encoding(args, machine)
     # The factorial grid in CSV row order: the last input varies fastest.
     points = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, arity)
     if isinstance(machine, NeuronSpec):
@@ -310,7 +306,7 @@ def cmd_tradeoff(args) -> int:
         _check_option_points("--inset-points", (len(args.grid), args.inset_points),
                              "the inset (grid x inset points)")
     config = DesignConfig(eps_z=args.eps_z)
-    enc = _encoding(args, (config.beta_hot, config.beta_cold))
+    enc = Encoding(delta=args.delta, band=args.band)
     points = ch.tradeoff_sweep(args.gate, args.knob, args.grid, enc,
                                spread=args.channel_width, tau=args.tau,
                                config=config)
@@ -321,7 +317,7 @@ def cmd_tradeoff(args) -> int:
         beta_1 = np.linspace(enc.beta_hot, enc.beta_cold, args.inset_points)
         machines = [ch.tradeoff_machine(args.gate, args.knob, value, config)
                     for value in args.grid]
-        sigmas = [ch.dissipation(m, np.repeat(beta_1[:, None], m.n, axis=1), enc, args.tau)
+        sigmas = [ch.dissipation(m, np.repeat(beta_1[:, None], m.n, axis=1), args.tau)
                   for m in machines]
         inset_path = (args.out or "tradeoff") + ".inset.csv"
         _write_csv((args.knob, "beta_1", "sigma"),
@@ -335,7 +331,7 @@ def cmd_verify(args) -> int:
     machine, _ = _load_machine(args.machine)
     table = args.table or gate_table(args.gate)
     _check_arity(machine, table.n, "the table")
-    enc = _encoding(args, _machine_rails(machine))
+    enc = _encoding(args, machine)
     stats = ch.conditional_outputs(machine, enc, args.channel_width)
     failures = []
     for (bits, expected), final, got, probs in zip(

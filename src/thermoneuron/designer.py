@@ -33,6 +33,7 @@ __all__ = [
     "decode_array",
     "TruthTable",
     "DesignConfig",
+    "DESIGN_ENCODING",
     "gate_table",
     "train_perceptron",
     "weights_to_neuron",
@@ -68,8 +69,8 @@ class Encoding:
     point when beta_hot = 0) or additive (y = 0 iff beta_z <= beta_hot + delta
     (beta_cold - beta_hot)), which gate verification uses; else invalid."""
 
-    beta_hot: float = 0.0
-    beta_cold: float = 1.0
+    beta_hot: float = NeuronSpec.beta_hot
+    beta_cold: float = NeuronSpec.beta_cold
     delta: float = 0.1
     band: str = "multiplicative"
 
@@ -193,12 +194,6 @@ class TruthTable:
         """(bits, output) pairs in row order, x_1 varying slowest."""
         return zip(itertools.product((0, 1), repeat=self.n), self.outputs)
 
-    def output(self, bits: Sequence[int]) -> int:
-        key = 0
-        for b in bits:
-            key = (key << 1) | int(b)
-        return self.outputs[key]
-
 
 _GATE_FUNCTIONS = {
     "NOT": (1, lambda x: 1 - x[0]),
@@ -223,16 +218,13 @@ def gate_table(name: str) -> TruthTable:
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Steepness, nominal target gap, training seed, the reservoir rate mu and
-    the rails, which obey Encoding's rule.  A design's chi, gamma and capacity
-    are NeuronSpec's defaults."""
+    """Steepness, nominal target gap, training seed and the reservoir rate mu.
+    A design's chi, gamma, capacity and rails are NeuronSpec's defaults."""
 
     alpha: float = 20.0
     eps_z: float = 0.1
     seed: int = 0
     mu: float = NeuronSpec.mu
-    beta_hot: float = NeuronSpec.beta_hot
-    beta_cold: float = NeuronSpec.beta_cold
 
     def __post_init__(self):
         for name in ("alpha", "eps_z", "mu"):
@@ -240,14 +232,10 @@ class DesignConfig:
             if not (0.0 < value < math.inf):
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         _check_count("seed", self.seed, 0)
-        self.encoding()   # the rails rule of Encoding
 
-    def physical(self) -> dict:
-        return dict(mu=self.mu, beta_hot=self.beta_hot, beta_cold=self.beta_cold)
 
-    def encoding(self) -> Encoding:
-        """The rule a design must decode under: additive bands, delta = 0.1, on the rails."""
-        return Encoding(self.beta_hot, self.beta_cold, delta=0.1, band="additive")
+# The rule a design must decode under: additive bands, delta = 0.1, on the rails.
+DESIGN_ENCODING = Encoding(delta=0.1, band="additive")
 
 
 def _sigmoid(z):
@@ -321,7 +309,7 @@ def weights_to_neuron(w: Sequence[float], config: DesignConfig) -> NeuronSpec:
                                                for wk in w[1:])
     beta0 = float(w[0]) / denom
     signed_gap = -virtual_gap(h, eps)
-    spec = build_neuron(eps, h, beta0, signed_gap, **config.physical())
+    spec = build_neuron(eps, h, beta0, signed_gap, mu=config.mu)
     resid = perceptron_identity_residual(spec, w, config.alpha)
     if resid > 1e-9 * max(1.0, config.alpha * float(np.abs(w).max())):
         raise DesignError(f"perceptron identity violated (residual {resid:.3e})")
@@ -360,10 +348,10 @@ def preset(gate: str, config: DesignConfig | None = None) -> NeuronSpec:
 def search_alpha(table: TruthTable, config: DesignConfig,
                  weights: Sequence[float] | None = None) -> float:
     """Smallest power-of-two multiple of config.alpha at which every row decodes by
-    config.encoding()."""
+    DESIGN_ENCODING."""
     w = (np.asarray(weights, dtype=float) if weights is not None
          else train_perceptron(table, config))
-    enc, alpha = config.encoding(), config.alpha
+    enc, alpha = DESIGN_ENCODING, config.alpha
     rows = enc.rows(table.n)
     while alpha <= ALPHA_MAX:
         spec = weights_to_neuron(w, replace(config, alpha=alpha))

@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, StructuralError, TrainingError
-from .designer import DesignConfig, TruthTable, decode_array, weights_to_neuron
+from .designer import (DESIGN_ENCODING, DesignConfig, TruthTable, decode_array,
+                       weights_to_neuron)
 from .neuron import NeuronSpec, steady_response
 
 __all__ = ["NetworkSpec", "NetworkResponse", "eval_layers", "eval_network",
@@ -190,9 +191,8 @@ def train_network(table: TruthTable, topology: Sequence[int],
     net = NetworkSpec(n_inputs=table.n, layers=tuple(layers), wiring=tuple(wiring))
 
     # Behavioral check through the exact steady-state composition.
-    enc = config.encoding()
-    finals = eval_layers(net, enc.rows(table.n))[-1][:, -1]
-    decoded = decode_array(finals, enc).tolist()
+    finals = eval_layers(net, DESIGN_ENCODING.rows(table.n))[-1][:, -1]
+    decoded = decode_array(finals, DESIGN_ENCODING).tolist()
     for (bits, out), final, got in zip(table.rows(), finals.tolist(), decoded):
         if got != out:
             raise TrainingError(

@@ -199,32 +199,30 @@ class TransferPoint:
 
 
 def build_neuron(eps: Sequence[float], h: Sequence[int], beta0: float,
-                 eps_z: float, *, mu: float = NeuronSpec.mu,
-                 beta_hot: float = NeuronSpec.beta_hot,
-                 beta_cold: float = NeuronSpec.beta_cold) -> NeuronSpec:
+                 eps_z: float, *, mu: float = NeuronSpec.mu) -> NeuronSpec:
     """Assemble a calibrated NeuronSpec; flips the level labels if needed.
 
     ``eps_z`` must equal |sum_i (-1)^(h_i) eps_i| to within RESONANCE_TOL.
-    The modulator is calibrated to the rails at rate ``mu``; chi, gamma and
-    the capacity C are NeuronSpec's defaults.
+    The modulator is calibrated at rate ``mu`` to NeuronSpec's rails; chi,
+    gamma and the capacity C are NeuronSpec's defaults too.
     """
     h = tuple(int(b) for b in h)
     if virtual_gap(h, eps) > 0:
         h = flip(h)
-    cal = calibrate_modulator(beta_hot, beta_cold, eps_z, mu)
+    cal = calibrate_modulator(NeuronSpec.beta_hot, NeuronSpec.beta_cold, eps_z, mu)
     return NeuronSpec(eps=tuple(float(e) for e in eps), h=h, beta0=beta0,
-                      eps_z=eps_z, beta_r=cal.beta_r, mu_prime=cal.mu_prime,
-                      mu=mu, beta_hot=beta_hot, beta_cold=beta_cold)
+                      eps_z=eps_z, beta_r=cal.beta_r, mu_prime=cal.mu_prime, mu=mu)
 
 
-def inverter(eps_input: float = 20.0, eps_z: float = 0.1, **physical) -> NeuronSpec:
+def inverter(eps_input: float = 20.0, eps_z: float = 0.1, *,
+             mu: float = NeuronSpec.mu) -> NeuronSpec:
     """The canonical single-input inverting neuron.
 
     Reference gap eps_0 = eps_input + eps_z, input gap eps_1 = eps_input,
     h = (0, 1) and reference temperature beta_0 = 0.5; the virtual temperature is
     beta_v = (0.5 * eps_0 - beta_1 * eps_1) / eps_z.
     """
-    return build_neuron((eps_input + eps_z, eps_input), (0, 1), 0.5, eps_z, **physical)
+    return build_neuron((eps_input + eps_z, eps_input), (0, 1), 0.5, eps_z, mu=mu)
 
 
 def steady_from_virtual(spec: NeuronSpec, beta_v):

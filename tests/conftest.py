@@ -20,6 +20,15 @@ def fig2_inverter():
     return tn.inverter(20.0, 0.1)
 
 
+def on_rails(spec, rails):
+    """`spec` with its modulator calibrated to `rails`: NeuronSpec is the one
+    place a machine's rails are set, no builder takes them."""
+    cal = tn.calibrate_modulator(*rails, spec.eps_z, spec.mu)
+    return tn.NeuronSpec(eps=spec.eps, h=spec.h, beta0=spec.beta0, eps_z=spec.eps_z,
+                         beta_r=cal.beta_r, mu_prime=cal.mu_prime, mu=spec.mu,
+                         beta_hot=rails[0], beta_cold=rails[1])
+
+
 def random_neuron(rng, n_max=3, mu=1e-4):
     """Random calibrated neuron with rails (0, 1)."""
     n = int(rng.integers(1, n_max + 1))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import thermoneuron as tn
+from conftest import on_rails
 from thermoneuron import channel, designer
 from thermoneuron.channel import BANDS, decode_array, gaussian_band_probs
 from thermoneuron.dynamics import accumulated_dissipation
@@ -123,6 +124,13 @@ class TestGaussianChannel:
                     se = np.sqrt(max(p * (1 - p), 1e-12) / n_samples)
                     assert abs(mc.p_y_given_x[i, j] - p) <= 3.0 * se
 
+    def test_monte_carlo_rows_are_probabilities(self):
+        # Seed 10 once gave row (1) a p_invalid of 1 - 0.8 - 0.2 = -5.55e-17.
+        enc = tn.Encoding(delta=0.1, band="additive")
+        p = tn.mc_conditional_outputs(tn.preset("NOT"), enc, 5.0, 10, seed=10).p_y_given_x
+        assert p.min() >= 0.0
+        assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-15
+
     @pytest.mark.parametrize("n_samples", [0, -1])
     def test_monte_carlo_needs_a_sample(self, n_samples):
         spec = tn.preset("NOT", tn.DesignConfig(alpha=5.0))
@@ -201,15 +209,16 @@ class TestAverageDissipation:
 
     @pytest.mark.parametrize("rails", [(0.0, 1.0), (0.2, 1.5)])
     def test_dissipation_keeps_the_bits_of_the_row_loop(self, rails):
-        # The loop average_dissipation ran before it shared `dissipation`.
-        spec, enc, tau = tn.preset("NOR"), tn.Encoding(*rails), 1e4
-        start = 0.5 * (enc.beta_hot + enc.beta_cold)
+        # The loop average_dissipation ran before it shared `dissipation`,
+        # each run started at the midpoint of the machine's rails.
+        spec, enc, tau = on_rails(tn.preset("NOR"), rails), tn.Encoding(*rails), 1e4
+        start = 0.5 * (rails[0] + rails[1])
         total, per_row = 0.0, []
         for bits in itertools.product((0, 1), repeat=spec.n):
             traj = tn.evolve_quasi_static(spec, [tn.encode(b, enc) for b in bits], start, tau)
             per_row.append(accumulated_dissipation(traj))
             total += (1.0 / 4) * per_row[-1]
-        assert tn.dissipation(spec, enc.rows(spec.n), enc, tau).tolist() == per_row
+        assert tn.dissipation(spec, enc.rows(spec.n), tau).tolist() == per_row
         assert tn.average_dissipation(spec, enc, tau) == total
 
 
@@ -248,6 +257,13 @@ class TestTradeoffSweep:
     def test_eps1_knob_not_only(self):
         with pytest.raises(ConfigError):
             tn.tradeoff_sweep("NOR", "eps1", [2.0], tn.Encoding(), 0.05, 1e6)
+
+    @pytest.mark.parametrize("gate, knob", [("NOT", "eps1"), ("NOR", "alpha")])
+    def test_machine_takes_mu_from_the_config_and_rails_from_neuron_spec(self, gate, knob):
+        machine = channel.tradeoff_machine(gate, knob, 4.0, tn.DesignConfig(mu=2e-4))
+        assert machine.mu == 2e-4 and machine.is_calibrated()
+        assert (machine.beta_hot, machine.beta_cold) == (
+            tn.NeuronSpec.beta_hot, tn.NeuronSpec.beta_cold)
 
     @pytest.mark.parametrize("gate, knob, message", [
         ("MAJ3", "eps1", "the eps1 knob applies to the NOT gate only"),

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import thermoneuron as tn
+from conftest import on_rails
 from thermoneuron import channel as ch
 from thermoneuron.cli import main
 from thermoneuron.errors import ConfigError
@@ -779,3 +780,44 @@ def test_network_steady_text_matches_eval_network(xor_network_doc, tmp_path, cap
             for li, outs in enumerate(response.layer_outputs)]
     assert lines[:-2] == want
     assert lines[-2:] == [f"beta_z_inf = {response.final:.12g}", "decoded    = 1"]
+
+
+def test_commands_read_the_rails_from_the_machine(tmp_path, capsys):
+    # A machine file on rails (0.2, 1.5): every command decodes on them and
+    # starts a run at their midpoint 0.85; no option or builder restates them.
+    rails = (0.2, 1.5)
+    spec = on_rails(tn.preset("NOR"), rails)
+    path = str(tmp_path / "wide.json")
+    tn.dump_machine(path, spec, PROVENANCE)
+    assert main(["steady", path, "--inputs", "1.5", "1.5", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # 0.2 is bit 0 on the machine's rails, and invalid on the default (0, 1).
+    assert payload["beta_z_inf"] == pytest.approx(0.2, abs=1e-12)
+    assert payload["decoded"] == 0
+    assert tn.decode(payload["beta_z_inf"], tn.Encoding(band="additive")) is None
+    assert main(["verify", path, "--gate", "NOR"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("row 0 0 -> beta_z =  1.433679  decoded = 1")
+    assert printed[-1] == "4/4 rows correct"
+    csv_path = tmp_path / "traj.csv"
+    assert main(["simulate", path, "--inputs", "0.2", "0.2", "--tau", "1e4",
+                 "--out", str(csv_path)]) == 0
+    assert csv_path.read_text().splitlines()[2].split(",")[:2] == ["0", "0.85"]
+    rows, tau = tn.Encoding(*rails).rows(spec.n), 1e4
+    loop = [tn.accumulated_dissipation(tn.evolve_quasi_static(spec, row, 0.85, tau))
+            for row in rows]
+    assert ch.dissipation(spec, rows, tau).tolist() == loop
+
+
+def test_network_commands_read_the_rails_from_its_units(tmp_path, capsys):
+    unit = on_rails(tn.preset("NOR"), (0.2, 1.5))
+    net = tn.NetworkSpec(n_inputs=2, layers=((unit,),), wiring=(((0, 1),),))
+    path = str(tmp_path / "wide-net.json")
+    tn.dump_machine(path, net, PROVENANCE)
+    assert main(["steady", path, "--inputs", "0.2", "1.5", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["decoded"] == 0
+    assert main(["verify", path, "--gate", "NOR"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "4/4 rows correct"
+    assert main(["sweep", path, "--grid", "0.2,1.5", "--band", "additive"]) == 0
+    decoded = [line.rsplit(",", 1)[1] for line in capsys.readouterr().out.splitlines()[2:]]
+    assert decoded == ["1", "0", "0", "0"]

@@ -1,13 +1,12 @@
 """Truth tables, perceptron training, and weight-to-machine compilation."""
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import thermoneuron as tn
-from thermoneuron.designer import (PRESET_WEIGHTS, decode_array,
+from thermoneuron.designer import (DESIGN_ENCODING, PRESET_WEIGHTS,
                                    perceptron_identity_residual, search_alpha)
 from thermoneuron.errors import ConfigError, DesignError, NotSeparableError
 
@@ -24,7 +23,7 @@ class TestTruthTable:
     def test_from_text_with_colons(self):
         table = tn.TruthTable.from_text("0 0 : 1\n0 1 : 0\n1 0 : 0\n1 1 : 0\n")
         assert table.outputs == (1, 0, 0, 0)
-        assert table.output((0, 0)) == 1
+        assert table.outputs[0] == 1
 
     def test_from_text_without_colons_any_order(self):
         table = tn.TruthTable.from_text("1 1\n0 0\n")
@@ -167,9 +166,6 @@ class TestWeightsToNeuron:
             assert additive_decode(ra) == additive_decode(rb)
 
 
-RAILS = "rails must be finite and satisfy beta_hot < beta_cold"
-
-
 @pytest.mark.parametrize("field, value, message", [
     ("alpha", np.inf, "alpha must be positive and finite, got inf"),
     ("alpha", np.nan, "alpha must be positive and finite, got nan"),
@@ -181,10 +177,6 @@ RAILS = "rails must be finite and satisfy beta_hot < beta_cold"
     ("mu", 0.0, "mu must be positive and finite, got 0.0"),
     ("seed", -1, "seed must be at least 0, got -1"),
     ("seed", 1.5, "seed must be an integer, got 1.5"),
-    # The rails obey Encoding's rule, not a later error naming beta_r.
-    ("beta_cold", np.inf, RAILS), ("beta_hot", -np.inf, RAILS),
-    ("beta_hot", np.nan, RAILS), ("beta_cold", np.nan, RAILS),
-    ("beta_hot", 1.0, RAILS), ("beta_cold", -1.0, RAILS),
 ])
 def test_design_config_refuses_what_would_fail_later(field, value, message):
     with pytest.raises(ConfigError, match=message):
@@ -192,17 +184,15 @@ def test_design_config_refuses_what_would_fail_later(field, value, message):
 
 
 def test_physical_defaults_are_the_neuron_spec_defaults():
-    # NeuronSpec states the physical defaults; build_neuron and DesignConfig
-    # read them from there.
+    # NeuronSpec states the default reservoir rate mu; DesignConfig, build_neuron
+    # and inverter read it from there.
     import dataclasses
     import inspect
-    names = ("mu", "beta_hot", "beta_cold")
-    spec = {f.name: f.default for f in dataclasses.fields(tn.NeuronSpec)}
     config = {f.name: f.default for f in dataclasses.fields(tn.DesignConfig)}
-    build = inspect.signature(tn.build_neuron).parameters
-    for name in names:
-        assert config[name] == build[name].default == spec[name], name
-    assert tn.DesignConfig().physical() == {name: spec[name] for name in names}
+    assert set(config) == {"alpha", "eps_z", "seed", "mu"}
+    for builder in (tn.build_neuron, tn.inverter):
+        assert inspect.signature(builder).parameters["mu"].default == tn.NeuronSpec.mu
+    assert config["mu"] == tn.NeuronSpec.mu
 
 
 class TestPreset:
@@ -254,27 +244,6 @@ class TestBehavioralCompilation:
                              weights=PRESET_WEIGHTS[gate])
         assert found == alpha
 
-    @pytest.mark.parametrize("gate, alpha", [("NOT", 256.0), ("NOR", 256.0), ("MAJ3", None)])
-    def test_search_alpha_encodes_rows_on_the_rails(self, gate, alpha):
-        # On rails (0, 0.5) the rows enter as 0 and 0.5, not as the bits 0
-        # and 1, so every alpha returned decodes the table on those rails.
-        enc = tn.Encoding(0.0, 0.5, delta=0.1, band="additive")
-        cfg = tn.DesignConfig(alpha=1.0, beta_hot=0.0, beta_cold=0.5)
-        table = tn.gate_table(gate)
-
-        def search():
-            return search_alpha(table, cfg, weights=PRESET_WEIGHTS[gate])
-
-        if alpha is None:
-            with pytest.raises(DesignError, match="no steepness up to 4096"):
-                search()
-            return
-        found = search()
-        assert found == alpha
-        spec = tn.weights_to_neuron(PRESET_WEIGHTS[gate], replace(cfg, alpha=found))
-        means = tn.machine_response(spec, enc.rows(table.n))
-        assert decode_array(means, enc).tolist() == list(table.outputs)
-
     def test_search_alpha_gives_up_at_alpha_max(self):
         # NOR's weights never compute XOR, however steep.
         with pytest.raises(DesignError, match="no steepness up to 4096"):
@@ -282,5 +251,6 @@ class TestBehavioralCompilation:
                          weights=PRESET_WEIGHTS["NOR"])
 
     def test_design_encoding_is_additive_on_the_rails(self):
-        enc = tn.DesignConfig(beta_hot=0.2, beta_cold=0.7).encoding()
-        assert enc == tn.Encoding(0.2, 0.7, delta=0.1, band="additive")
+        assert DESIGN_ENCODING == tn.Encoding(0.0, 1.0, delta=0.1, band="additive")
+        assert (DESIGN_ENCODING.beta_hot, DESIGN_ENCODING.beta_cold) == (
+            tn.NeuronSpec.beta_hot, tn.NeuronSpec.beta_cold)

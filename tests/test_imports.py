@@ -2,11 +2,14 @@
 
 A function-level import of a package module hides a dependency (and, in
 `network`, once hid a network -> channel -> network cycle); this scan finds
-any that come back.
+any that come back.  Two more scans keep each module's `__all__` to its own
+functions and classes, and the span names the benchmark looks up to functions
+its tracer wraps.
 """
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import thermoneuron
@@ -69,3 +72,40 @@ def test_each_all_lists_exactly_its_own_functions_and_classes():
         code = {name for name in listed
                 if isinstance(getattr(module, name), type) or callable(getattr(module, name))}
         assert code == public_definitions(path), path.name
+
+
+PERFBENCH_RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+def traced_names(source: str) -> set[str]:
+    """The literal span names passed to `tracer.children` and `top_span`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            called = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            if called in ("children", "top_span"):
+                found |= {arg.value for arg in node.args
+                          if isinstance(arg, ast.Constant) and isinstance(arg.value, str)}
+    return found
+
+
+def test_scan_finds_the_traced_names():
+    source = ('idx = top_span(f"op-{x}", "a.f")\n'
+              'sub = tracer.children(idx, "b.g") if idx else []\n'
+              'other("c.h")\n')
+    assert traced_names(source) == {"a.f", "b.g"}
+
+
+def test_perfbench_looks_up_only_wrapped_functions():
+    # The tracer wraps each public function a layer module defines itself and
+    # raises ValueError when asked for any other name.
+    names = traced_names(PERFBENCH_RUN.read_text(encoding="utf-8"))
+    assert names
+    for name in sorted(names):
+        layer, _, fn = name.partition(".")
+        assert (SRC / f"{layer}.py").is_file(), name
+        module = importlib.import_module(f"thermoneuron.{layer}")
+        value = getattr(module, fn, None)
+        assert not fn.startswith("_") and inspect.isfunction(value), name
+        assert value.__module__ == module.__name__, name
