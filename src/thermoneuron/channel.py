@@ -1,8 +1,8 @@
 """The stochastic response channel, and error/dissipation averages.
 
-Every truth-table consumer evaluates the 2^n rows of `Encoding.rows` and
-decodes them with `decode_array`; both live in `designer` with the encoding
-(and stay importable from here).  The machine's response fluctuates as a
+Every truth-table consumer evaluates the 2^n rows of `logic_rows` on the
+machine's rails and decodes them on the same rails; both rules live in
+`designer` with the encoding.  The machine's response fluctuates as a
 Gaussian of width ``spread`` around the steady-state value, which gives
 closed-form conditional output probabilities; a seeded Monte Carlo
 estimator doubles as an independent oracle.
@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .designer import (BANDS, DesignConfig, Encoding, TruthTable, _check_count,
-                       decode, decode_array, encode, gate_table, preset)
+from .designer import (DesignConfig, Encoding, TruthTable, _check_count, gate_table,
+                       logic_rows, preset)
 from .dynamics import accumulated_dissipation, evolve_quasi_static
 from .network import NetworkSpec, eval_layers
 from .neuron import NeuronSpec, inverter, steady_response
@@ -72,19 +72,20 @@ def _phi(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def gaussian_band_probs(mean: float, spread: float, enc: Encoding):
-    """(p0, p1, p_invalid) for a Gaussian response of the given mean and width."""
+def gaussian_band_probs(mean: float, spread: float, enc: Encoding, machine):
+    """(p0, p1, p_invalid) of a Gaussian response decoded on the machine's rails."""
     if not (spread > 0.0):
         raise ConfigError("channel spread must be positive")
-    p0 = _phi((enc.low_edge - mean) / spread)
-    p1 = _phi((mean - enc.high_edge) / spread)
+    low, high = enc.edges(machine)
+    p0 = _phi((low - mean) / spread)
+    p1 = _phi((mean - high) / spread)
     return p0, p1, max(0.0, 1.0 - p0 - p1)
 
 
 def conditional_outputs(machine, enc: Encoding, spread: float) -> ChannelStats:
     """Closed-form Gaussian channel table over all 2^n logical inputs."""
-    means = machine_response(machine, enc.rows(machine_arity(machine)))
-    table = np.array([gaussian_band_probs(m, spread, enc) for m in means.tolist()])
+    means = machine_response(machine, logic_rows(machine, machine_arity(machine)))
+    table = np.array([gaussian_band_probs(m, spread, enc, machine) for m in means.tolist()])
     return ChannelStats(p_y_given_x=table, means=means)
 
 
@@ -95,13 +96,14 @@ def mc_conditional_outputs(machine, enc: Encoding, spread: float,
         raise ConfigError("channel spread must be positive")
     _check_count("n_samples", n_samples, 1)
     _check_count("seed", seed, 0)
+    low, high = enc.edges(machine)
     rng = np.random.default_rng(seed)
-    means = machine_response(machine, enc.rows(machine_arity(machine)))
+    means = machine_response(machine, logic_rows(machine, machine_arity(machine)))
     table = np.empty((len(means), 3))
     for i, m in enumerate(means):
         samples = rng.normal(m, spread, n_samples)
-        table[i] = (np.mean(samples <= enc.low_edge), np.mean(samples >= enc.high_edge),
-                    np.mean((enc.low_edge < samples) & (samples < enc.high_edge)))
+        table[i] = (np.mean(samples <= low), np.mean(samples >= high),
+                    np.mean((low < samples) & (samples < high)))
     return ChannelStats(p_y_given_x=table, means=means)
 
 
@@ -137,9 +139,9 @@ def dissipation(spec: NeuronSpec, rows, tau: float) -> np.ndarray:
                      for row in rows], dtype=float)
 
 
-def average_dissipation(spec: NeuronSpec, enc: Encoding, tau: float) -> float:
+def average_dissipation(spec: NeuronSpec, tau: float) -> float:
     """`dissipation` averaged over uniformly distributed logical inputs."""
-    return _uniform_mean(dissipation(spec, enc.rows(spec.n), tau).tolist())
+    return _uniform_mean(dissipation(spec, logic_rows(spec, spec.n), tau).tolist())
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,7 @@ def tradeoff_sweep(gate: str, knob: str, grid: Sequence[float], enc: Encoding,
         machine = tradeoff_machine(gate, knob, value, config)
         stats = conditional_outputs(machine, enc, spread)
         xi, invalid = average_error(stats, table)
-        sigma = average_dissipation(machine, enc, tau)
+        sigma = average_dissipation(machine, tau)
         points.append(TradeoffPoint(knob=float(value), avg_sigma=sigma,
                                     avg_xi=xi, avg_invalid=invalid))
     return points

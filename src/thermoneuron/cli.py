@@ -14,7 +14,7 @@ accepted in any float form (-1, -.5, -1e-3, -0.5:1:3); `design` (whose
 --layers needs --table) and `verify` each need exactly one of --table or --gate.
 
 `verify` reads its rows' means and p(error) from `channel.conditional_outputs`
-(over `Encoding.rows`) and decodes them all in one `decode_array` call.
+(over `logic_rows`) and decodes them all in one `decode_array` call.
 """
 
 from __future__ import annotations
@@ -55,8 +55,10 @@ MAX_LAYERS, MAX_LAYER_WIDTH = 8, 256
 
 
 def _encoding(args, machine) -> Encoding:
-    spec = machine.layers[0][0] if isinstance(machine, NetworkSpec) else machine
-    return Encoding(spec.beta_hot, spec.beta_cold, delta=args.delta, band=args.band)
+    """--delta and --band; bands that overlap on the machine's rails fail here."""
+    enc = Encoding(delta=args.delta, band=args.band)
+    enc.edges(machine)
+    return enc
 
 
 # Argument converters, passed to argparse as `type=`.  argparse turns an
@@ -244,7 +246,7 @@ def cmd_steady(args) -> int:
         final = response.final
         payload = {"layer_outputs": [list(o) for o in response.layer_outputs],
                    "beta_z_inf": final}
-    bit = decode(final, enc)
+    bit = decode(final, enc, machine)
     payload["decoded"] = bit if bit is not None else "invalid"
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -295,7 +297,8 @@ def cmd_sweep(args) -> int:
     axes = [np.array([f"{v:.12g}" for v in g], dtype=object) for g in grids]
     inputs = [m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")]
     # decode_array gives -1 for invalid, which picks the last label.
-    decoded = np.array(["0", "1", "invalid"], dtype=object)[decode_array(outputs[-1], enc)]
+    decoded = np.array(["0", "1", "invalid"], dtype=object)[
+        decode_array(outputs[-1], enc, machine)]
     header = [f"beta_{i + 1}" for i in range(arity)] + extra + ["beta_z_inf", "decoded"]
     _write_csv(header, (*inputs, *outputs, decoded), args.out)
     return EXIT_OK
@@ -306,7 +309,7 @@ def cmd_tradeoff(args) -> int:
         _check_option_points("--inset-points", (len(args.grid), args.inset_points),
                              "the inset (grid x inset points)")
     config = DesignConfig(eps_z=args.eps_z)
-    enc = Encoding(delta=args.delta, band=args.band)
+    enc = _encoding(args, NeuronSpec)   # the rails of every machine tradeoff builds
     points = ch.tradeoff_sweep(args.gate, args.knob, args.grid, enc,
                                spread=args.channel_width, tau=args.tau,
                                config=config)
@@ -314,14 +317,15 @@ def cmd_tradeoff(args) -> int:
     rows = [(p.knob, p.avg_sigma, p.avg_xi, p.avg_invalid) for p in points]
     _write_csv(header, np.array(rows, dtype=float).reshape(-1, 4).T, args.out)
     if args.inset:
-        beta_1 = np.linspace(enc.beta_hot, enc.beta_cold, args.inset_points)
         machines = [ch.tradeoff_machine(args.gate, args.knob, value, config)
                     for value in args.grid]
-        sigmas = [ch.dissipation(m, np.repeat(beta_1[:, None], m.n, axis=1), args.tau)
+        beta_1 = [np.linspace(m.beta_hot, m.beta_cold, args.inset_points)
                   for m in machines]
+        sigmas = [ch.dissipation(m, np.repeat(b[:, None], m.n, axis=1), args.tau)
+                  for m, b in zip(machines, beta_1)]
         inset_path = (args.out or "tradeoff") + ".inset.csv"
         _write_csv((args.knob, "beta_1", "sigma"),
-                   (np.repeat(args.grid, len(beta_1)), np.tile(beta_1, len(machines)),
+                   (np.repeat(args.grid, args.inset_points), np.reshape(beta_1, -1),
                     np.reshape(sigmas, -1)), inset_path)
         print(f"wrote {inset_path}", file=sys.stderr)
     return EXIT_OK
@@ -335,7 +339,8 @@ def cmd_verify(args) -> int:
     stats = ch.conditional_outputs(machine, enc, args.channel_width)
     failures = []
     for (bits, expected), final, got, probs in zip(
-            table.rows(), stats.means.tolist(), decode_array(stats.means, enc).tolist(),
+            table.rows(), stats.means.tolist(),
+            decode_array(stats.means, enc, machine).tolist(),
             stats.p_y_given_x.tolist()):
         status = "ok" if got == expected else "FAIL"
         shown = got if got >= 0 else "invalid"

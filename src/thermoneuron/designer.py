@@ -30,6 +30,7 @@ __all__ = [
     "Encoding",
     "encode",
     "decode",
+    "logic_rows",
     "decode_array",
     "TruthTable",
     "DesignConfig",
@@ -63,66 +64,59 @@ def _check_count(name: str, value, least: int) -> None:
 
 @dataclass(frozen=True)
 class Encoding:
-    """Logic rails plus the decoding tolerance delta.  Bits enter as bath
-    temperatures (0 -> beta_hot, 1 -> beta_cold) and leave through bands of
+    """The decoding rule: tolerance delta and its band.  Bits enter as the
+    machine's rails (0 -> beta_hot, 1 -> beta_cold) and leave through bands of
     half-width delta: multiplicative (y = 0 iff beta_z <= (1+delta) beta_hot, a
     point when beta_hot = 0) or additive (y = 0 iff beta_z <= beta_hot + delta
     (beta_cold - beta_hot)), which gate verification uses; else invalid."""
 
-    beta_hot: float = NeuronSpec.beta_hot
-    beta_cold: float = NeuronSpec.beta_cold
     delta: float = 0.1
     band: str = "multiplicative"
 
     def __post_init__(self):
-        if not (-math.inf < self.beta_hot < self.beta_cold < math.inf):
-            raise ConfigError("rails must be finite and satisfy beta_hot < beta_cold")
         if not (0.0 <= self.delta < 1.0):
             raise ConfigError("delta must lie in [0, 1)")
         if self.band not in BANDS:
             raise ConfigError(f"band must be one of {BANDS}")
-        if not (self.low_edge < self.high_edge):
-            raise ConfigError(
-                f"decoding bands overlap: low edge {self.low_edge} >= "
-                f"high edge {self.high_edge}")
 
-    @property
-    def low_edge(self) -> float:
+    def edges(self, machine) -> tuple[float, float]:
+        """(low, high) on the machine's rails; ConfigError if the bands overlap."""
+        hot, cold = machine.beta_hot, machine.beta_cold
         if self.band == "multiplicative":
-            return (1.0 + self.delta) * self.beta_hot
-        return self.beta_hot + self.delta * (self.beta_cold - self.beta_hot)
-
-    @property
-    def high_edge(self) -> float:
-        if self.band == "multiplicative":
-            return (1.0 - self.delta) * self.beta_cold
-        return self.beta_cold - self.delta * (self.beta_cold - self.beta_hot)
-
-    def rows(self, n: int) -> np.ndarray:
-        """The 2^n logical inputs on the rails, (2^n, n), in truth-table order."""
-        rails = (self.beta_hot, self.beta_cold)
-        return np.array(list(itertools.product(rails, repeat=n)), dtype=float)
+            low, high = (1.0 + self.delta) * hot, (1.0 - self.delta) * cold
+        else:
+            low, high = hot + self.delta * (cold - hot), cold - self.delta * (cold - hot)
+        if not (low < high):
+            raise ConfigError(f"decoding bands overlap: low edge {low} >= high edge {high}")
+        return low, high
 
 
-def encode(x: int, enc: Encoding) -> float:
+def logic_rows(machine, n: int) -> np.ndarray:
+    """The 2^n logical inputs on the machine's rails, (2^n, n), in truth-table order."""
+    rails = (machine.beta_hot, machine.beta_cold)
+    return np.array(list(itertools.product(rails, repeat=n)), dtype=float)
+
+
+def encode(x: int, machine) -> float:
     """Deterministic point encoding: 0 -> beta_hot, 1 -> beta_cold."""
     if x == 0:
-        return enc.beta_hot
+        return machine.beta_hot
     if x == 1:
-        return enc.beta_cold
+        return machine.beta_cold
     raise ConfigError(f"logical input must be 0 or 1, got {x!r}")
 
 
-def decode_array(beta_z, enc: Encoding) -> np.ndarray:
+def decode_array(beta_z, enc: Encoding, machine) -> np.ndarray:
     """The band rule elementwise: 0 at or below the low edge, 1 at or above
     the high edge, -1 (invalid) anywhere else, NaN included."""
+    low, high = enc.edges(machine)
     beta_z = np.asarray(beta_z, dtype=float)
-    return np.where(beta_z <= enc.low_edge, 0, np.where(beta_z >= enc.high_edge, 1, -1))
+    return np.where(beta_z <= low, 0, np.where(beta_z >= high, 1, -1))
 
 
-def decode(beta_z: float, enc: Encoding):
+def decode(beta_z: float, enc: Encoding, machine):
     """0, 1, or None (invalid) depending on which band beta_z falls into."""
-    bit = int(decode_array(beta_z, enc))
+    bit = int(decode_array(beta_z, enc, machine))
     return bit if bit >= 0 else None
 
 
@@ -134,14 +128,14 @@ class TruthTable:
     outputs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("truth table needs at least one input")
+        _check_count("n", self.n, 1)
         if len(self.outputs) != 1 << self.n:
             raise ConfigError(
                 f"truth table for {self.n} inputs needs {1 << self.n} rows, "
                 f"got {len(self.outputs)}")
         if any(o not in (0, 1) for o in self.outputs):
             raise ConfigError("truth table outputs must be bits")
+        object.__setattr__(self, "outputs", tuple(int(o) for o in self.outputs))
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[tuple[int, ...]], int]) -> "TruthTable":
@@ -234,7 +228,7 @@ class DesignConfig:
         _check_count("seed", self.seed, 0)
 
 
-# The rule a design must decode under: additive bands, delta = 0.1, on the rails.
+# The rule a design must decode under: additive bands, delta = 0.1, on its rails.
 DESIGN_ENCODING = Encoding(delta=0.1, band="additive")
 
 
@@ -351,12 +345,11 @@ def search_alpha(table: TruthTable, config: DesignConfig,
     DESIGN_ENCODING."""
     w = (np.asarray(weights, dtype=float) if weights is not None
          else train_perceptron(table, config))
-    enc, alpha = DESIGN_ENCODING, config.alpha
-    rows = enc.rows(table.n)
+    alpha = config.alpha
     while alpha <= ALPHA_MAX:
         spec = weights_to_neuron(w, replace(config, alpha=alpha))
-        _, finals = steady_response(spec, rows)
-        if decode_array(finals, enc).tolist() == list(table.outputs):
+        _, finals = steady_response(spec, logic_rows(spec, table.n))
+        if decode_array(finals, DESIGN_ENCODING, spec).tolist() == list(table.outputs):
             return alpha
         alpha *= 2.0
     raise DesignError(f"no steepness up to {ALPHA_MAX} decodes the table")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, StructuralError, TrainingError
 from .designer import (DESIGN_ENCODING, DesignConfig, TruthTable, decode_array,
-                       weights_to_neuron)
+                       logic_rows, weights_to_neuron)
 from .neuron import NeuronSpec, steady_response
 
 __all__ = ["NetworkSpec", "NetworkResponse", "eval_layers", "eval_network",
@@ -40,7 +40,6 @@ class NetworkSpec:
             raise StructuralError("network needs at least one primary input")
         if len(self.layers) != len(self.wiring) or not self.layers:
             raise StructuralError("layers and wiring must align and be non-empty")
-        rails = None
         width = self.n_inputs
         for li, (layer, wires) in enumerate(zip(self.layers, self.wiring)):
             if len(layer) != len(wires) or not layer:
@@ -53,16 +52,17 @@ class NetworkSpec:
                 if any(not 0 <= k < width for k in feed):
                     raise StructuralError(
                         f"layer {li} neuron {ni}: wiring index out of range")
-                r = (neuron.beta_hot, neuron.beta_cold)
-                if rails is None:
-                    rails = r
-                elif r != rails:
+                if (neuron.beta_hot, neuron.beta_cold) != (self.beta_hot, self.beta_cold):
                     raise StructuralError("all neurons must share the same rails")
             width = len(layer)
 
     @property
     def n_layers(self) -> int:
         return len(self.layers)
+
+    # The rails every unit shares (logic 0 -> beta_hot, 1 -> beta_cold).
+    beta_hot = property(lambda self: self.layers[0][0].beta_hot)
+    beta_cold = property(lambda self: self.layers[0][0].beta_cold)
 
 
 @dataclass(frozen=True)
@@ -191,8 +191,8 @@ def train_network(table: TruthTable, topology: Sequence[int],
     net = NetworkSpec(n_inputs=table.n, layers=tuple(layers), wiring=tuple(wiring))
 
     # Behavioral check through the exact steady-state composition.
-    finals = eval_layers(net, DESIGN_ENCODING.rows(table.n))[-1][:, -1]
-    decoded = decode_array(finals, DESIGN_ENCODING).tolist()
+    finals = eval_layers(net, logic_rows(net, table.n))[-1][:, -1]
+    decoded = decode_array(finals, DESIGN_ENCODING, net).tolist()
     for (bits, out), final, got in zip(table.rows(), finals.tolist(), decoded):
         if got != out:
             raise TrainingError(

@@ -106,22 +106,22 @@ def test_05_gate_truth_tables():
     nor = tn.preset("NOR", tn.DesignConfig(alpha=20.0, eps_z=0.1))
     for bits, want in tn.gate_table("NOR").rows():
         got = tn.decode(tn.steady_output(
-            nor, [tn.encode(b, enc) for b in bits]).beta_z_inf, enc)
+            nor, [tn.encode(b, nor) for b in bits]).beta_z_inf, enc, nor)
         if got != want:
             failures.append(("NOR", bits))
 
     maj = tn.preset("MAJ3", tn.DesignConfig(alpha=10.0, eps_z=0.1))
     for bits, want in tn.gate_table("MAJ3").rows():
         got = tn.decode(tn.steady_output(
-            maj, [tn.encode(b, enc) for b in bits]).beta_z_inf, enc)
+            maj, [tn.encode(b, maj) for b in bits]).beta_z_inf, enc, maj)
         if got != want:
             failures.append(("MAJ3", bits))
 
     net = tn.train_network(tn.gate_table("XOR"), (2, 1),
                            tn.DesignConfig(alpha=20.0, eps_z=0.1, seed=XOR_SEED))
     for bits, want in tn.gate_table("XOR").rows():
-        final = tn.eval_network(net, [tn.encode(b, enc) for b in bits]).final
-        if tn.decode(final, enc) != want:
+        final = tn.eval_network(net, [tn.encode(b, net) for b in bits]).final
+        if tn.decode(final, enc, net) != want:
             failures.append(("XOR", bits))
 
     elapsed = time.perf_counter() - start

@@ -1,5 +1,6 @@
 """Encoding/decoding, the Gaussian response channel, and averaged error/dissipation."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,91 +9,90 @@ import pytest
 import thermoneuron as tn
 from conftest import on_rails
 from thermoneuron import channel, designer
-from thermoneuron.channel import BANDS, decode_array, gaussian_band_probs
+from thermoneuron.channel import gaussian_band_probs
+from thermoneuron.designer import BANDS, decode_array, logic_rows
 from thermoneuron.dynamics import accumulated_dissipation
 from thermoneuron.errors import ConfigError
 
 PHI_2 = 0.9772498680518207928  # standard normal CDF at 2, 50-digit oracle
+UNIT = tn.preset("NOT")   # a machine on the default rails (0, 1)
 
 
 class TestEncoding:
     def test_encode_rails(self):
-        enc = tn.Encoding()
-        assert tn.encode(0, enc) == 0.0
-        assert tn.encode(1, enc) == 1.0
+        assert tn.encode(0, UNIT) == 0.0
+        assert tn.encode(1, UNIT) == 1.0
 
     def test_round_trip_at_rails(self):
         enc = tn.Encoding()
-        assert tn.decode(tn.encode(0, enc), enc) == 0
-        assert tn.decode(tn.encode(1, enc), enc) == 1
+        assert tn.decode(tn.encode(0, UNIT), enc, UNIT) == 0
+        assert tn.decode(tn.encode(1, UNIT), enc, UNIT) == 1
 
     def test_multiplicative_band_literal(self):
         enc = tn.Encoding(delta=0.1)
-        assert tn.decode(1.0, enc) == 1
-        assert tn.decode(0.5, enc) is None   # inside (0, 0.9)
-        assert tn.decode(-0.01, enc) == 0    # at or below (1+delta)*0
-        assert tn.decode(1e-6, enc) is None  # the 0-band is a single point
+        assert tn.decode(1.0, enc, UNIT) == 1
+        assert tn.decode(0.5, enc, UNIT) is None   # inside (0, 0.9)
+        assert tn.decode(-0.01, enc, UNIT) == 0    # at or below (1+delta)*0
+        assert tn.decode(1e-6, enc, UNIT) is None  # the 0-band is a single point
 
     def test_additive_band(self):
         enc = tn.Encoding(delta=0.1, band="additive")
-        assert enc.low_edge == 0.1 and enc.high_edge == 0.9
-        assert tn.decode(0.05, enc) == 0
-        assert tn.decode(0.95, enc) == 1
-        assert tn.decode(0.5, enc) is None
+        assert enc.edges(UNIT) == (0.1, 0.9)
+        assert tn.decode(0.05, enc, UNIT) == 0
+        assert tn.decode(0.95, enc, UNIT) == 1
+        assert tn.decode(0.5, enc, UNIT) is None
+
+    def test_holds_only_the_decoding_rule(self):
+        # The rails are the machine's; an encoding cannot restate them.
+        assert [f.name for f in dataclasses.fields(tn.Encoding)] == ["delta", "band"]
 
     @pytest.mark.parametrize("band", BANDS)
     @pytest.mark.parametrize("rails", [(0.0, 1.0), (0.2, 1.5)])
     def test_array_decode_equals_scalar_decode(self, band, rails):
-        enc = tn.Encoding(*rails, delta=0.1, band=band)
-        edges = np.array([enc.low_edge, enc.high_edge])
+        machine, enc = on_rails(UNIT, rails), tn.Encoding(delta=0.1, band=band)
+        low, high = enc.edges(machine)
+        edges = np.array([low, high])
         values = np.concatenate([
             edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
             [np.nan, np.inf, -np.inf, rails[0], rails[1]],
             np.random.default_rng(11).uniform(-0.5, 2.0, 1000)])
-        codes = decode_array(values, enc)
+        codes = decode_array(values, enc, machine)
         assert codes.shape == values.shape
         for v, code in zip(values.tolist(), codes.tolist()):
             # The band rule written out, scalar by scalar.
-            want = 0 if v <= enc.low_edge else 1 if v >= enc.high_edge else None
-            assert tn.decode(v, enc) == want
+            want = 0 if v <= low else 1 if v >= high else None
+            assert tn.decode(v, enc, machine) == want
             assert code == (-1 if want is None else want)
         assert set(codes[:2].tolist()) == {0, 1}
         assert codes[6] == -1  # NaN
 
     def test_rows_on_the_rails_in_table_order(self):
-        enc = tn.Encoding(0.2, 0.7)
-        rows = enc.rows(3)
+        machine = on_rails(tn.preset("MAJ3"), (0.2, 0.7))
+        rows = logic_rows(machine, 3)
         assert rows.shape == (8, 3) and rows.dtype == float
-        want = [[tn.encode(b, enc) for b in bits] for bits, _ in tn.gate_table("MAJ3").rows()]
+        want = [[tn.encode(b, machine) for b in bits]
+                for bits, _ in tn.gate_table("MAJ3").rows()]
         assert rows.tolist() == want
 
     def test_encoding_has_one_home(self):
-        # The encoding lives in designer; channel and the package re-export it.
-        for name in ("BANDS", "Encoding", "encode", "decode", "decode_array"):
-            assert getattr(channel, name) is getattr(designer, name)
+        # The encoding lives in designer; the package re-exports it.
         for name in ("Encoding", "encode", "decode"):
             assert getattr(tn, name) is getattr(designer, name)
 
     def test_overlapping_bands_rejected(self):
         with pytest.raises(ConfigError, match="overlap"):
-            tn.Encoding(delta=0.6, band="additive")
+            tn.Encoding(delta=0.6, band="additive").edges(UNIT)
 
     def test_bad_inputs(self):
-        enc = tn.Encoding()
         with pytest.raises(ConfigError):
-            tn.encode(2, enc)
-        with pytest.raises(ConfigError):
-            tn.Encoding(beta_hot=1.0, beta_cold=0.0)
-        for rails in ((0.0, np.inf), (-np.inf, 1.0)):
-            with pytest.raises(ConfigError, match="rails must be finite"):
-                tn.Encoding(*rails)
+            tn.encode(2, UNIT)
 
 
 class TestGaussianChannel:
     def test_cdf_reference_point(self):
         # mean 1.0, spread 0.05, high edge 0.9: p(y=1) = Phi(2).
         enc = tn.Encoding(delta=0.1)
-        _, p1, _ = gaussian_band_probs(1.0, 0.05, enc)
+        _, p1, _ = gaussian_band_probs(1.0, 0.05, enc, UNIT)
         assert abs(p1 - PHI_2) < 1e-14
 
     def test_rows_sum_to_one(self):
@@ -177,16 +177,43 @@ class TestAverageError:
         assert abs(xi + invalid + correct - 1.0) < 1e-9
 
 
+class TestOffTheDefaultRails:
+    """NOR on rails (0.2, 1.5): its rows, edges and bits all come from the machine."""
+
+    MACHINE = on_rails(tn.preset("NOR"), (0.2, 1.5))
+    ENC = tn.Encoding(delta=0.1, band="additive")
+
+    def test_closed_form_channel_computes_nor(self):
+        stats = tn.conditional_outputs(self.MACHINE, self.ENC, 0.05)
+        assert decode_array(stats.means, self.ENC, self.MACHINE).tolist() == [1, 0, 0, 0]
+        _, invalid = tn.average_error(stats, tn.gate_table("NOR"))
+        assert invalid < 0.05
+
+    def test_monte_carlo_agrees(self):
+        n_samples = 100_000
+        exact = tn.conditional_outputs(self.MACHINE, self.ENC, 0.05)
+        mc = tn.mc_conditional_outputs(self.MACHINE, self.ENC, 0.05, n_samples, seed=5)
+        assert mc.means.tolist() == exact.means.tolist()
+        p = exact.p_y_given_x
+        se = np.sqrt(np.maximum(p * (1 - p), 1e-12) / n_samples)
+        assert np.all(np.abs(mc.p_y_given_x - p) <= 3.0 * se)
+
+    def test_average_dissipation_is_the_uniform_mean_over_the_rows(self):
+        tau, total = 1e4, 0.0
+        for sigma in tn.dissipation(self.MACHINE, logic_rows(self.MACHINE, 2), tau).tolist():
+            total += 0.25 * sigma
+        assert tn.average_dissipation(self.MACHINE, tau) == total
+
+
 class TestAverageDissipation:
     def test_zero_horizon(self):
         spec = tn.inverter(20.0, 0.1)
-        assert tn.average_dissipation(spec, tn.Encoding(), 0.0) == 0.0
+        assert tn.average_dissipation(spec, 0.0) == 0.0
 
     def test_late_time_linearity(self):
         # Past the relaxation, dissipation accrues at the constant
         # steady-state rate.
         spec = tn.inverter(20.0, 0.1)
-        enc = tn.Encoding()
         tau = 1e7
         traj = tn.evolve_quasi_static(spec, (1.0,), 0.5, 2 * tau)
         rate_ss = traj.sigma_dot[-1]
@@ -197,13 +224,12 @@ class TestAverageDissipation:
 
     def test_averages_over_inputs(self):
         spec = tn.inverter(5.0, 0.1)
-        enc = tn.Encoding()
         tau = 1e6
         per_input = []
         for bit in (0, 1):
-            traj = tn.evolve_quasi_static(spec, (tn.encode(bit, enc),), 0.5, tau)
+            traj = tn.evolve_quasi_static(spec, (tn.encode(bit, spec),), 0.5, tau)
             per_input.append(accumulated_dissipation(traj))
-        avg = tn.average_dissipation(spec, enc, tau)
+        avg = tn.average_dissipation(spec, tau)
         assert abs(avg - 0.5 * sum(per_input)) < 1e-9 * max(per_input)
 
 
@@ -211,15 +237,15 @@ class TestAverageDissipation:
     def test_dissipation_keeps_the_bits_of_the_row_loop(self, rails):
         # The loop average_dissipation ran before it shared `dissipation`,
         # each run started at the midpoint of the machine's rails.
-        spec, enc, tau = on_rails(tn.preset("NOR"), rails), tn.Encoding(*rails), 1e4
+        spec, tau = on_rails(tn.preset("NOR"), rails), 1e4
         start = 0.5 * (rails[0] + rails[1])
         total, per_row = 0.0, []
         for bits in itertools.product((0, 1), repeat=spec.n):
-            traj = tn.evolve_quasi_static(spec, [tn.encode(b, enc) for b in bits], start, tau)
+            traj = tn.evolve_quasi_static(spec, [tn.encode(b, spec) for b in bits], start, tau)
             per_row.append(accumulated_dissipation(traj))
             total += (1.0 / 4) * per_row[-1]
-        assert tn.dissipation(spec, enc.rows(spec.n), tau).tolist() == per_row
-        assert tn.average_dissipation(spec, enc, tau) == total
+        assert tn.dissipation(spec, logic_rows(spec, spec.n), tau).tolist() == per_row
+        assert tn.average_dissipation(spec, tau) == total
 
 
 class TestTradeoffSweep:

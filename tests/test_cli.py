@@ -14,7 +14,9 @@ import pytest
 import thermoneuron as tn
 from conftest import on_rails
 from thermoneuron import channel as ch
+from thermoneuron import cli
 from thermoneuron.cli import main
+from thermoneuron.designer import logic_rows
 from thermoneuron.errors import ConfigError
 from thermoneuron.serialize import (load_machine, machine_from_document,
                                     machine_to_document, neuron_to_dict)
@@ -398,11 +400,11 @@ def row_loop_verify_stdout(machine, table, enc, width):
     """`verify`'s stdout as its own per-row loop wrote it: encode each row's
     bits, then decode the output and take its Gaussian band probabilities."""
     finals = ch.machine_response(
-        machine, [[tn.encode(b, enc) for b in bits] for bits, _ in table.rows()])
+        machine, [[tn.encode(b, machine) for b in bits] for bits, _ in table.rows()])
     lines, failures = [], []
     for (bits, expected), final in zip(table.rows(), finals.tolist()):
-        got = tn.decode(final, enc)
-        p0, p1, _ = ch.gaussian_band_probs(final, width, enc)
+        got = tn.decode(final, enc, machine)
+        p0, p1, _ = ch.gaussian_band_probs(final, width, enc, machine)
         status = "ok" if got == expected else "FAIL"
         shown = got if got is not None else "invalid"
         lines.append(f"row {' '.join(map(str, bits))} -> beta_z = {final: .6f}  "
@@ -435,7 +437,7 @@ def test_verify_stdout_equals_the_row_loop(design, table, band, delta, width, co
     assert main(["verify", out, *source, "--band", band, "--delta", str(delta),
                  "--C", str(width)]) == code
     got = capsys.readouterr().out
-    enc = tn.Encoding(0.0, 1.0, delta=delta, band=band)
+    enc = tn.Encoding(delta=delta, band=band)
     truth = tn.TruthTable.from_text(XOR_TT) if table == "T" else tn.gate_table(table)
     assert got == row_loop_verify_stdout(load_machine(out)[0], truth, enc, width)
     assert ("decoded = invalid" in got) == invalid
@@ -641,6 +643,28 @@ def test_tradeoff_inset_is_capped_before_the_sweep(monkeypatch, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, module, evaluator", [
+    (["steady", "M", "--inputs", "0", "0"], "cli", "steady_output"),
+    (["sweep", "M", "--grid", "0:1:3"], "cli", "steady_response"),
+    (["verify", "M", "--gate", "NOR"], "channel", "conditional_outputs"),
+    (["tradeoff", "--grid", "1,2"], "channel", "tradeoff_sweep"),
+], ids=["steady", "sweep", "verify", "tradeoff"])
+def test_overlapping_bands_exit_2_before_any_evaluation(command, module, evaluator,
+                                                       monkeypatch, tmp_path, capsys):
+    # The bands overlap on every machine's rails; the command says so before
+    # it evaluates one.
+    path = design_nor(tmp_path)
+    capsys.readouterr()
+    target = cli if module == "cli" else ch
+    monkeypatch.setattr(target, evaluator, lambda *a, **k: pytest.fail("evaluated"))
+    argv = [path if a == "M" else a for a in command]
+    assert main([*argv, "--delta", "0.6", "--band", "additive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: decoding bands overlap")
+
+
 def test_machine_file_not_utf8_exits_2(tmp_path, capsys):
     path = tmp_path / "machine.json"
     path.write_bytes(b"\xff\xfe{}")
@@ -794,7 +818,8 @@ def test_commands_read_the_rails_from_the_machine(tmp_path, capsys):
     # 0.2 is bit 0 on the machine's rails, and invalid on the default (0, 1).
     assert payload["beta_z_inf"] == pytest.approx(0.2, abs=1e-12)
     assert payload["decoded"] == 0
-    assert tn.decode(payload["beta_z_inf"], tn.Encoding(band="additive")) is None
+    assert tn.decode(payload["beta_z_inf"], tn.Encoding(band="additive"),
+                     tn.preset("NOR")) is None
     assert main(["verify", path, "--gate", "NOR"]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed[0].startswith("row 0 0 -> beta_z =  1.433679  decoded = 1")
@@ -803,7 +828,7 @@ def test_commands_read_the_rails_from_the_machine(tmp_path, capsys):
     assert main(["simulate", path, "--inputs", "0.2", "0.2", "--tau", "1e4",
                  "--out", str(csv_path)]) == 0
     assert csv_path.read_text().splitlines()[2].split(",")[:2] == ["0", "0.85"]
-    rows, tau = tn.Encoding(*rails).rows(spec.n), 1e4
+    rows, tau = logic_rows(spec, spec.n), 1e4
     loop = [tn.accumulated_dissipation(tn.evolve_quasi_static(spec, row, 0.85, tau))
             for row in rows]
     assert ch.dissipation(spec, rows, tau).tolist() == loop

@@ -13,6 +13,7 @@ import pytest
 
 import thermoneuron as tn
 from thermoneuron import channel as ch
+from thermoneuron.designer import BANDS
 from thermoneuron.cli import _parse_grid, main
 from thermoneuron.dynamics import CSV_HEADER
 from thermoneuron.serialize import CSV_BLOCK, UNITS_NOTE, format_csv
@@ -31,16 +32,16 @@ def row_wise_format_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def scalar_decode(beta_z, enc):
-    if beta_z <= enc.low_edge:
+def scalar_decode(beta_z, edges):
+    if beta_z <= edges[0]:
         return 0
-    if beta_z >= enc.high_edge:
+    if beta_z >= edges[1]:
         return 1
     return None
 
 
-def bit_label(beta_z, enc):
-    bit = scalar_decode(beta_z, enc)
+def bit_label(beta_z, edges):
+    bit = scalar_decode(beta_z, edges)
     return bit if bit is not None else "invalid"
 
 
@@ -49,15 +50,14 @@ def reference_sweep(machine, grid_spec, band, delta):
     grids = [_parse_grid(g) for g in grid_spec.split(";")]
     if len(grids) == 1:
         grids = grids * arity
-    rails = machine.layers[0][0] if isinstance(machine, tn.NetworkSpec) else machine
-    enc = ch.Encoding(rails.beta_hot, rails.beta_cold, delta, band)
+    edges = tn.Encoding(delta, band).edges(machine)
     points = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, arity)
     if isinstance(machine, tn.NeuronSpec):
         columns, extra = (points, *tn.steady_response(machine, points)), ["beta_v"]
     else:
         columns, extra = (points, ch.machine_response(machine, points)), []
     header = [f"beta_{i + 1}" for i in range(arity)] + extra + ["beta_z_inf", "decoded"]
-    rows = ([*row, bit_label(row[-1], enc)]
+    rows = ([*row, bit_label(row[-1], edges)]
             for row in zip(*np.column_stack(columns).T.tolist()))
     return row_wise_format_csv(header, rows)
 
@@ -85,7 +85,7 @@ def machines(tmp_path_factory):
 SWEEPS = [(gate, grid, band, 0.1)
           for gate, grid in (("not", "0:1:101"), ("nor", "0:1:71"),
                              ("maj3", "0:1:9"), ("xor", "-0.25:1.25:31"))
-          for band in ch.BANDS] + [
+          for band in BANDS] + [
     ("not", "0:1:51", "multiplicative", 0.4),
     ("nor", "0:1:21", "additive", 0.4),
     ("nor", "0.5,-0,0.1,0.5,1;1,0,-0,0.25", "multiplicative", 0.1),
@@ -174,7 +174,7 @@ def test_tradeoff_and_inset_csvs_match_row_wise_writer(tmp_path):
     grid, tau, n_inset = [1.0, 2.0, 4.0], 1e4, 5
     assert main(["tradeoff", "--grid", "1,2,4", "--tau", str(tau), "--inset",
                  "--inset-points", str(n_inset), "--out", str(out)]) == 0
-    enc, config = ch.Encoding(), tn.DesignConfig(eps_z=0.1, seed=0)
+    enc, config = tn.Encoding(), tn.DesignConfig(eps_z=0.1, seed=0)
     points = ch.tradeoff_sweep("NOT", "eps1", grid, enc, spread=0.05, tau=tau,
                                config=config)
     rows = [(p.knob, p.avg_sigma, p.avg_xi, p.avg_invalid) for p in points]

@@ -55,6 +55,21 @@ class TestTruthTable:
         with pytest.raises(ConfigError, match="duplicate"):
             tn.TruthTable.from_text("0 : 1\n0 : 1\n1 : 0\n")
 
+    @pytest.mark.parametrize("n, message", [
+        (1.5, "n must be an integer, got 1.5"),
+        (True, "n must be an integer, got True"),
+        (0, "n must be at least 1, got 0"),
+    ])
+    def test_arity_must_be_a_positive_integer(self, n, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            tn.TruthTable(n, (0, 1))
+
+    def test_outputs_are_kept_as_a_tuple_of_ints(self):
+        table = tn.TruthTable(1, [0, 1])
+        assert table.outputs == (0, 1) and type(table.outputs) is tuple
+        assert table == tn.TruthTable(1, (0, 1))
+        assert hash(table) == hash(tn.TruthTable(1, (0, 1)))
+
     def test_gate_fixtures(self):
         assert tn.gate_table("NOT").outputs == (1, 0)
         assert tn.gate_table("NOR").outputs == (1, 0, 0, 0)
@@ -251,6 +266,5 @@ class TestBehavioralCompilation:
                          weights=PRESET_WEIGHTS["NOR"])
 
     def test_design_encoding_is_additive_on_the_rails(self):
-        assert DESIGN_ENCODING == tn.Encoding(0.0, 1.0, delta=0.1, band="additive")
-        assert (DESIGN_ENCODING.beta_hot, DESIGN_ENCODING.beta_cold) == (
-            tn.NeuronSpec.beta_hot, tn.NeuronSpec.beta_cold)
+        assert DESIGN_ENCODING == tn.Encoding(delta=0.1, band="additive")
+        assert DESIGN_ENCODING.edges(tn.preset("NOT")) == (0.1, 0.9)
