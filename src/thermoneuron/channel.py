@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .designer import (DesignConfig, Encoding, TruthTable, _check_count, gate_table,
-                       logic_rows, preset)
+from .designer import (DesignConfig, Encoding, TruthTable, _check_count, decode_array,
+                       gate_table, logic_rows, preset)
 from .dynamics import accumulated_dissipation, evolve_quasi_static
 from .network import NetworkSpec, eval_layers
 from .neuron import NeuronSpec, inverter, steady_response
@@ -96,14 +96,12 @@ def mc_conditional_outputs(machine, enc: Encoding, spread: float,
         raise ConfigError("channel spread must be positive")
     _check_count("n_samples", n_samples, 1)
     _check_count("seed", seed, 0)
-    low, high = enc.edges(machine)
     rng = np.random.default_rng(seed)
     means = machine_response(machine, logic_rows(machine, machine_arity(machine)))
     table = np.empty((len(means), 3))
     for i, m in enumerate(means):
-        samples = rng.normal(m, spread, n_samples)
-        table[i] = (np.mean(samples <= low), np.mean(samples >= high),
-                    np.mean((low < samples) & (samples < high)))
+        bits = decode_array(rng.normal(m, spread, n_samples), enc, machine)
+        table[i] = [np.mean(bits == b) for b in (0, 1, -1)]
     return ChannelStats(p_y_given_x=table, means=means)
 
 
@@ -132,8 +130,6 @@ def average_error(stats: ChannelStats, table: TruthTable):
 def dissipation(spec: NeuronSpec, rows, tau: float) -> np.ndarray:
     """Entropy produced over a computation of length tau, per input row, each
     run started at the midpoint of the machine's rails."""
-    if tau < 0:
-        raise ConfigError("tau must be non-negative")
     start = 0.5 * (spec.beta_hot + spec.beta_cold)
     return np.array([accumulated_dissipation(evolve_quasi_static(spec, row, start, tau))
                      for row in rows], dtype=float)

@@ -299,8 +299,15 @@ def weights_to_neuron(w: Sequence[float], config: DesignConfig) -> NeuronSpec:
     # (every textbook gate) this reduces to h_0 = [w_0 < 0] with beta_0 >= 0,
     # otherwise the reference bath is population-inverted (beta_0 < 0).
     h = (0 if denom > 0 else 1,) + tuple(0 if wk >= 0 else 1 for wk in w[1:])
-    eps = (config.alpha * abs(denom),) + tuple(config.alpha * abs(wk)
-                                               for wk in w[1:])
+    # In Python floats, which overflow to inf without numpy's warnings.  No
+    # level energy, nor any partial sum of the virtual gap, exceeds sum(eps).
+    magnitudes = [abs(denom)] + [abs(wk) for wk in w[1:].tolist()]
+    eps = tuple(config.alpha * m for m in magnitudes)
+    if not math.isfinite(sum(eps)):
+        raise DesignError(
+            f"qubit gaps alpha * |w| overflow at alpha = {config.alpha!r} (largest "
+            f"|w| = {max(magnitudes)!r}, where the reference qubit's w is "
+            "eps_z - sum(w_k)); lower alpha")
     beta0 = float(w[0]) / denom
     signed_gap = -virtual_gap(h, eps)
     spec = build_neuron(eps, h, beta0, signed_gap, mu=config.mu)

@@ -39,6 +39,7 @@ is constant (g_r = g_z(beta_r), g_v = g_z(beta_v)), so from beta_z(0) = beta_z0
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -66,6 +67,7 @@ __all__ = [
 CSV_HEADER = ("t", "beta_z", "j_C", "j_M", "sigma_dot", "sigma")
 QUASI_RTOL = 1e-9   # relative tolerance of the quasi-static run
 FULL_RTOL, FULL_ATOL = 1e-8, 1e-12   # tolerances of the full co-integration
+MAX_RHS_CALLS = 50_000   # right-hand-side evaluations a run may take before it fails
 PER_DECADE = 200    # samples per decade of t, from min(1e-2, tau/10) to tau
 
 
@@ -121,14 +123,24 @@ def _solve(rhs, jac, y0: np.ndarray, tau: float, failure: str,
     y0 by LSODA; tau = 0 gives y0 alone.  `failure` is the SolverError text
     around {}.  LSODA states why it failed only in a warning, so the warnings
     of the solve are held: a failure raises with their text in place of
-    solve_ivp's generic message, a success re-emits them once each."""
+    solve_ivp's generic message, a success re-emits them once each.  A run
+    whose steps shrink to nothing would never return, so past MAX_RHS_CALLS
+    evaluations of rhs it fails too."""
     times = _sample_times(tau)
     if tau <= 0.0:
         return times, y0[:, None]
     from scipy.integrate import solve_ivp
+    calls = itertools.count(1)
+
+    def counted(t, y):
+        if next(calls) > MAX_RHS_CALLS:
+            raise SolverError(failure.format(
+                f"no result after {MAX_RHS_CALLS} right-hand-side evaluations"))
+        return rhs(t, y)
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sol = solve_ivp(rhs, (0.0, tau), y0, method="LSODA", t_eval=times, jac=jac,
+        sol = solve_ivp(counted, (0.0, tau), y0, method="LSODA", t_eval=times, jac=jac,
                         rtol=rtol, atol=atol)
     seen = {(str(w.message), w.category, w.filename, w.lineno): w for w in caught}
     if not sol.success:

@@ -222,7 +222,11 @@ def inverter(eps_input: float = 20.0, eps_z: float = 0.1, *,
     h = (0, 1) and reference temperature beta_0 = 0.5; the virtual temperature is
     beta_v = (0.5 * eps_0 - beta_1 * eps_1) / eps_z.
     """
-    return build_neuron((eps_input + eps_z, eps_input), (0, 1), 0.5, eps_z, mu=mu)
+    eps_0 = eps_input + eps_z
+    if abs((eps_0 - eps_input) - eps_z) > RESONANCE_TOL:
+        raise ConfigError(f"input gap {eps_input!r} is too large to carry eps_z = "
+                          f"{eps_z!r}: the reference gap eps_input + eps_z rounds to {eps_0!r}")
+    return build_neuron((eps_0, eps_input), (0, 1), 0.5, eps_z, mu=mu)
 
 
 def steady_from_virtual(spec: NeuronSpec, beta_v):

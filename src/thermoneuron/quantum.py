@@ -144,17 +144,6 @@ class QubitRegister:
     def free_hamiltonian(self) -> np.ndarray:
         return np.diag(self.level_energies()).astype(complex)
 
-    def basis_index(self, bits: Sequence[int]) -> int:
-        """Basis index of a product state; bits[0] belongs to qubit 0 (MSB)."""
-        if len(bits) != self.m:
-            raise StructuralError(f"expected {self.m} bits, got {len(bits)}")
-        idx = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise StructuralError("bits must be 0 or 1")
-            idx = (idx << 1) | b
-        return idx
-
 
 @dataclass(frozen=True)
 class BathContact:

@@ -153,10 +153,11 @@ def coupled_levels(h: Sequence[int], register: QubitRegister) -> tuple[int, int]
             f"|{vg}| by {mismatch:.3e}")
     # Orient the labels so the coupled pair is degenerate: the level with
     # the lower machine-part energy carries the excited target qubit.
+    # Qubit 0 is the most significant bit of a basis index.
     lower = bits if vg <= 0 else flip(bits)
-    ia = register.basis_index(lower + (1,))
-    ib = register.basis_index(flip(lower) + (0,))
-    return ia, ib
+    shape = (2,) * register.m
+    return (int(np.ravel_multi_index(lower + (1,), shape)),
+            int(np.ravel_multi_index(flip(lower) + (0,), shape)))
 
 
 def build_interaction_hamiltonian(h: Sequence[int], chi: float,

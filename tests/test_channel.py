@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +151,41 @@ class TestGaussianChannel:
             tn.mc_conditional_outputs(spec, tn.Encoding(), 0.05, n_samples, seed)
 
 
+def inline_band_table(machine, enc, spread, n_samples, seed):
+    """The Monte Carlo table with the band rule written out against the edges
+    (the oracle for `mc_conditional_outputs`, which decodes through `decode_array`)."""
+    low, high = enc.edges(machine)
+    rng = np.random.default_rng(seed)
+    means = channel.machine_response(
+        machine, logic_rows(machine, channel.machine_arity(machine)))
+    table = np.empty((len(means), 3))
+    for i, m in enumerate(means):
+        samples = rng.normal(m, spread, n_samples)
+        table[i] = (np.mean(samples <= low), np.mean(samples >= high),
+                    np.mean((low < samples) & (samples < high)))
+    return table
+
+
+@pytest.fixture(scope="module")
+def oracle_machines():
+    """Criterion 10's presets and the seed-7 XOR network."""
+    machines = {gate: tn.preset(gate, tn.DesignConfig(alpha=alpha, eps_z=0.1))
+                for gate, alpha in (("NOT", 5.0), ("NOR", 5.0), ("MAJ3", 3.0))}
+    machines["XOR"] = tn.train_network(tn.gate_table("XOR"), (2, 1),
+                                       tn.DesignConfig(alpha=20.0, eps_z=0.1, seed=7))
+    return machines
+
+
+@pytest.mark.parametrize("band", BANDS)
+@pytest.mark.parametrize("delta", [0.1, 0.4])
+@pytest.mark.parametrize("name", ["NOT", "NOR", "MAJ3", "XOR"])
+def test_monte_carlo_table_equals_the_inline_band_rule(name, delta, band, oracle_machines):
+    machine, enc = oracle_machines[name], tn.Encoding(delta=delta, band=band)
+    want = inline_band_table(machine, enc, 0.05, 20_000, seed=31)
+    got = tn.mc_conditional_outputs(machine, enc, 0.05, 20_000, seed=31).p_y_given_x
+    assert np.array_equal(got, want)
+
+
 class TestAverageError:
     def test_perfect_machine_has_zero_error(self):
         enc = tn.Encoding(delta=0.1, band="additive")
@@ -246,6 +283,16 @@ class TestAverageDissipation:
             total += (1.0 / 4) * per_row[-1]
         assert tn.dissipation(spec, logic_rows(spec, spec.n), tau).tolist() == per_row
         assert tn.average_dissipation(spec, tau) == total
+
+
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf, -math.inf])
+    def test_dissipation_refuses_a_bad_horizon_by_the_run_rule(self, tau):
+        spec = tn.preset("NOT")
+        message = f"tau must be non-negative and finite, got {tau!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            tn.dissipation(spec, logic_rows(spec, 1), tau)
+        # With no rows nothing runs.
+        assert tn.dissipation(spec, np.empty((0, 1)), tau).shape == (0,)
 
 
 class TestTradeoffSweep:

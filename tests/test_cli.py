@@ -22,6 +22,7 @@ from thermoneuron.serialize import (load_machine, machine_from_document,
                                     machine_to_document, neuron_to_dict)
 
 XOR_TT = "0 0 : 0\n0 1 : 1\n1 0 : 1\n1 1 : 0\n"
+NOR_TT = "0 0 : 1\n0 1 : 0\n1 0 : 0\n1 1 : 0\n"
 
 
 @pytest.fixture
@@ -594,6 +595,14 @@ MALFORMED = {
     "tradeoff-seed-removed": (nor_doc, ["tradeoff", "--gate", "NOT", "--grid", "2",
                                         "--seed", "3", "--tau", "10"]),
     "provenance-not-an-object": (lambda: nor_doc() | {"provenance": 5}, STEADY),
+    "design-gate-alpha-overflows": (nor_doc, ["design", "--gate", "NOR", "--alpha", "1e308"]),
+    "design-table-alpha-overflows": (nor_doc, ["design", "--table", "N", "--alpha", "1e308"]),
+    "tradeoff-alpha-overflows": (nor_doc, ["tradeoff", "--gate", "NOR", "--knob", "alpha",
+                                           "--grid", "1e308"]),
+    "tradeoff-eps1-swamps-eps-z": (nor_doc, ["tradeoff", "--gate", "NOT", "--knob", "eps1",
+                                             "--grid", "1e308"]),
+    "tradeoff-negative-tau": (nor_doc, ["tradeoff", "--gate", "NOT", "--knob", "eps1",
+                                        "--grid", "2,5", "--tau", "-5"]),
     **{case: (lambda k=key, v=value: one_input_doc(k, v), STEADY_1)
        for case, (key, value) in RETYPED.items()},
     **{case: (lambda k=key, v=value: one_input_network_doc(k, v), STEADY_1)
@@ -608,7 +617,9 @@ def test_malformed_input_exits_2_with_one_line(case, xor_table, tmp_path, capsys
     make_doc, argv = MALFORMED[case]
     path = tmp_path / "machine.json"
     path.write_text(json.dumps(make_doc()))
-    argv = [{"M": str(path), "T": xor_table}.get(a, a) for a in argv]
+    nor_table = tmp_path / "nor.tt"
+    nor_table.write_text(NOR_TT)
+    argv = [{"M": str(path), "T": xor_table, "N": str(nor_table)}.get(a, a) for a in argv]
     out = tmp_path / "out.csv"
     # `steady` and `verify` have no --out.
     if argv[0] not in ("steady", "verify"):
@@ -775,6 +786,31 @@ def test_machine_file_values_exit_0_or_2(kind, field, literal, xor_network_doc,
             assert captured.out.splitlines()[-1].startswith("failed rows: ")
         else:
             assert code == 0 and not any(line.startswith("error:") for line in err)
+
+
+@pytest.mark.parametrize("command", ["steady", "quasi", "full"])
+@pytest.mark.parametrize("value", [1e-300, 1e-150, 1e150, 1e300])
+@pytest.mark.parametrize("field", ["capacity", "gamma", "chi", "mu", "mu_prime",
+                                   "beta0", "beta_r"])
+def test_machine_file_scalars_at_the_float_limits(field, value, command, tmp_path, capsys):
+    # Under the warning filters of a user's process, where a numpy warning
+    # prints rather than raises, every run ends: exit 0, or exit 2 with an
+    # error line last and no output file.
+    doc = machine_to_document(tn.preset("NOT"), PROVENANCE)
+    doc["spec"][field] = value
+    path, out = tmp_path / "machine.json", tmp_path / "traj.csv"
+    path.write_text(json.dumps(doc))
+    argv = (["steady", str(path), "--inputs", "0", "--json"] if command == "steady"
+            else ["simulate", str(path), "--inputs", "0", "--tau", "10",
+                  "--mode", command, "--out", str(out)])
+    with warnings.catch_warnings():
+        warnings.resetwarnings()
+        code = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert not any("encountered in" in line for line in err), err
+    assert code in (0, 2)
+    if code == 2:
+        assert err[-1].startswith("error: ") and not out.exists(), err
 
 
 @pytest.mark.parametrize("mode", ["quasi", "full"])

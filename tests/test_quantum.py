@@ -64,9 +64,9 @@ class TestQubitRegister:
     def test_level_energies(self):
         reg = QubitRegister((2.0, 1.0, 0.5))
         e = reg.level_energies()
-        assert e[reg.basis_index((0, 0, 0))] == 0.0
-        assert e[reg.basis_index((1, 0, 1))] == 2.5
-        assert e[reg.basis_index((1, 1, 1))] == 3.5
+        assert e[0b000] == 0.0
+        assert e[0b101] == 2.5
+        assert e[0b111] == 3.5
 
     def test_cap(self):
         with pytest.raises(StructuralError):

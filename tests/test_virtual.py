@@ -7,7 +7,7 @@ import pytest
 import thermoneuron as tn
 from thermoneuron.errors import ResonanceError, SingularGapError, StructuralError
 from thermoneuron.quantum import QubitRegister
-from thermoneuron.virtual import flip, weighted_bias
+from thermoneuron.virtual import coupled_levels, flip, weighted_bias
 
 FERMI_AT_ONE = 0.26894142136999512075
 
@@ -57,7 +57,7 @@ class TestVirtualPopulation:
             eps = tuple(rng.uniform(0.1, 3.0, n))
             reg = QubitRegister(eps)
             rho = tn.gibbs_register(reg, betas)
-            idx = reg.basis_index(h)
+            idx = np.ravel_multi_index(h, (2,) * reg.m)
             assert abs(tn.virtual_population(h, betas, eps)
                        - rho[idx, idx].real) < 1e-12
 
@@ -117,12 +117,35 @@ class TestVirtualTemperature:
                    - signed * tn.virtual_temperature(h, betas, eps, signed)) < 1e-12
 
 
+class TestCoupledLevels:
+    def test_indices_follow_the_bit_rule(self):
+        # Qubit 0 is the most significant bit: bits b index sum_i b_i 2^(m-1-i).
+        def index(bits):
+            return sum(b * 2 ** (len(bits) - 1 - i) for i, b in enumerate(bits))
+
+        rng = np.random.default_rng(17)
+        orientations = set()
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            h = tuple(int(b) for b in rng.integers(0, 2, n))
+            eps = tuple(float(e) for e in rng.uniform(0.5, 3.0, n))
+            vg = tn.virtual_gap(h, eps)
+            if abs(vg) < 0.1:
+                continue
+            a, b = coupled_levels(h, QubitRegister(eps + (abs(vg),)))
+            lower = h if vg <= 0 else flip(h)
+            assert (a, b) == (index(lower + (1,)), index(flip(lower) + (0,)))
+            assert type(a) is int and type(b) is int
+            orientations.add(vg <= 0)
+        assert orientations == {True, False}
+
+
 class TestInteractionHamiltonian:
     def test_not_machine_couples_the_degenerate_pair(self):
         reg = QubitRegister((2.0, 1.0, 1.0))
         hint = tn.build_interaction_hamiltonian((0, 1), 0.8, reg)
-        a = reg.basis_index((1, 0, 0))
-        b = reg.basis_index((0, 1, 1))
+        a = 0b100
+        b = 0b011
         assert hint[a, b] == 0.8 and hint[b, a] == 0.8
         assert np.count_nonzero(hint) == 2
 
