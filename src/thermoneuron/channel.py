@@ -26,7 +26,6 @@ from .neuron import NeuronSpec, inverter, steady_response
 __all__ = [
     "ChannelStats",
     "TradeoffPoint",
-    "machine_arity",
     "machine_response",
     "conditional_outputs",
     "mc_conditional_outputs",
@@ -41,14 +40,6 @@ __all__ = [
 
 # The steepness a tradeoff sweeps: the inverter's input gap, or a preset's alpha.
 TRADEOFF_KNOBS = ("eps1", "alpha")
-
-
-def machine_arity(machine) -> int:
-    if isinstance(machine, NetworkSpec):
-        return machine.n_inputs
-    if isinstance(machine, NeuronSpec):
-        return machine.n
-    raise StructuralError(f"not a machine: {type(machine).__name__}")
 
 
 def machine_response(machine, rows) -> np.ndarray:
@@ -84,7 +75,7 @@ def gaussian_band_probs(mean: float, spread: float, enc: Encoding, machine):
 
 def conditional_outputs(machine, enc: Encoding, spread: float) -> ChannelStats:
     """Closed-form Gaussian channel table over all 2^n logical inputs."""
-    means = machine_response(machine, logic_rows(machine, machine_arity(machine)))
+    means = machine_response(machine, logic_rows(machine))
     table = np.array([gaussian_band_probs(m, spread, enc, machine) for m in means.tolist()])
     return ChannelStats(p_y_given_x=table, means=means)
 
@@ -97,7 +88,7 @@ def mc_conditional_outputs(machine, enc: Encoding, spread: float,
     _check_count("n_samples", n_samples, 1)
     _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    means = machine_response(machine, logic_rows(machine, machine_arity(machine)))
+    means = machine_response(machine, logic_rows(machine))
     table = np.empty((len(means), 3))
     for i, m in enumerate(means):
         bits = decode_array(rng.normal(m, spread, n_samples), enc, machine)
@@ -137,7 +128,7 @@ def dissipation(spec: NeuronSpec, rows, tau: float) -> np.ndarray:
 
 def average_dissipation(spec: NeuronSpec, tau: float) -> float:
     """`dissipation` averaged over uniformly distributed logical inputs."""
-    return _uniform_mean(dissipation(spec, logic_rows(spec, spec.n), tau).tolist())
+    return _uniform_mean(dissipation(spec, logic_rows(spec), tau).tolist())
 
 
 @dataclass(frozen=True)

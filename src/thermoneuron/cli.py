@@ -152,9 +152,8 @@ def _table_file(path: str) -> TruthTable:
 
 
 def _check_arity(machine, count: int, source: str) -> None:
-    arity = ch.machine_arity(machine)
-    if count != arity:
-        raise ConfigError(f"machine expects {arity} inputs, {source} gives {count}")
+    if count != machine.n:
+        raise ConfigError(f"machine expects {machine.n} inputs, {source} gives {count}")
 
 
 def _load_machine(path):
@@ -282,13 +281,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     machine, _ = _load_machine(args.machine)
-    arity = ch.machine_arity(machine)
-    grids = args.grid * arity if len(args.grid) == 1 else args.grid
+    grids = args.grid * machine.n if len(args.grid) == 1 else args.grid
     _check_arity(machine, len(grids), "--grid")
-    _check_option_points("--grid", map(len, grids), f"one grid for {arity} inputs")
+    _check_option_points("--grid", map(len, grids), f"one grid for {machine.n} inputs")
     enc = _encoding(args, machine)
     # The factorial grid in CSV row order: the last input varies fastest.
-    points = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, arity)
+    points = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, machine.n)
     if isinstance(machine, NeuronSpec):
         outputs, extra = steady_response(machine, points), ["beta_v"]
     else:
@@ -299,7 +297,7 @@ def cmd_sweep(args) -> int:
     # decode_array gives -1 for invalid, which picks the last label.
     decoded = np.array(["0", "1", "invalid"], dtype=object)[
         decode_array(outputs[-1], enc, machine)]
-    header = [f"beta_{i + 1}" for i in range(arity)] + extra + ["beta_z_inf", "decoded"]
+    header = [f"beta_{i + 1}" for i in range(machine.n)] + extra + ["beta_z_inf", "decoded"]
     _write_csv(header, (*inputs, *outputs, decoded), args.out)
     return EXIT_OK
 

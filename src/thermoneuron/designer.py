@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DesignError, NotSeparableError
+from .errors import CalibrationError, ConfigError, DesignError, NotSeparableError
 from .neuron import NeuronSpec, build_neuron, steady_response
 from .virtual import virtual_gap
 
@@ -91,10 +91,10 @@ class Encoding:
         return low, high
 
 
-def logic_rows(machine, n: int) -> np.ndarray:
-    """The 2^n logical inputs on the machine's rails, (2^n, n), in truth-table order."""
+def logic_rows(machine) -> np.ndarray:
+    """The machine's 2^n logical inputs on its rails, (2^n, n), in truth-table order."""
     rails = (machine.beta_hot, machine.beta_cold)
-    return np.array(list(itertools.product(rails, repeat=n)), dtype=float)
+    return np.array(list(itertools.product(rails, repeat=machine.n)), dtype=float)
 
 
 def encode(x: int, machine) -> float:
@@ -310,7 +310,13 @@ def weights_to_neuron(w: Sequence[float], config: DesignConfig) -> NeuronSpec:
             "eps_z - sum(w_k)); lower alpha")
     beta0 = float(w[0]) / denom
     signed_gap = -virtual_gap(h, eps)
-    spec = build_neuron(eps, h, beta0, signed_gap, mu=config.mu)
+    try:
+        spec = build_neuron(eps, h, beta0, signed_gap, mu=config.mu)
+    except CalibrationError as exc:
+        raise DesignError(
+            f"no calibrated machine at alpha = {config.alpha!r}, eps_z = "
+            f"{config.eps_z!r}: the machine's target gap alpha * eps_z comes out "
+            f"{signed_gap!r} ({exc}); change alpha or eps_z") from None
     resid = perceptron_identity_residual(spec, w, config.alpha)
     if resid > 1e-9 * max(1.0, config.alpha * float(np.abs(w).max())):
         raise DesignError(f"perceptron identity violated (residual {resid:.3e})")
@@ -355,7 +361,7 @@ def search_alpha(table: TruthTable, config: DesignConfig,
     alpha = config.alpha
     while alpha <= ALPHA_MAX:
         spec = weights_to_neuron(w, replace(config, alpha=alpha))
-        _, finals = steady_response(spec, logic_rows(spec, table.n))
+        _, finals = steady_response(spec, logic_rows(spec))
         if decode_array(finals, DESIGN_ENCODING, spec).tolist() == list(table.outputs):
             return alpha
         alpha *= 2.0

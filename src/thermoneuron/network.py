@@ -31,16 +31,16 @@ LEARNING_RATE, EPOCHS = 0.01, 5_000
 class NetworkSpec:
     """Strictly layered, acyclic wiring of neurons sharing common rails."""
 
-    n_inputs: int
+    n: int
     layers: tuple[tuple[NeuronSpec, ...], ...]
     wiring: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
-        if self.n_inputs < 1:
+        if self.n < 1:
             raise StructuralError("network needs at least one primary input")
         if len(self.layers) != len(self.wiring) or not self.layers:
             raise StructuralError("layers and wiring must align and be non-empty")
-        width = self.n_inputs
+        width = self.n
         for li, (layer, wires) in enumerate(zip(self.layers, self.wiring)):
             if len(layer) != len(wires) or not layer:
                 raise StructuralError(f"layer {li}: neuron/wiring count mismatch")
@@ -56,10 +56,6 @@ class NetworkSpec:
                     raise StructuralError("all neurons must share the same rails")
             width = len(layer)
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
     # The rails every unit shares (logic 0 -> beta_hot, 1 -> beta_cold).
     beta_hot = property(lambda self: self.layers[0][0].beta_hot)
     beta_cold = property(lambda self: self.layers[0][0].beta_cold)
@@ -74,10 +70,10 @@ class NetworkResponse:
 
 
 def eval_layers(net: NetworkSpec, rows) -> tuple[np.ndarray, ...]:
-    """Per-layer (N, width) steady outputs for input rows of shape (N, n_inputs)."""
+    """Per-layer (N, width) steady outputs for input rows of shape (N, net.n)."""
     values = np.asarray(rows, dtype=float)
-    if values.ndim != 2 or values.shape[1] != net.n_inputs:
-        raise StructuralError(f"expected {net.n_inputs} inputs, got rows {values.shape}")
+    if values.ndim != 2 or values.shape[1] != net.n:
+        raise StructuralError(f"expected {net.n} inputs, got rows {values.shape}")
     per_layer = []
     for layer, wires in zip(net.layers, net.wiring):
         values = np.column_stack([steady_response(neuron, values[:, list(feed)])[1]
@@ -188,10 +184,10 @@ def train_network(table: TruthTable, topology: Sequence[int],
             feeds.append(tuple(range(w.shape[1])))
         layers.append(tuple(units))
         wiring.append(tuple(feeds))
-    net = NetworkSpec(n_inputs=table.n, layers=tuple(layers), wiring=tuple(wiring))
+    net = NetworkSpec(n=table.n, layers=tuple(layers), wiring=tuple(wiring))
 
     # Behavioral check through the exact steady-state composition.
-    finals = eval_layers(net, logic_rows(net, table.n))[-1][:, -1]
+    finals = eval_layers(net, logic_rows(net))[-1][:, -1]
     decoded = decode_array(finals, DESIGN_ENCODING, net).tolist()
     for (bits, out), final, got in zip(table.rows(), finals.tolist(), decoded):
         if got != out:

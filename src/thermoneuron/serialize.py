@@ -104,7 +104,7 @@ def neuron_from_dict(d: dict) -> NeuronSpec:
 
 def network_to_dict(net: NetworkSpec) -> dict:
     return {
-        "n_inputs": net.n_inputs,
+        "n_inputs": net.n,
         "layers": [[{"neuron": neuron_to_dict(nrn), "wiring": list(feed)}
                     for nrn, feed in zip(layer, wires)]
                    for layer, wires in zip(net.layers, net.wiring)],
@@ -125,7 +125,7 @@ def network_from_dict(d: dict) -> NetworkSpec:
             wiring.append(tuple(feeds))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed network spec: {exc}") from None
-    return NetworkSpec(n_inputs=d["n_inputs"], layers=tuple(layers), wiring=tuple(wiring))
+    return NetworkSpec(n=d["n_inputs"], layers=tuple(layers), wiring=tuple(wiring))
 
 
 def machine_to_document(machine, provenance: dict) -> dict:

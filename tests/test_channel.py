@@ -70,7 +70,7 @@ class TestEncoding:
 
     def test_rows_on_the_rails_in_table_order(self):
         machine = on_rails(tn.preset("MAJ3"), (0.2, 0.7))
-        rows = logic_rows(machine, 3)
+        rows = logic_rows(machine)
         assert rows.shape == (8, 3) and rows.dtype == float
         want = [[tn.encode(b, machine) for b in bits]
                 for bits, _ in tn.gate_table("MAJ3").rows()]
@@ -156,8 +156,7 @@ def inline_band_table(machine, enc, spread, n_samples, seed):
     (the oracle for `mc_conditional_outputs`, which decodes through `decode_array`)."""
     low, high = enc.edges(machine)
     rng = np.random.default_rng(seed)
-    means = channel.machine_response(
-        machine, logic_rows(machine, channel.machine_arity(machine)))
+    means = channel.machine_response(machine, logic_rows(machine))
     table = np.empty((len(means), 3))
     for i, m in enumerate(means):
         samples = rng.normal(m, spread, n_samples)
@@ -237,7 +236,7 @@ class TestOffTheDefaultRails:
 
     def test_average_dissipation_is_the_uniform_mean_over_the_rows(self):
         tau, total = 1e4, 0.0
-        for sigma in tn.dissipation(self.MACHINE, logic_rows(self.MACHINE, 2), tau).tolist():
+        for sigma in tn.dissipation(self.MACHINE, logic_rows(self.MACHINE), tau).tolist():
             total += 0.25 * sigma
         assert tn.average_dissipation(self.MACHINE, tau) == total
 
@@ -281,7 +280,7 @@ class TestAverageDissipation:
             traj = tn.evolve_quasi_static(spec, [tn.encode(b, spec) for b in bits], start, tau)
             per_row.append(accumulated_dissipation(traj))
             total += (1.0 / 4) * per_row[-1]
-        assert tn.dissipation(spec, logic_rows(spec, spec.n), tau).tolist() == per_row
+        assert tn.dissipation(spec, logic_rows(spec), tau).tolist() == per_row
         assert tn.average_dissipation(spec, tau) == total
 
 
@@ -290,7 +289,7 @@ class TestAverageDissipation:
         spec = tn.preset("NOT")
         message = f"tau must be non-negative and finite, got {tau!r}"
         with pytest.raises(ConfigError, match=re.escape(message)):
-            tn.dissipation(spec, logic_rows(spec, 1), tau)
+            tn.dissipation(spec, logic_rows(spec), tau)
         # With no rows nothing runs.
         assert tn.dissipation(spec, np.empty((0, 1)), tau).shape == (0,)
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -66,6 +67,21 @@ class TestDesign:
             final = tn.eval_network(machine, betas).final
             decoded = 0 if final <= 0.1 else (1 if final >= 0.9 else None)
             assert decoded == want
+
+    def test_network_file_keeps_its_input_count_key(self, xor_table, tmp_path):
+        # NetworkSpec names its input count n, as NeuronSpec does; the file
+        # still spells it "n_inputs" and refuses "n" as an unknown field.
+        out = tmp_path / "xor.json"
+        assert main(["design", "--table", xor_table, "--layers", "2,1",
+                     "--seed", "7", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert set(doc["spec"]) == {"layers", "n_inputs"}
+        net, _ = load_machine(str(out))
+        assert net.n == 2
+        doc["spec"]["n"] = doc["spec"].pop("n_inputs")
+        with pytest.raises(ConfigError, match=re.escape(
+                "unknown fields in network spec: ['n']")):
+            machine_from_document(doc)
 
     @pytest.mark.parametrize("layers", ["2,1", "0"])
     def test_gate_with_layers_is_a_usage_error(self, tmp_path, capsys, layers):
@@ -485,7 +501,7 @@ def nor_doc():
 
 def network_doc(*drop):
     """A one-neuron NOR network document with the field at path ``drop`` removed."""
-    net = tn.NetworkSpec(n_inputs=2, layers=((tn.preset("NOR"),),),
+    net = tn.NetworkSpec(n=2, layers=((tn.preset("NOR"),),),
                          wiring=(((0, 1),),))
     doc = machine_to_document(net, PROVENANCE)
     node = doc["spec"]
@@ -515,7 +531,7 @@ def one_input_doc(key, value):
 
 def one_input_network_doc(key, value):
     """A network of that neuron, with ``key`` set in its spec or its one entry."""
-    net = tn.NetworkSpec(n_inputs=1, layers=((tn.build_neuron((2.0, 1.0), (0, 1), 1.0, 1.0),),),
+    net = tn.NetworkSpec(n=1, layers=((tn.build_neuron((2.0, 1.0), (0, 1), 1.0, 1.0),),),
                          wiring=(((0,),),))
     doc = machine_to_document(net, PROVENANCE)
     (doc["spec"] if key == "n_inputs" else doc["spec"]["layers"][0][0])[key] = value
@@ -603,6 +619,17 @@ MALFORMED = {
                                              "--grid", "1e308"]),
     "tradeoff-negative-tau": (nor_doc, ["tradeoff", "--gate", "NOT", "--knob", "eps1",
                                         "--grid", "2,5", "--tau", "-5"]),
+    "design-gate-alpha-past-calibration": (nor_doc, ["design", "--gate", "NOR",
+                                                     "--alpha", "7100"]),
+    "design-layers-alpha-past-calibration": (nor_doc, ["design", "--table", "T",
+                                                       "--layers", "2,1", "--seed", "7",
+                                                       "--alpha", "7100"]),
+    "design-table-alpha-below-calibration": (nor_doc, ["design", "--table", "N",
+                                                       "--alpha", "1e-150"]),
+    "tradeoff-alpha-below-calibration": (nor_doc, ["tradeoff", "--gate", "NOT", "--knob",
+                                                   "alpha", "--grid", "1e-200"]),
+    "design-eps-z-swamped-by-alpha-w": (nor_doc, ["design", "--gate", "NOR",
+                                                  "--eps-z", "1e-200"]),
     **{case: (lambda k=key, v=value: one_input_doc(k, v), STEADY_1)
        for case, (key, value) in RETYPED.items()},
     **{case: (lambda k=key, v=value: one_input_network_doc(k, v), STEADY_1)
@@ -864,7 +891,7 @@ def test_commands_read_the_rails_from_the_machine(tmp_path, capsys):
     assert main(["simulate", path, "--inputs", "0.2", "0.2", "--tau", "1e4",
                  "--out", str(csv_path)]) == 0
     assert csv_path.read_text().splitlines()[2].split(",")[:2] == ["0", "0.85"]
-    rows, tau = logic_rows(spec, spec.n), 1e4
+    rows, tau = logic_rows(spec), 1e4
     loop = [tn.accumulated_dissipation(tn.evolve_quasi_static(spec, row, 0.85, tau))
             for row in rows]
     assert ch.dissipation(spec, rows, tau).tolist() == loop
@@ -872,7 +899,7 @@ def test_commands_read_the_rails_from_the_machine(tmp_path, capsys):
 
 def test_network_commands_read_the_rails_from_its_units(tmp_path, capsys):
     unit = on_rails(tn.preset("NOR"), (0.2, 1.5))
-    net = tn.NetworkSpec(n_inputs=2, layers=((unit,),), wiring=(((0, 1),),))
+    net = tn.NetworkSpec(n=2, layers=((unit,),), wiring=(((0, 1),),))
     path = str(tmp_path / "wide-net.json")
     tn.dump_machine(path, net, PROVENANCE)
     assert main(["steady", path, "--inputs", "0.2", "1.5", "--json"]) == 0

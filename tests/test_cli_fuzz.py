@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermoneuron as tn
-from thermoneuron.channel import machine_arity
 from thermoneuron.cli import main
 
 ARITY = {"NOT": 1, "NOR": 2, "MAJ3": 3, "XOR": 2}
@@ -235,5 +234,5 @@ def test_design_exits_0_or_2(machines, table, layers, seed, alpha):
     assert code in (0, 2)
     if code == 0:
         machine, _ = tn.load_machine(str(out))
-        assert machine_arity(machine) == tn.TruthTable.from_text(TABLES[table]).n
+        assert machine.n == tn.TruthTable.from_text(TABLES[table]).n
         assert stdout.endswith(f"wrote {out}\n")

@@ -46,7 +46,7 @@ def bit_label(beta_z, edges):
 
 
 def reference_sweep(machine, grid_spec, band, delta):
-    arity = ch.machine_arity(machine)
+    arity = machine.n
     grids = [_parse_grid(g) for g in grid_spec.split(";")]
     if len(grids) == 1:
         grids = grids * arity

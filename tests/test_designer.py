@@ -149,6 +149,19 @@ class TestWeightsToNeuron:
         with pytest.raises(DesignError, match="degenerate"):
             tn.weights_to_neuron((1.0, 0.1), tn.DesignConfig(eps_z=0.1))
 
+    @pytest.mark.parametrize("alpha, eps_z, cause", [
+        (7100.0, 0.1, "calibration overflow"),
+        (1e-150, 0.1, "calibration infeasible"),
+        (20.0, 1e-200, "comes out -0.0 .target gap eps_z must be positive"),
+    ])
+    def test_gap_outside_calibration_names_alpha_and_eps_z(self, alpha, eps_z, cause):
+        # The user sets alpha and eps_z; the machine's target gap alpha * eps_z
+        # leaves calibration's range or rounds away against alpha * |w|.
+        message = f"alpha = {alpha!r}, eps_z = {eps_z!r}: .*{cause}"
+        with pytest.raises(DesignError, match=message):
+            tn.weights_to_neuron(PRESET_WEIGHTS["NOR"],
+                                 tn.DesignConfig(alpha=alpha, eps_z=eps_z))
+
     def test_mismatched_signs_use_inverted_reference_bath(self):
         # x1 AND (NOT x2): w_0 < 0 with sum(w_k) < eps_z forces beta0 < 0;
         # the compiled machine still computes the function.

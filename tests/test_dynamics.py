@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import json
 import os
 import subprocess
 import sys
@@ -394,6 +395,32 @@ def test_zero_horizon_simulate_loads_no_scipy(tmp_path):
                          capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+def test_closed_form_commands_load_no_scipy(tmp_path):
+    # design, steady, sweep and verify need no integrator, so a session of
+    # them, one after another in one process, never pays for scipy's import.
+    nor_tt, xor_tt = tmp_path / "nor.tt", tmp_path / "xor.tt"
+    nor_tt.write_text("0 0 : 1\n0 1 : 0\n1 0 : 0\n1 1 : 0\n")
+    xor_tt.write_text("0 0 : 0\n0 1 : 1\n1 0 : 1\n1 1 : 0\n")
+    gate, table, net = (str(tmp_path / name) for name in ("g.json", "t.json", "x.json"))
+    commands = [
+        ["design", "--gate", "NOR", "--out", gate],
+        ["design", "--table", str(nor_tt), "--out", table],
+        ["design", "--table", str(xor_tt), "--layers", "2,1", "--seed", "7", "--out", net],
+        ["steady", table, "--inputs", "1", "0"],
+        ["steady", net, "--inputs", "0", "1"],
+        ["sweep", gate, "--grid", "0:1:5", "--out", str(tmp_path / "s.csv")],
+        ["verify", gate, "--gate", "NOR"],
+    ]
+    src = os.path.dirname(os.path.dirname(tn.__file__))
+    code = ("import json, sys; from thermoneuron.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
 
 
 class TestAccumulatedDissipation:

@@ -21,7 +21,7 @@ def hand_built_xor(alpha=20.0):
     orr = tn.weights_to_neuron((-1.0, 2.0, 2.0), cfg)
     andd = tn.weights_to_neuron((-3.0, 2.0, 2.0), cfg)
     return tn.NetworkSpec(
-        n_inputs=2,
+        n=2,
         layers=((nand, orr), (andd,)),
         wiring=(((0, 1), (0, 1)), ((0, 1),)))
 
@@ -29,7 +29,7 @@ def hand_built_xor(alpha=20.0):
 class TestEvalNetwork:
     def test_single_layer_equals_steady_output(self):
         neuron = tn.preset("NOR", tn.DesignConfig(alpha=5.0))
-        net = tn.NetworkSpec(n_inputs=2, layers=((neuron,),),
+        net = tn.NetworkSpec(n=2, layers=((neuron,),),
                              wiring=(((0, 1),),))
         for betas in ((0.0, 0.0), (0.3, 0.9), (1.0, 1.0)):
             direct = tn.steady_output(neuron, betas).beta_z_inf
@@ -65,7 +65,7 @@ class TestEvalNetwork:
     def test_wiring_arity_checked(self):
         neuron = tn.preset("NOR")
         with pytest.raises(StructuralError, match="arity"):
-            tn.NetworkSpec(n_inputs=2, layers=((neuron,),), wiring=(((0,),),))
+            tn.NetworkSpec(n=2, layers=((neuron,),), wiring=(((0,),),))
 
     def test_input_count_checked(self):
         net = hand_built_xor()
@@ -85,7 +85,7 @@ class TestTrainNetwork:
     def test_single_layer_reduces_to_one_neuron(self):
         cfg = tn.DesignConfig(alpha=20.0, eps_z=0.1, seed=2)
         net = tn.train_network(tn.gate_table("AND"), (1,), cfg)
-        assert net.n_layers == 1 and len(net.layers[0]) == 1
+        assert len(net.layers) == 1 and len(net.layers[0]) == 1
         for bits, out in tn.gate_table("AND").rows():
             final = tn.eval_network(net, tuple(float(b) for b in bits)).final
             assert additive_decode(final) == out
