@@ -10,10 +10,9 @@ throughout.
 from .channel import (ChannelStats, TradeoffPoint, average_dissipation,
                       average_error, conditional_outputs, dissipation,
                       machine_response, mc_conditional_outputs, tradeoff_sweep)
-from .designer import (DesignConfig, Encoding, TruthTable, decode, encode,
+from .designer import (DesignConfig, Encoding, TruthTable, decode_array, encode,
                        gate_table, preset, train_perceptron, weights_to_neuron)
-from .dynamics import (Trajectory, accumulated_dissipation, evolve_full,
-                       evolve_quasi_static)
+from .dynamics import Trajectory, evolve_full, evolve_quasi_static
 from .errors import (CalibrationError, ConfigError, DegenerateSteadyStateError,
                      DesignError, NotSeparableError, ResonanceError,
                      SingularGapError, SolverError, StructuralError,

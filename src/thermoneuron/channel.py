@@ -19,9 +19,10 @@ import numpy as np
 from .errors import ConfigError, StructuralError
 from .designer import (DesignConfig, Encoding, TruthTable, _check_count, decode_array,
                        gate_table, logic_rows, preset)
-from .dynamics import accumulated_dissipation, evolve_quasi_static
+from .dynamics import _check_run, evolve_quasi_static
 from .network import NetworkSpec, eval_layers
 from .neuron import NeuronSpec, inverter, steady_response
+from .virtual import virtual_temperature
 
 __all__ = [
     "ChannelStats",
@@ -120,10 +121,16 @@ def average_error(stats: ChannelStats, table: TruthTable):
 
 def dissipation(spec: NeuronSpec, rows, tau: float) -> np.ndarray:
     """Entropy produced over a computation of length tau, per input row, each
-    run started at the midpoint of the machine's rails."""
+    run started at the midpoint of the machine's rails.  A run reads its
+    inputs only through beta_v, so rows whose beta_v has the same bits share
+    one run."""
     start = 0.5 * (spec.beta_hot + spec.beta_cold)
-    return np.array([accumulated_dissipation(evolve_quasi_static(spec, row, start, tau))
-                     for row in rows], dtype=float)
+    rows = [_check_run(spec, row, start, tau) for row in rows]
+    keys = [np.float64(virtual_temperature(spec.h, (spec.beta0,) + row, spec.eps,
+                                           spec.eps_z)).tobytes() for row in rows]
+    runs = {key: evolve_quasi_static(spec, row, start, tau).sigma[-1]
+            for key, row in dict(zip(keys, rows)).items()}
+    return np.array([runs[key] for key in keys], dtype=float)
 
 
 def average_dissipation(spec: NeuronSpec, tau: float) -> float:

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import channel as ch
 from . import serialize as ser
-from .designer import (BANDS, DesignConfig, Encoding, TruthTable, decode,
-                       decode_array, gate_table, perceptron_identity_residual,
+from .designer import (BANDS, DesignConfig, Encoding, TruthTable, decode_array,
+                       gate_table, perceptron_identity_residual,
                        train_perceptron, weights_to_neuron, PRESET_WEIGHTS)
 from .dynamics import CSV_HEADER, evolve_full, evolve_quasi_static
 from .errors import ConfigError, NotSeparableError, ThermoneuronError
@@ -245,8 +245,8 @@ def cmd_steady(args) -> int:
         final = response.final
         payload = {"layer_outputs": [list(o) for o in response.layer_outputs],
                    "beta_z_inf": final}
-    bit = decode(final, enc, machine)
-    payload["decoded"] = bit if bit is not None else "invalid"
+    bit = int(decode_array(final, enc, machine))
+    payload["decoded"] = bit if bit >= 0 else "invalid"
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:

@@ -29,7 +29,6 @@ from .virtual import virtual_gap
 __all__ = [
     "Encoding",
     "encode",
-    "decode",
     "logic_rows",
     "decode_array",
     "TruthTable",
@@ -112,12 +111,6 @@ def decode_array(beta_z, enc: Encoding, machine) -> np.ndarray:
     low, high = enc.edges(machine)
     beta_z = np.asarray(beta_z, dtype=float)
     return np.where(beta_z <= low, 0, np.where(beta_z >= high, 1, -1))
-
-
-def decode(beta_z: float, enc: Encoding, machine):
-    """0, 1, or None (invalid) depending on which band beta_z falls into."""
-    bit = int(decode_array(beta_z, enc, machine))
-    return bit if bit >= 0 else None
 
 
 @dataclass(frozen=True)

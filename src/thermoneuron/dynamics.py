@@ -57,7 +57,6 @@ __all__ = [
     "Trajectory",
     "evolve_quasi_static",
     "evolve_full",
-    "accumulated_dissipation",
     "collector_register",
     "collector_hamiltonian",
     "collector_contacts",
@@ -352,8 +351,10 @@ def evolve_full(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
     size = model.gen0.shape[0]
     d = size - 4
     # The last row of k0 + g k1 is d(beta_z)/dt: total reservoir heat over C.
-    k0 = np.vstack((model.gen0, model.heat0.sum(axis=0) / spec.capacity))
-    k1 = np.vstack((model.gen1, model.heat1.sum(axis=0) / spec.capacity))
+    # Stacked, one product per RHS call gives both.
+    k01 = np.vstack((model.gen0, model.heat0.sum(axis=0) / spec.capacity,
+                     model.gen1, model.heat1.sum(axis=0) / spec.capacity))
+    k0, k1 = k01[:size + 1], k01[size + 1:]
 
     # Each register's trace changes only by the rounding in its assembled
     # rates.  Take that rate from the exact column sums (the g-dependent part
@@ -361,14 +362,17 @@ def evolve_full(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
     # converges either way, but the endpoints follow the trace drift: without
     # the exact sums NOT (0) moves by 3e-10, against the 1e-9 bound of the
     # benchmark's reference endpoints.
-    blocks = (slice(0, d), slice(d + 2, size))
-    col_sums = [np.array([math.fsum(col) for col in k0[blk, blk].T]) for blk in blocks]
+    col_sums = np.zeros((2, size))
+    for row, blk in enumerate((slice(0, d), slice(d + 2, size))):
+        col_sums[row, blk] = [math.fsum(col) for col in k0[blk, blk].T]
 
     def rhs(_t, y):
         x = y[:-1]
-        f = k0 @ x + spec.g_z(float(y[-1])) * (k1 @ x)
-        for blk, sums in zip(blocks, col_sums):
-            f[blk.start] = sums @ x[blk] - f[blk.start + 1:blk.stop].sum()
+        kx = k01 @ x
+        f = kx[:size + 1] + spec.g_z(float(y[-1])) * kx[size + 1:]
+        trace_c, trace_m = col_sums @ x
+        f[0] = trace_c - f[1:d].sum()
+        f[d + 2] = trace_m - f[d + 3]   # the modulator's two populations
         return f
 
     def jac(_t, y):
@@ -407,9 +411,3 @@ def evolve_full(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
     rho_m = np.diag(x[d + 2:]).astype(complex)
     return Trajectory(t=times, beta_z=bz_arr, j_collector=j_c, j_modulator=j_m,
                       sigma_dot=sdot, final_rho_collector=rho_c, final_rho_modulator=rho_m)
-
-
-def accumulated_dissipation(trajectory: Trajectory) -> float:
-    """Entropy produced over the whole run: the last sample of the
-    trajectory's running integral ``sigma`` of sigma_dot."""
-    return float(trajectory.sigma[-1])

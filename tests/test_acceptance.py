@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 import thermoneuron as tn
-from thermoneuron.dynamics import accumulated_dissipation
 from thermoneuron.neuron import steady_from_virtual, transfer_slope
 from conftest import random_inputs, random_neuron
 
@@ -105,14 +104,14 @@ def test_05_gate_truth_tables():
 
     nor = tn.preset("NOR", tn.DesignConfig(alpha=20.0, eps_z=0.1))
     for bits, want in tn.gate_table("NOR").rows():
-        got = tn.decode(tn.steady_output(
+        got = tn.decode_array(tn.steady_output(
             nor, [tn.encode(b, nor) for b in bits]).beta_z_inf, enc, nor)
         if got != want:
             failures.append(("NOR", bits))
 
     maj = tn.preset("MAJ3", tn.DesignConfig(alpha=10.0, eps_z=0.1))
     for bits, want in tn.gate_table("MAJ3").rows():
-        got = tn.decode(tn.steady_output(
+        got = tn.decode_array(tn.steady_output(
             maj, [tn.encode(b, maj) for b in bits]).beta_z_inf, enc, maj)
         if got != want:
             failures.append(("MAJ3", bits))
@@ -121,7 +120,7 @@ def test_05_gate_truth_tables():
                            tn.DesignConfig(alpha=20.0, eps_z=0.1, seed=XOR_SEED))
     for bits, want in tn.gate_table("XOR").rows():
         final = tn.eval_network(net, [tn.encode(b, net) for b in bits]).final
-        if tn.decode(final, enc, net) != want:
+        if tn.decode_array(final, enc, net) != want:
             failures.append(("XOR", bits))
 
     elapsed = time.perf_counter() - start
@@ -182,10 +181,8 @@ def test_08_second_law():
         worst_rate = min(worst_rate, float(traj.sigma_dot.min()))
 
     spec = tn.inverter(20.0, 0.1)
-    quiet = accumulated_dissipation(
-        tn.evolve_quasi_static(spec, (0.5,), 0.5, 1e8))
-    loud = accumulated_dissipation(
-        tn.evolve_quasi_static(spec, (1.0,), 0.5, 1e8))
+    quiet = tn.evolve_quasi_static(spec, (0.5,), 0.5, 1e8).sigma[-1]
+    loud = tn.evolve_quasi_static(spec, (1.0,), 0.5, 1e8).sigma[-1]
     elapsed = time.perf_counter() - start
     ok = worst_rate >= -1e-10 and 0.0 <= quiet <= 1e-6 * loud
     criterion(8, "second law on 1000 random draws; balanced input "

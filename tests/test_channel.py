@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 import thermoneuron as tn
-from conftest import on_rails
-from thermoneuron import channel, designer
+from conftest import on_rails, random_inputs, random_neuron
+from thermoneuron import channel, designer, dynamics
 from thermoneuron.channel import gaussian_band_probs
 from thermoneuron.designer import BANDS, decode_array, logic_rows
-from thermoneuron.dynamics import accumulated_dissipation
 from thermoneuron.errors import ConfigError
 
 PHI_2 = 0.9772498680518207928  # standard normal CDF at 2, 50-digit oracle
@@ -27,22 +26,22 @@ class TestEncoding:
 
     def test_round_trip_at_rails(self):
         enc = tn.Encoding()
-        assert tn.decode(tn.encode(0, UNIT), enc, UNIT) == 0
-        assert tn.decode(tn.encode(1, UNIT), enc, UNIT) == 1
+        assert decode_array(tn.encode(0, UNIT), enc, UNIT) == 0
+        assert decode_array(tn.encode(1, UNIT), enc, UNIT) == 1
 
     def test_multiplicative_band_literal(self):
         enc = tn.Encoding(delta=0.1)
-        assert tn.decode(1.0, enc, UNIT) == 1
-        assert tn.decode(0.5, enc, UNIT) is None   # inside (0, 0.9)
-        assert tn.decode(-0.01, enc, UNIT) == 0    # at or below (1+delta)*0
-        assert tn.decode(1e-6, enc, UNIT) is None  # the 0-band is a single point
+        assert decode_array(1.0, enc, UNIT) == 1
+        assert decode_array(0.5, enc, UNIT) == -1   # inside (0, 0.9)
+        assert decode_array(-0.01, enc, UNIT) == 0  # at or below (1+delta)*0
+        assert decode_array(1e-6, enc, UNIT) == -1  # the 0-band is a single point
 
     def test_additive_band(self):
         enc = tn.Encoding(delta=0.1, band="additive")
         assert enc.edges(UNIT) == (0.1, 0.9)
-        assert tn.decode(0.05, enc, UNIT) == 0
-        assert tn.decode(0.95, enc, UNIT) == 1
-        assert tn.decode(0.5, enc, UNIT) is None
+        assert decode_array(0.05, enc, UNIT) == 0
+        assert decode_array(0.95, enc, UNIT) == 1
+        assert decode_array(0.5, enc, UNIT) == -1
 
     def test_holds_only_the_decoding_rule(self):
         # The rails are the machine's; an encoding cannot restate them.
@@ -62,9 +61,9 @@ class TestEncoding:
         assert codes.shape == values.shape
         for v, code in zip(values.tolist(), codes.tolist()):
             # The band rule written out, scalar by scalar.
-            want = 0 if v <= low else 1 if v >= high else None
-            assert tn.decode(v, enc, machine) == want
-            assert code == (-1 if want is None else want)
+            want = 0 if v <= low else 1 if v >= high else -1
+            assert decode_array(v, enc, machine) == want
+            assert code == want
         assert set(codes[:2].tolist()) == {0, 1}
         assert codes[6] == -1  # NaN
 
@@ -78,7 +77,7 @@ class TestEncoding:
 
     def test_encoding_has_one_home(self):
         # The encoding lives in designer; the package re-exports it.
-        for name in ("Encoding", "encode", "decode"):
+        for name in ("Encoding", "encode", "decode_array"):
             assert getattr(tn, name) is getattr(designer, name)
 
     def test_overlapping_bands_rejected(self):
@@ -253,9 +252,8 @@ class TestAverageDissipation:
         tau = 1e7
         traj = tn.evolve_quasi_static(spec, (1.0,), 0.5, 2 * tau)
         rate_ss = traj.sigma_dot[-1]
-        s1 = accumulated_dissipation(
-            tn.evolve_quasi_static(spec, (1.0,), 0.5, tau))
-        s2 = accumulated_dissipation(traj)
+        s1 = tn.evolve_quasi_static(spec, (1.0,), 0.5, tau).sigma[-1]
+        s2 = traj.sigma[-1]
         assert abs((s2 - s1) - tau * rate_ss) <= 0.02 * (s2 - s1)
 
     def test_averages_over_inputs(self):
@@ -264,7 +262,7 @@ class TestAverageDissipation:
         per_input = []
         for bit in (0, 1):
             traj = tn.evolve_quasi_static(spec, (tn.encode(bit, spec),), 0.5, tau)
-            per_input.append(accumulated_dissipation(traj))
+            per_input.append(traj.sigma[-1])
         avg = tn.average_dissipation(spec, tau)
         assert abs(avg - 0.5 * sum(per_input)) < 1e-9 * max(per_input)
 
@@ -278,10 +276,44 @@ class TestAverageDissipation:
         total, per_row = 0.0, []
         for bits in itertools.product((0, 1), repeat=spec.n):
             traj = tn.evolve_quasi_static(spec, [tn.encode(b, spec) for b in bits], start, tau)
-            per_row.append(accumulated_dissipation(traj))
+            per_row.append(traj.sigma[-1])
             total += (1.0 / 4) * per_row[-1]
         assert tn.dissipation(spec, logic_rows(spec), tau).tolist() == per_row
         assert tn.average_dissipation(spec, tau) == total
+
+    @staticmethod
+    def per_row_runs(spec, rows, tau):
+        """`dissipation` as one quasi-static run per row."""
+        start = 0.5 * (spec.beta_hot + spec.beta_cold)
+        return np.array([tn.evolve_quasi_static(spec, row, start, tau).sigma[-1]
+                         for row in rows], dtype=float)
+
+    @pytest.mark.parametrize("alpha", [2.0, 5.0, 10.0, 20.0])
+    def test_rows_with_one_virtual_temperature_share_one_run(self, alpha, monkeypatch):
+        # MAJ3's eight rows carry four distinct beta_v: four runs, and every
+        # row keeps the bits of its own run.
+        spec, tau = tn.preset("MAJ3", tn.DesignConfig(alpha=alpha)), 1e8
+        rows = logic_rows(spec)
+        want = self.per_row_runs(spec, rows, tau)
+        runs = []
+        monkeypatch.setattr(channel, "evolve_quasi_static",
+                            lambda *args: runs.append(args) or dynamics.evolve_quasi_static(*args))
+        assert tn.dissipation(spec, rows, tau).tobytes() == want.tobytes()
+        assert len(runs) == 4
+
+    def test_shared_runs_keep_the_bits_of_per_row_runs(self):
+        # The NOR inset's rows (both inputs on one grid value), and random
+        # machines on rows drawn with repeats from their logic and random rows.
+        nor = tn.preset("NOR")
+        cases = [(nor, np.repeat(np.linspace(0.0, 1.0, 21)[:, None], 2, axis=1), 1e8)]
+        rng = np.random.default_rng(23)
+        for _ in range(4):
+            spec = random_neuron(rng)
+            pool = np.vstack([logic_rows(spec), [random_inputs(rng, spec) for _ in range(3)]])
+            cases.append((spec, pool[rng.integers(0, len(pool), 12)], 1e5))
+        for spec, rows, tau in cases:
+            got = tn.dissipation(spec, rows, tau)
+            assert got.tobytes() == self.per_row_runs(spec, rows, tau).tobytes()
 
 
     @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf, -math.inf])

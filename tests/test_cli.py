@@ -420,10 +420,10 @@ def row_loop_verify_stdout(machine, table, enc, width):
         machine, [[tn.encode(b, machine) for b in bits] for bits, _ in table.rows()])
     lines, failures = [], []
     for (bits, expected), final in zip(table.rows(), finals.tolist()):
-        got = tn.decode(final, enc, machine)
+        got = int(tn.decode_array(final, enc, machine))
         p0, p1, _ = ch.gaussian_band_probs(final, width, enc, machine)
         status = "ok" if got == expected else "FAIL"
-        shown = got if got is not None else "invalid"
+        shown = got if got >= 0 else "invalid"
         lines.append(f"row {' '.join(map(str, bits))} -> beta_z = {final: .6f}  "
                      f"decoded = {shown!s:7}  expected = {expected}  "
                      f"p(error) = {(p0, p1)[1 - expected]:.3e}  [{status}]")
@@ -458,6 +458,26 @@ def test_verify_stdout_equals_the_row_loop(design, table, band, delta, width, co
     truth = tn.TruthTable.from_text(XOR_TT) if table == "T" else tn.gate_table(table)
     assert got == row_loop_verify_stdout(load_machine(out)[0], truth, enc, width)
     assert ("decoded = invalid" in got) == invalid
+
+
+@pytest.mark.filterwarnings("ignore:weak time-scale separation")
+@pytest.mark.parametrize("band", ["additive", "multiplicative"])
+@pytest.mark.parametrize("alpha", [0.5, 20.0])
+def test_steady_and_verify_decode_alike(alpha, band, tmp_path, capsys):
+    # At each row, steady's decoded field (0, 1 or "invalid") is verify's
+    # decoded column.  The weak NOR decodes every row invalid under both
+    # bands; the steep one gives 1, invalid and 0 under the multiplicative.
+    out = design_nor(tmp_path, alpha=alpha)
+    capsys.readouterr()
+    main(["verify", out, "--gate", "NOR", "--band", band])
+    shown = re.findall(r"decoded = (\S+)", capsys.readouterr().out)
+    assert len(shown) == 4
+    decoded = []
+    for bits, _ in tn.gate_table("NOR").rows():
+        assert main(["steady", out, "--inputs", *map(str, bits), "--band", band,
+                     "--json"]) == 0
+        decoded.append(json.loads(capsys.readouterr().out)["decoded"])
+    assert decoded == [s if s == "invalid" else int(s) for s in shown]
 
 
 class TestMachineFiles:
@@ -881,8 +901,8 @@ def test_commands_read_the_rails_from_the_machine(tmp_path, capsys):
     # 0.2 is bit 0 on the machine's rails, and invalid on the default (0, 1).
     assert payload["beta_z_inf"] == pytest.approx(0.2, abs=1e-12)
     assert payload["decoded"] == 0
-    assert tn.decode(payload["beta_z_inf"], tn.Encoding(band="additive"),
-                     tn.preset("NOR")) is None
+    assert tn.decode_array(payload["beta_z_inf"], tn.Encoding(band="additive"),
+                           tn.preset("NOR")) == -1
     assert main(["verify", path, "--gate", "NOR"]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed[0].startswith("row 0 0 -> beta_z =  1.433679  decoded = 1")
@@ -892,8 +912,7 @@ def test_commands_read_the_rails_from_the_machine(tmp_path, capsys):
                  "--out", str(csv_path)]) == 0
     assert csv_path.read_text().splitlines()[2].split(",")[:2] == ["0", "0.85"]
     rows, tau = logic_rows(spec), 1e4
-    loop = [tn.accumulated_dissipation(tn.evolve_quasi_static(spec, row, 0.85, tau))
-            for row in rows]
+    loop = [tn.evolve_quasi_static(spec, row, 0.85, tau).sigma[-1] for row in rows]
     assert ch.dissipation(spec, rows, tau).tolist() == loop
 
 
