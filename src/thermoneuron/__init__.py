@@ -24,9 +24,8 @@ from .neuron import (ModulatorCalibration, NeuronSpec, TransferPoint,
                      sigmoid_approx, slope_at_threshold, steady_from_virtual,
                      steady_output, steady_response, threshold_point)
 from .quantum import (BathContact, QubitRegister, fermi_population,
-                      gibbs_qubit, gibbs_register, heat_current,
-                      entropy_production_rate, integrate_master, lindblad_rhs,
-                      reset_dissipator, steady_state, von_neumann_entropy)
+                      gibbs_qubit, gibbs_register, integrate_master, lindblad_rhs,
+                      reset_dissipator, steady_state)
 from .serialize import TOOL_VERSION, dump_machine, load_machine
 from .virtual import (VirtualQubit, build_interaction_hamiltonian, virtual_gap,
                       virtual_population, virtual_qubit, virtual_temperature)

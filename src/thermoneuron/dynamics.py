@@ -60,7 +60,6 @@ __all__ = [
     "collector_register",
     "collector_hamiltonian",
     "collector_contacts",
-    "modulator_contacts",
 ]
 
 CSV_HEADER = ("t", "beta_z", "j_C", "j_M", "sigma_dot", "sigma")
@@ -68,6 +67,10 @@ QUASI_RTOL = 1e-9   # relative tolerance of the quasi-static run
 FULL_RTOL, FULL_ATOL = 1e-8, 1e-12   # tolerances of the full co-integration
 MAX_RHS_CALLS = 50_000   # right-hand-side evaluations a run may take before it fails
 PER_DECADE = 200    # samples per decade of t, from min(1e-2, tau/10) to tau
+# Shortest positive tau a run takes.  Below about 1e-150 LSODA spends
+# MAX_RHS_CALLS without a step, and below about 1e-322 the sample times
+# underflow, although nothing can move in so short a time.
+TAU_FLOOR = 1e-100
 
 
 @dataclass
@@ -155,6 +158,8 @@ def _check_run(spec: NeuronSpec, inputs: Sequence[float], beta_z0: float,
     """The inputs as floats, once the run's arguments are known to be valid."""
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ConfigError(f"tau must be non-negative and finite, got {tau!r}")
+    if 0.0 < tau < TAU_FLOOR:
+        raise ConfigError(f"tau must be 0 or at least {TAU_FLOOR:g}, got {tau!r}")
     inputs = tuple(float(b) for b in inputs)
     if len(inputs) != spec.n:
         raise StructuralError(f"expected {spec.n} inputs, got {len(inputs)}")
@@ -225,13 +230,6 @@ def collector_contacts(spec: NeuronSpec, inputs: Sequence[float],
     contacts = [BathContact(i, b, spec.gamma) for i, b in enumerate(betas)]
     if spec.mu > 0:
         contacts.append(BathContact(len(betas), beta_z, spec.mu))
-    return contacts
-
-
-def modulator_contacts(spec: NeuronSpec, beta_z: float) -> list[BathContact]:
-    contacts = [BathContact(0, spec.beta_r, spec.gamma)]
-    if spec.mu_prime > 0:
-        contacts.append(BathContact(0, beta_z, spec.mu_prime))
     return contacts
 
 

@@ -53,9 +53,6 @@ __all__ = [
     "integrate_master",
     "superoperator_matrix",
     "steady_state",
-    "heat_current",
-    "entropy_production_rate",
-    "von_neumann_entropy",
 ]
 
 # Dense states and `lindblad_rhs` take registers up to this size.  The tests run
@@ -359,33 +356,6 @@ def steady_state(rhs: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarra
     if residual > 1e-10:
         raise SolverError(f"steady-state residual {residual:.3e} exceeds 1e-10")
     return rho
-
-
-def heat_current(rho: np.ndarray, h: np.ndarray, contact: BathContact,
-                 register: QubitRegister) -> float:
-    """Tr[H L_k[rho]]: heat flowing from bath k into the machine."""
-    return float(np.trace(h @ reset_dissipator(rho, contact, register)).real)
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-Tr[rho log rho] in nats; eigenvalues below 1e-15 are clamped to zero."""
-    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    w = w[w > 1e-15]
-    return float(-(w * np.log(w)).sum())
-
-
-def entropy_production_rate(rho: np.ndarray, contacts: Sequence[BathContact],
-                            h: np.ndarray, ds_dt: float,
-                            register: QubitRegister) -> float:
-    """Irreversible entropy rate dS/dt - sum_k beta_k * j_k, with j_k into the machine.
-
-    Equivalently dS/dt plus sum_k beta_k * (heat delivered to bath k); this
-    convention is non-negative for every valid state (second law).
-    """
-    total = ds_dt
-    for contact in contacts:
-        total -= contact.beta * heat_current(rho, h, contact, register)
-    return float(total)
 
 
 def gibbs_register(register: QubitRegister, betas: Sequence[float]) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Shared fixtures: standard machines, random machines and random states,
-and the einsum partial trace that the gathered reset replaced."""
+and the dense oracle's helpers: the einsum partial trace that the gathered
+reset replaced, bath heat currents and the modulator's contacts."""
 
 import numpy as np
 import pytest
 
 import thermoneuron as tn
 from thermoneuron.errors import StructuralError
+from thermoneuron.quantum import BathContact, reset_dissipator
 
 
 @pytest.fixture
@@ -85,3 +87,16 @@ def thermalize_qubit(rho, k, m, tau):
     reduced = np.einsum("...aibcid->...abcd", t)
     out = np.einsum("...abcd,ij->...aibcjd", reduced, tau)
     return out.reshape(rho.shape)
+
+
+def heat_current(rho, h, contact, register):
+    """Tr[H L_k[rho]]: heat flowing from bath k into the machine."""
+    return float(np.trace(h @ reset_dissipator(rho, contact, register)).real)
+
+
+def modulator_contacts(spec, beta_z):
+    """Bath contacts of the modulator qubit: its rail bath, then the reservoir."""
+    contacts = [BathContact(0, spec.beta_r, spec.gamma)]
+    if spec.mu_prime > 0:
+        contacts.append(BathContact(0, beta_z, spec.mu_prime))
+    return contacts

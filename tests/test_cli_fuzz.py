@@ -47,7 +47,8 @@ VALUES = mostly(st.sampled_from(["0", "1", "-0", "0.5", ".25", "+1", "2", "1e-3"
                 st.sampled_from(["1e308", "-1e308", "1e400", "nan", "-nan", "inf",
                                  "-inf", "", "x", "0x1", "1,5"]))
 TAUS = mostly(st.sampled_from(["0", "1", "10", "1e2"]),
-              st.sampled_from(["-1", "-1e-3", "inf", "1e400", "nan", "x"]))
+              st.sampled_from(["-1", "-1e-3", "inf", "1e400", "nan", "x", "5e-324",
+                               "1e-322", "1e-200"]))
 WIDTHS = mostly(st.sampled_from(["0.05", "0.2"]),
                 st.sampled_from(["0", "-1e-2", "nan", "inf", "x"]))
 GOOD_BANDS = mostly(st.sampled_from(["multiplicative", "additive"]), BANDS)

@@ -15,6 +15,7 @@ import pytest
 
 import thermoneuron as tn
 from thermoneuron import dynamics
+from thermoneuron.designer import logic_rows
 from thermoneuron.dynamics import CSV_HEADER
 from thermoneuron.errors import ConfigError, StructuralError
 from thermoneuron.neuron import RATE_SEPARATION
@@ -92,6 +93,29 @@ class TestQuasiStatic:
     def test_non_finite_horizon_rejected(self, paper_not, evolve, value):
         with pytest.raises(ConfigError, match="tau must be non-negative and finite"):
             evolve(paper_not, (0.0,), 0.5, value)
+
+    @pytest.mark.parametrize("evolve", [tn.evolve_quasi_static, tn.evolve_full])
+    @pytest.mark.parametrize("value", [5e-324, 1e-200, np.nextafter(dynamics.TAU_FLOOR, 0.0)])
+    def test_positive_horizon_below_the_floor_rejected(self, paper_not, evolve, value):
+        with pytest.raises(ConfigError) as err:
+            evolve(paper_not, (0.0,), 0.5, value)
+        assert str(err.value) == f"tau must be 0 or at least 1e-100, got {value!r}"
+
+    @pytest.mark.parametrize("evolve", [tn.evolve_quasi_static, tn.evolve_full])
+    def test_runs_at_the_floor(self, evolve):
+        # Nothing moves in so short a time: each run ends where it started.
+        from conftest import random_inputs, random_neuron
+        rng = np.random.default_rng(3)
+        cases = [(tn.preset(g), row) for g in ("NOT", "NOR", "MAJ3")
+                 for row in logic_rows(tn.preset(g))]
+        for _ in range(6):
+            spec = random_neuron(rng)
+            cases.append((spec, random_inputs(rng, spec)))
+        for spec, row in cases:
+            traj = evolve(spec, row, 0.5, dynamics.TAU_FLOOR)
+            assert traj.t[-1] == dynamics.TAU_FLOOR
+            assert abs(traj.endpoint - 0.5) <= 1e-15
+            assert np.isfinite(traj.sigma).all() and traj.sigma[-1] >= 0.0
 
     @pytest.mark.parametrize("evolve", [tn.evolve_quasi_static, tn.evolve_full])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])

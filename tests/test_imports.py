@@ -2,9 +2,9 @@
 
 A function-level import of a package module hides a dependency (and, in
 `network`, once hid a network -> channel -> network cycle); this scan finds
-any that come back.  Two more scans keep each module's `__all__` to its own
-functions and classes, and the span names the benchmark looks up to functions
-its tracer wraps.
+any that come back.  Three more scans keep each module's `__all__` to its own
+functions and classes, the span names the benchmark looks up to functions its
+tracer wraps, and the package functions its workloads call to public ones.
 """
 
 import ast
@@ -75,6 +75,7 @@ def test_each_all_lists_exactly_its_own_functions_and_classes():
 
 
 PERFBENCH_RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+PERFBENCH_WORKLOADS = PERFBENCH_RUN.with_name("workloads.py")
 
 
 def traced_names(source: str) -> set[str]:
@@ -97,15 +98,47 @@ def test_scan_finds_the_traced_names():
     assert traced_names(source) == {"a.f", "b.g"}
 
 
+def assert_own_public_function(name: str) -> None:
+    """`name` is "layer.fn", a public function that module `layer` defines."""
+    layer, _, fn = name.partition(".")
+    assert (SRC / f"{layer}.py").is_file(), name
+    module = importlib.import_module(f"thermoneuron.{layer}")
+    value = getattr(module, fn, None)
+    assert not fn.startswith("_") and inspect.isfunction(value), name
+    assert value.__module__ == module.__name__, name
+
+
 def test_perfbench_looks_up_only_wrapped_functions():
     # The tracer wraps each public function a layer module defines itself and
     # raises ValueError when asked for any other name.
     names = traced_names(PERFBENCH_RUN.read_text(encoding="utf-8"))
     assert names
     for name in sorted(names):
-        layer, _, fn = name.partition(".")
-        assert (SRC / f"{layer}.py").is_file(), name
-        module = importlib.import_module(f"thermoneuron.{layer}")
-        value = getattr(module, fn, None)
-        assert not fn.startswith("_") and inspect.isfunction(value), name
-        assert value.__module__ == module.__name__, name
+        assert_own_public_function(name)
+
+
+def package_attribute_reads(source: str) -> set[str]:
+    """"layer.name" for each attribute read on a package module that the source
+    binds by `from thermoneuron import layer`."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "thermoneuron"
+               for alias in node.names}
+    return {f"{modules[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+
+
+def test_scan_finds_the_package_attribute_reads():
+    source = ("def f():\n    from thermoneuron import dynamics, quantum as q\n"
+              "    import numpy as np\n    return q.steady_state(dynamics.x.y, np.z)\n")
+    assert package_attribute_reads(source) == {"quantum.steady_state", "dynamics.x"}
+
+
+def test_perfbench_calls_only_public_package_functions():
+    # The workloads build their operations from these names; deleting or
+    # renaming one breaks the benchmark, which no other tier-1 test runs.
+    reads = package_attribute_reads(PERFBENCH_WORKLOADS.read_text(encoding="utf-8"))
+    assert {"designer.preset", "quantum.gibbs_register", "quantum.steady_state"} <= reads
+    for name in sorted(reads):
+        assert_own_public_function(name)

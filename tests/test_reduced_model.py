@@ -13,10 +13,9 @@ from scipy.integrate import cumulative_trapezoid, solve_ivp
 import thermoneuron as tn
 from thermoneuron import dynamics
 from thermoneuron.quantum import (BathContact, QubitRegister, gibbs_register,
-                                  heat_current, lindblad_rhs, reset_dissipator,
-                                  superoperator_matrix)
+                                  lindblad_rhs, reset_dissipator, superoperator_matrix)
 from thermoneuron.virtual import coupled_levels
-from conftest import thermalize_qubit
+from conftest import heat_current, modulator_contacts, thermalize_qubit
 
 TAU0 = np.diag([1.0, 0.0]).astype(complex)
 DTAU = np.diag([-1.0, 1.0]).astype(complex)
@@ -83,7 +82,7 @@ def test_reduced_generator_is_the_restricted_dense_one(name, beta_z):
     assert not gen[:d + 2, d + 2:].any() and not gen[d + 2:, :d + 2].any()
 
     reg_m = QubitRegister((spec.eps_z,))
-    contacts = dynamics.modulator_contacts(spec, beta_z)
+    contacts = modulator_contacts(spec, beta_z)
     dense_m = superoperator_matrix(
         lambda r: sum(reset_dissipator(r, c, reg_m) for c in contacts), reg_m.dim)
     want_m = dense_m[np.ix_([0, 3], [0, 3])].real
@@ -106,7 +105,7 @@ def test_heat_rows_are_the_dense_currents(name):
     beta_z = 0.37
     g = spec.g_z(beta_z)
     contacts_c = dynamics.collector_contacts(spec, inputs, beta_z)
-    contacts_m = dynamics.modulator_contacts(spec, beta_z)
+    contacts_m = modulator_contacts(spec, beta_z)
     fixed = [(c, reg_c, h_c, rho_c) for c in contacts_c[:spec.n + 1]]
     fixed.append((contacts_m[0], reg_m, h_m, rho_m))
     want_flux = sum(c.beta * heat_current(rho, h, c, reg) for c, reg, h, rho in fixed)
