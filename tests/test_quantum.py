@@ -706,8 +706,7 @@ class TestHeatCurrent:
         # gamma eps (g - p) with g = 1/2, p = 1: -0.5.
         reg = QubitRegister((1.0,))
         rho = np.diag([0.0, 1.0]).astype(complex)
-        j = heat_current(rho, reg.free_hamiltonian(),
-                            BathContact(0, 0.0, 1.0), reg)
+        j = heat_current(rho, reg.free_hamiltonian(), BathContact(0, 0.0, 1.0), reg)
         assert abs(j - (-0.5)) < 1e-14
 
     def test_flux_conservation_in_collector_steady_state(self):
