@@ -194,22 +194,6 @@ class TestSimulate:
         lines = Path(csv_path).read_text().splitlines()
         assert len(lines) == 3  # units comment + header + one sample
 
-    @pytest.mark.parametrize("mode", ["quasi", "full"])
-    @pytest.mark.parametrize("tau", ["5e-324", "1e-322", "1e-200"])
-    def test_tau_below_the_floor_exits_2_naming_tau_and_the_floor(self, tmp_path, capsys,
-                                                                 tau, mode):
-        # Below about 1e-150 the run never finished (LSODA spent every RHS
-        # call), and below about 1e-322 it raised from the sample grid.
-        out = str(tmp_path / "not.json")
-        main(["design", "--gate", "NOT", "--out", out])
-        capsys.readouterr()
-        csv_path = tmp_path / "traj.csv"
-        assert main(["simulate", out, "--inputs", "0", "--tau", tau, "--mode", mode,
-                     "--out", str(csv_path)]) == 2
-        want = f"error: tau must be 0 or at least 1e-100, got {float(tau)!r}\n"
-        assert capsys.readouterr().err == want
-        assert not csv_path.exists()
-
     def test_full_mode_smoke(self, tmp_path, capsys):
         out = str(tmp_path / "not.json")
         main(["design", "--gate", "NOT", "--alpha", "5", "--out", out])
@@ -693,11 +677,21 @@ def test_malformed_input_exits_2_with_one_line(case, xor_table, tmp_path, capsys
     assert not out.exists()
 
 
-def test_tradeoff_tau_below_the_floor_exits_2_naming_tau_and_the_floor(tmp_path, capsys):
-    out = tmp_path / "t.csv"
-    assert main(["tradeoff", "--gate", "NOT", "--grid", "2,5", "--tau", "5e-324",
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: tau must be 0 or at least 1e-100, got 5e-324\n"
+@pytest.mark.parametrize("argv", [["simulate", "M", "--inputs", "0", "--mode", "quasi"],
+                                  ["simulate", "M", "--inputs", "0", "--mode", "full"],
+                                  ["tradeoff", "--gate", "NOT", "--grid", "2,5"]],
+                         ids=["simulate-quasi", "simulate-full", "tradeoff"])
+@pytest.mark.parametrize("tau", ["5e-324", "1e-322", "1e-200"])
+def test_tau_below_the_floor_exits_2_naming_tau_and_the_floor(argv, tau, tmp_path, capsys):
+    # Below about 1e-150 the run never finished (LSODA spent every RHS
+    # call), and below about 1e-322 it raised from the sample grid.
+    path = tmp_path / "not.json"
+    path.write_text(json.dumps(machine_to_document(tn.preset("NOT"), PROVENANCE)))
+    out = tmp_path / "out.csv"
+    argv = [str(path) if a == "M" else a for a in argv] + ["--tau", tau, "--out", str(out)]
+    assert main(argv) == 2
+    want = f"error: tau must be 0 or at least 1e-100, got {float(tau)!r}\n"
+    assert capsys.readouterr().err == want
     assert not out.exists()
 
 
