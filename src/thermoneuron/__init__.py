@@ -17,8 +17,7 @@ from .errors import (CalibrationError, ConfigError, DegenerateSteadyStateError,
                      DesignError, NotSeparableError, ResonanceError,
                      SingularGapError, SolverError, StructuralError,
                      ThermoneuronError, TrainingError)
-from .network import (NetworkSpec, NetworkResponse, eval_layers, eval_network,
-                      train_network)
+from .network import NetworkSpec, eval_layers, train_network
 from .neuron import (ModulatorCalibration, NeuronSpec, TransferPoint,
                      build_neuron, calibrate_modulator, inverter,
                      sigmoid_approx, slope_at_threshold, steady_from_virtual,

@@ -35,7 +35,7 @@ from .designer import (BANDS, DesignConfig, Encoding, TruthTable, decode_array,
                        train_perceptron, weights_to_neuron, PRESET_WEIGHTS)
 from .dynamics import CSV_HEADER, evolve_full, evolve_quasi_static
 from .errors import ConfigError, NotSeparableError, ThermoneuronError
-from .network import NetworkSpec, eval_network, train_network
+from .network import NetworkSpec, eval_layers, train_network
 from .neuron import NeuronSpec, steady_output, steady_response
 from .virtual import virtual_gap
 
@@ -241,10 +241,9 @@ def cmd_steady(args) -> int:
         beta_v, final = point.beta_v, point.beta_z_inf
         payload = {"beta_v": beta_v, "beta_z_inf": final}
     else:
-        response = eval_network(machine, args.inputs)
-        final = response.final
-        payload = {"layer_outputs": [list(o) for o in response.layer_outputs],
-                   "beta_z_inf": final}
+        layer_outputs = [o[0].tolist() for o in eval_layers(machine, [args.inputs])]
+        final = layer_outputs[-1][-1]
+        payload = {"layer_outputs": layer_outputs, "beta_z_inf": final}
     bit = int(decode_array(final, enc, machine))
     payload["decoded"] = bit if bit >= 0 else "invalid"
     if args.json:

@@ -18,7 +18,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -131,11 +131,6 @@ class TruthTable:
         object.__setattr__(self, "outputs", tuple(int(o) for o in self.outputs))
 
     @classmethod
-    def from_function(cls, n: int, fn: Callable[[tuple[int, ...]], int]) -> "TruthTable":
-        return cls(n=n, outputs=tuple(int(fn(bits))
-                                      for bits in itertools.product((0, 1), repeat=n)))
-
-    @classmethod
     def from_text(cls, text: str) -> "TruthTable":
         """Parse lines of the form 'b1 b2 ... bn : r'.  The colon is optional;
         a line with one has at least one bit before it and one output after."""
@@ -182,25 +177,24 @@ class TruthTable:
         return zip(itertools.product((0, 1), repeat=self.n), self.outputs)
 
 
-_GATE_FUNCTIONS = {
-    "NOT": (1, lambda x: 1 - x[0]),
-    "NOR": (2, lambda x: int(x[0] == 0 and x[1] == 0)),
-    "OR": (2, lambda x: int(x[0] == 1 or x[1] == 1)),
-    "AND": (2, lambda x: int(x[0] == 1 and x[1] == 1)),
-    "NAND": (2, lambda x: int(not (x[0] == 1 and x[1] == 1))),
-    "XOR": (2, lambda x: x[0] ^ x[1]),
-    "MAJ3": (3, lambda x: int(sum(x) >= 2)),
+# Each named gate's outputs in row order (x_1 the most significant bit).
+_GATES = {
+    "NOT": TruthTable(1, (1, 0)),
+    "NOR": TruthTable(2, (1, 0, 0, 0)),
+    "OR": TruthTable(2, (0, 1, 1, 1)),
+    "AND": TruthTable(2, (0, 0, 0, 1)),
+    "NAND": TruthTable(2, (1, 1, 1, 0)),
+    "XOR": TruthTable(2, (0, 1, 1, 0)),
+    "MAJ3": TruthTable(3, (0, 0, 0, 1, 0, 1, 1, 1)),
 }
 
 
 def gate_table(name: str) -> TruthTable:
     """Truth table of a named gate (NOT, NOR, OR, AND, NAND, XOR, MAJ3)."""
     key = name.upper()
-    if key not in _GATE_FUNCTIONS:
-        raise ConfigError(f"unknown gate '{name}'; "
-                          f"choose from {sorted(_GATE_FUNCTIONS)}")
-    n, fn = _GATE_FUNCTIONS[key]
-    return TruthTable.from_function(n, fn)
+    if key not in _GATES:
+        raise ConfigError(f"unknown gate '{name}'; choose from {sorted(_GATES)}")
+    return _GATES[key]
 
 
 @dataclass(frozen=True)

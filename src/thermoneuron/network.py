@@ -20,8 +20,7 @@ from .designer import (DESIGN_ENCODING, DesignConfig, TruthTable, decode_array,
                        logic_rows, weights_to_neuron)
 from .neuron import NeuronSpec, steady_response
 
-__all__ = ["NetworkSpec", "NetworkResponse", "eval_layers", "eval_network",
-           "train_network"]
+__all__ = ["NetworkSpec", "eval_layers", "train_network"]
 
 # ADAM step size and epoch budget of `train_network`.
 LEARNING_RATE, EPOCHS = 0.01, 5_000
@@ -61,14 +60,6 @@ class NetworkSpec:
     beta_cold = property(lambda self: self.layers[0][0].beta_cold)
 
 
-@dataclass(frozen=True)
-class NetworkResponse:
-    """Per-layer steady outputs plus the final reservoir temperature."""
-
-    layer_outputs: tuple[tuple[float, ...], ...]
-    final: float
-
-
 def eval_layers(net: NetworkSpec, rows) -> tuple[np.ndarray, ...]:
     """Per-layer (N, width) steady outputs for input rows of shape (N, net.n)."""
     values = np.asarray(rows, dtype=float)
@@ -80,12 +71,6 @@ def eval_layers(net: NetworkSpec, rows) -> tuple[np.ndarray, ...]:
                                   for neuron, feed in zip(layer, wires)])
         per_layer.append(values)
     return tuple(per_layer)
-
-
-def eval_network(net: NetworkSpec, inputs: Sequence[float]) -> NetworkResponse:
-    """Sequential steady-state composition, layer by layer (a batch of one)."""
-    per_layer = tuple(tuple(o[0].tolist()) for o in eval_layers(net, [list(inputs)]))
-    return NetworkResponse(layer_outputs=per_layer, final=per_layer[-1][-1])
 
 
 def _forward(x, weights, biases):

@@ -222,6 +222,8 @@ def inverter(eps_input: float = 20.0, eps_z: float = 0.1, *,
     h = (0, 1) and reference temperature beta_0 = 0.5; the virtual temperature is
     beta_v = (0.5 * eps_0 - beta_1 * eps_1) / eps_z.
     """
+    if not eps_input > 0:
+        raise ConfigError(f"input gap eps_input must be positive, got {eps_input!r}")
     eps_0 = eps_input + eps_z
     if abs((eps_0 - eps_input) - eps_z) > RESONANCE_TOL:
         raise ConfigError(f"input gap {eps_input!r} is too large to carry eps_z = "

@@ -25,9 +25,9 @@ temporaries.  `steady_state` and `integrate_master` take a linear
 `rhs` that acts on the last two axes; they probe it with stacks of basis
 operators, PROBE_BLOCK entries per call, and keep only the nonzero entries,
 so they need memory of order nnz + K d^2, never the d^2 x d^2 matrix.
-Their time grows as d^5: on one core about 2 ms at m = 3, 0.13 s at m = 5
-and 2 s at m = 6.  That of `integrate_master` does not grow with the
-horizon.
+A collector's `steady_state` takes about 1.6 ms at m = 3, 0.14 s at m = 5
+and 1.5 s at m = 6 (one BLAS thread, shared 2-core x86-64 machine).  The
+time of `integrate_master` does not grow with the horizon.
 """
 
 from __future__ import annotations

@@ -119,7 +119,7 @@ def test_05_gate_truth_tables():
     net = tn.train_network(tn.gate_table("XOR"), (2, 1),
                            tn.DesignConfig(alpha=20.0, eps_z=0.1, seed=XOR_SEED))
     for bits, want in tn.gate_table("XOR").rows():
-        final = tn.eval_network(net, [tn.encode(b, net) for b in bits]).final
+        final = tn.eval_layers(net, [[tn.encode(b, net) for b in bits]])[-1][0, -1]
         if tn.decode_array(final, enc, net) != want:
             failures.append(("XOR", bits))
 

@@ -64,7 +64,7 @@ class TestDesign:
         machine, _ = load_machine(out)
         for bits, want in tn.gate_table("XOR").rows():
             betas = [float(b) for b in bits]
-            final = tn.eval_network(machine, betas).final
+            final = tn.eval_layers(machine, [betas])[-1][0, -1]
             decoded = 0 if final <= 0.1 else (1 if final >= 0.9 else None)
             assert decoded == want
 
@@ -612,6 +612,10 @@ MALFORMED = {
     "grid-for-every-input-too-large": (nor_doc, ["sweep", "M", "--grid", "0:1:1001"]),
     "tradeoff-grid-too-large": (nor_doc, ["tradeoff", "--gate", "NOT",
                                           "--grid", "1:2:1000001"]),
+    "tradeoff-eps1-zero": (nor_doc, ["tradeoff", "--gate", "NOT", "--knob", "eps1",
+                                     "--grid", "0"]),
+    "tradeoff-eps1-negative": (nor_doc, ["tradeoff", "--gate", "NOT", "--knob", "eps1",
+                                         "--grid=-5"]),
     "simulate-full-input-overflows": (maj3_doc, ["simulate", "M", "--inputs", "0", "1",
                                                  "1e308", "--tau", "10", "--mode", "full"]),
     "simulate-quasi-input-overflows": (maj3_doc, ["simulate", "M", "--inputs", "0", "1",
@@ -895,16 +899,16 @@ def test_simulate_refuses_uncalibrated_machine_before_output(mode, to_file,
     assert not out.exists()
 
 
-def test_network_steady_text_matches_eval_network(xor_network_doc, tmp_path, capsys):
+def test_network_steady_text_matches_eval_layers(xor_network_doc, tmp_path, capsys):
     path = tmp_path / "xor.json"
     path.write_text(json.dumps(xor_network_doc))
     assert main(["steady", str(path), "--inputs", "0", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    response = tn.eval_network(load_machine(path)[0], [0.0, 1.0])
-    want = [f"layer {li} outputs = " + ", ".join(f"{v:.12g}" for v in outs)
-            for li, outs in enumerate(response.layer_outputs)]
+    layers = tn.eval_layers(load_machine(path)[0], [[0.0, 1.0]])
+    want = [f"layer {li} outputs = " + ", ".join(f"{v:.12g}" for v in outs[0])
+            for li, outs in enumerate(layers)]
     assert lines[:-2] == want
-    assert lines[-2:] == [f"beta_z_inf = {response.final:.12g}", "decoded    = 1"]
+    assert lines[-2:] == [f"beta_z_inf = {layers[-1][0, -1]:.12g}", "decoded    = 1"]
 
 
 def test_commands_read_the_rails_from_the_machine(tmp_path, capsys):

@@ -169,7 +169,7 @@ class TestWeightsToNeuron:
         spec = tn.weights_to_neuron((-1.0, 2.0, -2.0), cfg)
         assert spec.beta0 < 0
         assert abs(spec.eps_z - cfg.alpha * cfg.eps_z) < 1e-12
-        table = tn.TruthTable.from_function(2, lambda x: int(x[0] and not x[1]))
+        table = tn.TruthTable(2, (0, 0, 1, 0))
         for bits, out in table.rows():
             r = tn.steady_output(spec, tuple(float(b) for b in bits)).beta_z_inf
             assert additive_decode(r) == out

@@ -33,33 +33,32 @@ class TestEvalNetwork:
                              wiring=(((0, 1),),))
         for betas in ((0.0, 0.0), (0.3, 0.9), (1.0, 1.0)):
             direct = tn.steady_output(neuron, betas).beta_z_inf
-            assert tn.eval_network(net, betas).final == direct
+            assert tn.eval_layers(net, [betas])[-1][0, -1] == direct
 
     def test_xor_fixture_truth_table(self):
         net = hand_built_xor()
         for bits, out in tn.gate_table("XOR").rows():
-            final = tn.eval_network(net, tuple(float(b) for b in bits)).final
+            final = tn.eval_layers(net, [bits])[-1][0, -1]
             assert additive_decode(final) == out
 
     def test_compositionality_matches_manual_chaining(self):
         net = hand_built_xor()
         (nand, orr), (andd,) = net.layers
         for betas in ((0.0, 1.0), (0.7, 0.2), (1.0, 1.0)):
-            response = tn.eval_network(net, betas)
+            layers = tn.eval_layers(net, [betas])
             h1 = tn.steady_output(nand, betas).beta_z_inf
             h2 = tn.steady_output(orr, betas).beta_z_inf
             manual = tn.steady_output(andd, (h1, h2)).beta_z_inf
-            assert abs(response.final - manual) < 1e-12
-            assert response.layer_outputs[0] == (h1, h2)
+            assert abs(layers[-1][0, -1] - manual) < 1e-12
+            assert tuple(layers[0][0].tolist()) == (h1, h2)
 
     def test_intermediate_rails(self):
         net = hand_built_xor()
         rng = np.random.default_rng(8)
         for _ in range(20):
             betas = tuple(rng.uniform(0.0, 1.0, 2))
-            response = tn.eval_network(net, betas)
-            for layer in response.layer_outputs:
-                for value in layer:
+            for layer in tn.eval_layers(net, [betas]):
+                for value in layer[0]:
                     assert -1e-9 <= value <= 1.0 + 1e-9
 
     def test_wiring_arity_checked(self):
@@ -70,7 +69,7 @@ class TestEvalNetwork:
     def test_input_count_checked(self):
         net = hand_built_xor()
         with pytest.raises(StructuralError):
-            tn.eval_network(net, (0.5,))
+            tn.eval_layers(net, [(0.5,)])
 
 
 class TestTrainNetwork:
@@ -79,7 +78,7 @@ class TestTrainNetwork:
         net = tn.train_network(tn.gate_table("XOR"), (2, 1), cfg)
         assert [len(layer) for layer in net.layers] == [2, 1]
         for bits, out in tn.gate_table("XOR").rows():
-            final = tn.eval_network(net, tuple(float(b) for b in bits)).final
+            final = tn.eval_layers(net, [bits])[-1][0, -1]
             assert additive_decode(final) == out
 
     def test_single_layer_reduces_to_one_neuron(self):
@@ -87,7 +86,7 @@ class TestTrainNetwork:
         net = tn.train_network(tn.gate_table("AND"), (1,), cfg)
         assert len(net.layers) == 1 and len(net.layers[0]) == 1
         for bits, out in tn.gate_table("AND").rows():
-            final = tn.eval_network(net, tuple(float(b) for b in bits)).final
+            final = tn.eval_layers(net, [bits])[-1][0, -1]
             assert additive_decode(final) == out
 
     def test_seed_determinism_bit_for_bit(self):

@@ -87,6 +87,13 @@ class TestNeuronSpec:
             tn.NeuronSpec(eps=(math.nan, 1.0), h=(0, 1), beta0=0.5, eps_z=1.0,
                           beta_r=0.3, mu_prime=7e-4)
 
+    @pytest.mark.parametrize("gap", [0.0, -0.05, -5.0, math.nan])
+    def test_inverter_refuses_a_gap_that_is_not_positive(self, gap):
+        # At -5 the machine it used to build no longer inverted (average error 0.38).
+        with pytest.raises(tn.ConfigError) as err:
+            tn.inverter(gap)
+        assert str(err.value) == f"input gap eps_input must be positive, got {gap!r}"
+
     @pytest.mark.parametrize("change, match", [
         ({"h": (0, 1, 1)}, "equal lengths"),
         ({"eps": (2.0,), "h": (0,)}, "reference qubit"),

