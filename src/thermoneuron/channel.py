@@ -24,21 +24,6 @@ from .network import NetworkSpec, eval_layers
 from .neuron import NeuronSpec, inverter, steady_response
 from .virtual import virtual_temperature
 
-__all__ = [
-    "ChannelStats",
-    "TradeoffPoint",
-    "machine_response",
-    "conditional_outputs",
-    "mc_conditional_outputs",
-    "average_error",
-    "dissipation",
-    "average_dissipation",
-    "tradeoff_machine",
-    "tradeoff_sweep",
-    "gaussian_band_probs",
-    "TRADEOFF_KNOBS",
-]
-
 # The steepness a tradeoff sweeps: the inverter's input gap, or a preset's alpha.
 TRADEOFF_KNOBS = ("eps1", "alpha")
 

@@ -26,23 +26,6 @@ from .errors import CalibrationError, ConfigError, DesignError, NotSeparableErro
 from .neuron import NeuronSpec, build_neuron, steady_response
 from .virtual import virtual_gap
 
-__all__ = [
-    "Encoding",
-    "encode",
-    "logic_rows",
-    "decode_array",
-    "TruthTable",
-    "DesignConfig",
-    "DESIGN_ENCODING",
-    "gate_table",
-    "train_perceptron",
-    "weights_to_neuron",
-    "preset",
-    "perceptron_identity_residual",
-    "search_alpha",
-    "PRESET_WEIGHTS",
-]
-
 # Fixed settings: gradient descent in `train_perceptron`, the random input rows
 # of `perceptron_identity_residual`, and the steepness `search_alpha` stops at.
 LEARNING_RATE, EPOCHS = 0.5, 20_000

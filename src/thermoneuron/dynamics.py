@@ -53,15 +53,6 @@ from .quantum import BathContact, QubitRegister, _thermal
 from .virtual import (build_interaction_hamiltonian, coupled_levels,
                       virtual_temperature)
 
-__all__ = [
-    "Trajectory",
-    "evolve_quasi_static",
-    "evolve_full",
-    "collector_register",
-    "collector_hamiltonian",
-    "collector_contacts",
-]
-
 CSV_HEADER = ("t", "beta_z", "j_C", "j_M", "sigma_dot", "sigma")
 QUASI_RTOL = 1e-9   # relative tolerance of the quasi-static run
 FULL_RTOL, FULL_ATOL = 1e-8, 1e-12   # tolerances of the full co-integration

@@ -20,15 +20,13 @@ from .designer import (DESIGN_ENCODING, DesignConfig, TruthTable, decode_array,
                        logic_rows, weights_to_neuron)
 from .neuron import NeuronSpec, steady_response
 
-__all__ = ["NetworkSpec", "eval_layers", "train_network"]
-
 # ADAM step size and epoch budget of `train_network`.
 LEARNING_RATE, EPOCHS = 0.01, 5_000
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Strictly layered, acyclic wiring of neurons sharing common rails."""
+    """Strictly layered, acyclic wiring of neurons on shared rails, ending in one unit."""
 
     n: int
     layers: tuple[tuple[NeuronSpec, ...], ...]
@@ -54,6 +52,8 @@ class NetworkSpec:
                 if (neuron.beta_hot, neuron.beta_cold) != (self.beta_hot, self.beta_cold):
                     raise StructuralError("all neurons must share the same rails")
             width = len(layer)
+        if width != 1:
+            raise StructuralError(f"last layer must hold one output unit, got {width}")
 
     # The rails every unit shares (logic 0 -> beta_hot, 1 -> beta_cold).
     beta_hot = property(lambda self: self.layers[0][0].beta_hot)

@@ -32,24 +32,6 @@ from .quantum import _distinct, _libm, fermi_population
 from .virtual import (RESONANCE_TOL, flip, virtual_gap, virtual_temperature,
                       weighted_bias)
 
-__all__ = [
-    "NeuronSpec",
-    "TransferPoint",
-    "ModulatorCalibration",
-    "calibrate_modulator",
-    "build_neuron",
-    "inverter",
-    "steady_output",
-    "steady_response",
-    "steady_from_virtual",
-    "sigmoid_approx",
-    "sigmoid_approx_input_form",
-    "threshold_point",
-    "slope_at_threshold",
-    "inflection_virtual_offset",
-    "transfer_slope",
-]
-
 RATE_SEPARATION = 100.0
 CALIBRATION_TOL = 1e-10
 SLOPE_STEP = 1e-6   # `transfer_slope` differences the curve at beta1 +- SLOPE_STEP

@@ -41,20 +41,6 @@ import numpy as np
 
 from .errors import DegenerateSteadyStateError, SolverError, StructuralError
 
-__all__ = [
-    "MAX_QUBITS",
-    "QubitRegister",
-    "BathContact",
-    "fermi_population",
-    "gibbs_qubit",
-    "gibbs_register",
-    "reset_dissipator",
-    "lindblad_rhs",
-    "integrate_master",
-    "superoperator_matrix",
-    "steady_state",
-]
-
 # Dense states and `lindblad_rhs` take registers up to this size.  The tests run
 # `lindblad_rhs`, `steady_state` and `dynamics.evolve_full` up to m = 5 (d = 32)
 # and `integrate_master` up to m = 4 (d = 16).

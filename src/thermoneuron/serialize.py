@@ -18,20 +18,6 @@ from .network import NetworkSpec
 from .neuron import NeuronSpec
 from .quantum import _distinct
 
-__all__ = [
-    "TOOL_VERSION",
-    "UNITS_NOTE",
-    "neuron_to_dict",
-    "neuron_from_dict",
-    "network_to_dict",
-    "network_from_dict",
-    "machine_to_document",
-    "machine_from_document",
-    "dump_machine",
-    "load_machine",
-    "format_csv",
-]
-
 TOOL_VERSION = "0.1.0"
 UNITS_NOTE = "natural (k_B = hbar = 1)"
 CSV_BLOCK = 4096
@@ -98,7 +84,7 @@ def neuron_from_dict(d: dict) -> NeuronSpec:
         raise ConfigError(f"malformed neuron spec: {exc}") from None
     if spec.n != d["n"]:
         raise ConfigError(f"inconsistent input count: n = {d['n']} but "
-                          f"{len(spec.eps)} gaps")
+                          f"{len(spec.eps)} gaps give {spec.n} inputs")
     return spec
 
 

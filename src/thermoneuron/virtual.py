@@ -20,19 +20,6 @@ import numpy as np
 from .errors import ResonanceError, SingularGapError, StructuralError
 from .quantum import QubitRegister, fermi_population
 
-__all__ = [
-    "VirtualQubit",
-    "flip",
-    "virtual_gap",
-    "virtual_population",
-    "weighted_bias",
-    "virtual_temperature",
-    "virtual_qubit",
-    "build_interaction_hamiltonian",
-    "coupled_levels",
-    "RESONANCE_TOL",
-]
-
 RESONANCE_TOL = 1e-9
 
 

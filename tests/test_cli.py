@@ -531,6 +531,18 @@ def network_doc(*drop):
     return doc
 
 
+def nor_entry(wiring=(0, 1), **fields):
+    """A network layer entry of the NOR unit, with its spec ``fields`` set."""
+    return {"neuron": nor_doc()["spec"] | fields, "wiring": list(wiring)}
+
+
+def network_of(*layers):
+    """``network_doc()``'s document with these layers of entries in its spec."""
+    doc = network_doc("layers")
+    doc["spec"]["layers"] = list(layers)
+    return doc
+
+
 def maj3_doc():
     return machine_to_document(tn.preset("MAJ3"), PROVENANCE)
 
@@ -584,6 +596,17 @@ MALFORMED = {
     "sweep-delta-not-a-number": (nor_doc, ["sweep", "M", "--grid", "0:1:2",
                                            "--delta", "abc"]),
     "network-without-layers": (lambda: network_doc("layers"), STEADY),
+    "machine-file-a-list": (lambda: [nor_doc()], STEADY),
+    "machine-file-without-kind": (lambda: {k: v for k, v in nor_doc().items() if k != "kind"},
+                                  STEADY),
+    "machine-kind-perceptron": (lambda: nor_doc() | {"kind": "perceptron"}, STEADY),
+    "network-wiring-out-of-range": (lambda: network_of([nor_entry((0, 2))]), STEADY),
+    "network-units-on-different-rails": (lambda: network_of(
+        [nor_entry(), nor_entry(beta_cold=2.0)], [nor_entry()]), STEADY),
+    "network-empty-layer": (lambda: network_of([nor_entry()], []), STEADY),
+    "network-n-inputs-zero": (lambda: one_input_network_doc("n_inputs", 0), STEADY_1),
+    "network-arity-differs-from-wiring": (lambda: network_of([nor_entry((0,))]), STEADY),
+    "network-two-output-units": (lambda: network_of([nor_entry(), nor_entry()]), STEADY),
     "network-without-n-inputs": (lambda: network_doc("n_inputs"), STEADY),
     "layer-entry-without-neuron": (lambda: network_doc("layers", 0, 0, "neuron"), STEADY),
     "layer-entry-without-wiring": (lambda: network_doc("layers", 0, 0, "wiring"), STEADY),
@@ -751,6 +774,16 @@ def test_machine_file_not_utf8_exits_2(tmp_path, capsys):
     assert main(["steady", str(path), "--inputs", "0"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot read machine file")
+
+
+def test_input_count_error_names_the_inputs_the_gaps_give(tmp_path, capsys):
+    doc = nor_doc()
+    doc["spec"]["n"] = 3
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(doc))
+    assert main(["steady", str(path), "--inputs", "0", "0"]) == 2
+    assert capsys.readouterr().err == ("error: inconsistent input count: n = 3 but "
+                                       "3 gaps give 2 inputs\n")
 
 
 def test_output_path_is_a_directory_exits_2(tmp_path, capsys):

@@ -2,9 +2,10 @@
 
 A function-level import of a package module hides a dependency (and, in
 `network`, once hid a network -> channel -> network cycle); this scan finds
-any that come back.  Three more scans keep each module's `__all__` to its own
-functions and classes, the span names the benchmark looks up to functions its
-tracer wraps, and the package functions its workloads call to public ones.
+any that come back.  A name is public when it has no leading underscore and
+its own module defines it; three more scans hold the package root's re-exports,
+the span names the benchmark looks up and the package functions its workloads
+call to that rule.
 """
 
 import ast
@@ -47,31 +48,37 @@ def test_no_module_imports_a_package_module_inside_a_function():
     assert found == set()
 
 
-def public_definitions(path: pathlib.Path) -> set[str]:
-    """Names of the module-level functions and classes not starting with '_'."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return {node.name for node in tree.body
-            if isinstance(node, kinds) and not node.name.startswith("_")}
+def root_reexports(source: str) -> set[tuple[str, str]]:
+    """(module, name) for each name a `from .module import ...` binds."""
+    return {(node.module, alias.name) for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
 
 
-# Modules without an `__all__`: the package root, the command surface `cli`,
-# and `errors`, every name of which is public.
-NO_ALL = {"__init__", "cli", "errors"}
+def top_level_assignments(path: pathlib.Path) -> set[str]:
+    """The names a module binds by `name = ...` or `a, b = ...` at top level."""
+    return {elt.id for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.Assign) for target in node.targets
+            for elt in (target.elts if isinstance(target, ast.Tuple) else [target])
+            if isinstance(elt, ast.Name)}
 
 
-def test_each_all_lists_exactly_its_own_functions_and_classes():
-    for path in sorted(SRC.glob("*.py")):
-        if path.stem in NO_ALL:
-            continue
-        module = importlib.import_module(f"thermoneuron.{path.stem}")
-        listed = set(module.__all__)
-        assert len(listed) == len(module.__all__), f"{path.name}: duplicate entries"
-        assert all(hasattr(module, name) for name in listed), f"{path.name}: stale entries"
-        # Constants may be listed too; a re-exported function or class may not.
-        code = {name for name in listed
-                if isinstance(getattr(module, name), type) or callable(getattr(module, name))}
-        assert code == public_definitions(path), path.name
+def test_scan_finds_the_root_reexports():
+    source = "from .a import (f, G)\nfrom .b import h\nfrom os import path\n"
+    assert root_reexports(source) == {("a", "f"), ("a", "G"), ("b", "h")}
+
+
+def test_package_root_reexports_only_what_each_module_defines():
+    reexports = root_reexports((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert {("network", "eval_layers"), ("serialize", "TOOL_VERSION")} <= reexports
+    for layer, name in sorted(reexports):
+        module = importlib.import_module(f"thermoneuron.{layer}")
+        value = getattr(module, name)
+        assert not name.startswith("_"), f"{layer}.{name}"
+        if inspect.isfunction(value) or inspect.isclass(value):
+            assert value.__module__ == module.__name__, f"{layer}.{name}"
+        else:
+            assert name in top_level_assignments(SRC / f"{layer}.py"), f"{layer}.{name}"
 
 
 PERFBENCH_RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"

@@ -66,6 +66,15 @@ class TestEvalNetwork:
         with pytest.raises(StructuralError, match="arity"):
             tn.NetworkSpec(n=2, layers=((neuron,),), wiring=(((0,),),))
 
+    def test_last_layer_must_hold_one_unit(self):
+        # Every reading decodes the last unit alone, so a second one there
+        # would be judged in place of the network's output.
+        (nand, orr), (andd,) = hand_built_xor().layers
+        with pytest.raises(StructuralError,
+                           match=r"^last layer must hold one output unit, got 2$"):
+            tn.NetworkSpec(n=2, layers=((nand, orr), (andd, nand)),
+                           wiring=(((0, 1), (0, 1)), ((0, 1), (0, 1))))
+
     def test_input_count_checked(self):
         net = hand_built_xor()
         with pytest.raises(StructuralError):
