@@ -129,13 +129,10 @@ class TruthTable:
             tokens = head.split() + tail.split()
             if len(tokens) < 2:
                 raise ConfigError(f"truth table line {lineno}: need bits and an output")
-            try:
-                bits = tuple(int(t) for t in tokens[:-1])
-                out = int(tokens[-1])
-            except ValueError:
-                raise ConfigError(f"truth table line {lineno}: non-integer token")
-            if any(b not in (0, 1) for b in bits) or out not in (0, 1):
-                raise ConfigError(f"truth table line {lineno}: entries must be bits")
+            bad = next((t for t in tokens if t not in ("0", "1")), None)
+            if bad is not None:
+                raise ConfigError(f"truth table line {lineno}: entry {bad!r} is not 0 or 1")
+            *bits, out = map(int, tokens)
             if n is None:
                 n = len(bits)
             elif len(bits) != n:

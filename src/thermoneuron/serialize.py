@@ -1,8 +1,9 @@
 """Machine files (JSON) and sweep results (CSV).
 
 Machine files round-trip losslessly: floats are written with full repr
-precision, keys are sorted, and unknown fields are rejected on input.
-Every emitted file states the unit system (natural units, k_B = hbar = 1).
+precision and keys are sorted.  One table, `_FIELD_TYPES`, checks the fields of
+every object in a machine document and their JSON types.  Every file states the
+unit system, natural units (k_B = hbar = 1); a file in any other is refused.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ _NEURON_FIELDS = tuple(f.name for f in dataclasses.fields(NeuronSpec))
 _PROVENANCE_KEYS = ("weights", "alpha", "eps_z", "seed", "tool_version")
 
 
-# The JSON type of each spec field, so that no string, boolean or fraction is
-# coerced into a gap, a bit or an index.  `type(v) is int` rejects booleans.
+# The JSON type of each field by its name, so that no string, boolean or fraction
+# is coerced into a gap, a bit or an index.  `type(v) is int` rejects booleans.
 def _is_int(v) -> bool:
     return type(v) is int
 
@@ -44,8 +45,11 @@ def _list_of(ok):
 _FIELD_TYPES = {name: (_is_number, "a number") for name in _NEURON_FIELDS} | {
     "eps": (_list_of(_is_number), "a list of numbers"),
     "h": (_list_of(lambda v: _is_int(v) and v in (0, 1)), "a list of the integers 0 and 1"),
+    "kind": (lambda v: v in ("neuron", "network"), "'neuron' or 'network'"),
+    "layers": (_list_of(lambda v: isinstance(v, list)), "a list of lists"),
     "n": (_is_int, "an integer"),
     "n_inputs": (_is_int, "an integer"),
+    "units": (lambda v: v == UNITS_NOTE, f"'{UNITS_NOTE}'"),
     "wiring": (_list_of(_is_int), "a list of integers"),
 }
 
@@ -55,7 +59,9 @@ def _check_fields(d, fields: Sequence[str], where: str) -> None:
     type `_FIELD_TYPES` gives it."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    _reject_unknown(d, fields, where)
+    unknown = sorted(set(d) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown fields in {where}: {unknown}")
     missing = sorted(set(fields) - set(d))
     if missing:
         raise ConfigError(f"{where} missing fields: {missing}")
@@ -63,12 +69,6 @@ def _check_fields(d, fields: Sequence[str], where: str) -> None:
         ok, want = _FIELD_TYPES[name]
         if not ok(d[name]):
             raise ConfigError(f"{where} field '{name}' must be {want}")
-
-
-def _reject_unknown(d: dict, allowed: Sequence[str], where: str) -> None:
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown fields in {where}: {unknown}")
 
 
 def neuron_to_dict(spec: NeuronSpec) -> dict:
@@ -100,26 +100,20 @@ def network_to_dict(net: NetworkSpec) -> dict:
 def network_from_dict(d: dict) -> NetworkSpec:
     _check_fields(d, ("n_inputs", "layers"), "network spec")
     layers, wiring = [], []
-    try:
-        for layer in d["layers"]:
-            units, feeds = [], []
-            for entry in layer:
-                _check_fields(entry, ("neuron", "wiring"), "network layer entry")
-                units.append(neuron_from_dict(entry["neuron"]))
-                feeds.append(tuple(entry["wiring"]))
-            layers.append(tuple(units))
-            wiring.append(tuple(feeds))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed network spec: {exc}") from None
+    for layer in d["layers"]:
+        units, feeds = [], []
+        for entry in layer:
+            _check_fields(entry, ("neuron", "wiring"), "network layer entry")
+            units.append(neuron_from_dict(entry["neuron"]))
+            feeds.append(tuple(entry["wiring"]))
+        layers.append(tuple(units))
+        wiring.append(tuple(feeds))
     return NetworkSpec(n=d["n_inputs"], layers=tuple(layers), wiring=tuple(wiring))
 
 
 def machine_to_document(machine, provenance: dict) -> dict:
     """Wrap a neuron or network spec with provenance into a machine document."""
-    _reject_unknown(provenance, _PROVENANCE_KEYS, "provenance")
-    missing = sorted(set(_PROVENANCE_KEYS) - set(provenance))
-    if missing:
-        raise ConfigError(f"provenance missing fields: {missing}")
+    _check_fields(provenance, _PROVENANCE_KEYS, "provenance")
     if isinstance(machine, NeuronSpec):
         kind, spec = "neuron", neuron_to_dict(machine)
     elif isinstance(machine, NetworkSpec):
@@ -132,20 +126,10 @@ def machine_to_document(machine, provenance: dict) -> dict:
 
 def machine_from_document(doc: dict):
     """Parse a machine document; returns (machine, provenance)."""
-    if not isinstance(doc, dict):
-        raise ConfigError("machine file must hold a JSON object")
-    _reject_unknown(doc, ("kind", "units", "spec", "provenance"), "machine file")
-    for key in ("kind", "spec", "provenance"):
-        if key not in doc:
-            raise ConfigError(f"machine file missing field '{key}'")
-    if not isinstance(doc["provenance"], dict):
-        raise ConfigError("provenance must be a JSON object")
-    _reject_unknown(doc["provenance"], _PROVENANCE_KEYS, "provenance")
-    if doc["kind"] == "neuron":
-        return neuron_from_dict(doc["spec"]), doc["provenance"]
-    if doc["kind"] == "network":
-        return network_from_dict(doc["spec"]), doc["provenance"]
-    raise ConfigError(f"unknown machine kind '{doc['kind']}'")
+    _check_fields(doc, ("kind", "units", "spec", "provenance"), "machine file")
+    _check_fields(doc["provenance"], _PROVENANCE_KEYS, "provenance")
+    from_dict = neuron_from_dict if doc["kind"] == "neuron" else network_from_dict
+    return from_dict(doc["spec"]), doc["provenance"]
 
 
 def dump_machine(path, machine, provenance: dict) -> None:

@@ -97,6 +97,16 @@ class TestDesign:
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    def test_table_entry_not_a_bit_exits_2_with_one_line(self, tmp_path, capsys):
+        # Each entry below reads as a bit under int(), so this was NOR's table.
+        table = tmp_path / "odd.tt"
+        table.write_text("-0 0 : 1\n0 +1 : 0\n1 00 : 0\n1 1 : 0_0\n")
+        out = tmp_path / "odd.json"
+        assert main(["design", "--table", str(table), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: argument --table: truth table line 1: entry '-0' is not 0 or 1\n")
+        assert not out.exists()
+
 
     def test_warnings_show_as_one_line_each(self, tmp_path):
         # In a fresh process, as a user runs it: one `warning:` line per
@@ -501,6 +511,18 @@ class TestMachineFiles:
         with pytest.raises(ConfigError, match="unknown"):
             machine_from_document(doc)
 
+    @pytest.mark.parametrize("field", ["weights", "alpha", "eps_z", "seed", "tool_version"])
+    def test_writer_refuses_provenance_missing_a_field(self, field):
+        provenance = {k: v for k, v in PROVENANCE.items() if k != field}
+        with pytest.raises(ConfigError, match=re.escape(
+                f"provenance missing fields: ['{field}']")):
+            machine_to_document(tn.preset("NOR"), provenance)
+
+    def test_reader_refuses_other_units(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "machine file field 'units' must be 'natural (k_B = hbar = 1)'")):
+            machine_from_document(nor_doc() | {"units": "SI (kelvin, joule)"})
+
     def test_design_deterministic_bytes(self, tmp_path, capsys):
         a = str(tmp_path / "a.json")
         b = str(tmp_path / "b.json")
@@ -540,6 +562,13 @@ def network_of(*layers):
     """``network_doc()``'s document with these layers of entries in its spec."""
     doc = network_doc("layers")
     doc["spec"]["layers"] = list(layers)
+    return doc
+
+
+def network_layers(value):
+    """``network_doc()``'s document with ``value`` as its spec's layers."""
+    doc = network_doc("layers")
+    doc["spec"]["layers"] = value
     return doc
 
 
@@ -600,6 +629,17 @@ MALFORMED = {
     "machine-file-without-kind": (lambda: {k: v for k, v in nor_doc().items() if k != "kind"},
                                   STEADY),
     "machine-kind-perceptron": (lambda: nor_doc() | {"kind": "perceptron"}, STEADY),
+    "machine-file-other-units": (lambda: nor_doc() | {"units": "SI (kelvin, joule)"}, STEADY),
+    "machine-file-without-units": (
+        lambda: {k: v for k, v in nor_doc().items() if k != "units"}, STEADY),
+    "provenance-missing-a-field": (lambda: nor_doc() | {"provenance": {
+        k: v for k, v in PROVENANCE.items() if k != "seed"}}, STEADY),
+    "provenance-eps-z-not-a-number": (
+        lambda: nor_doc() | {"provenance": PROVENANCE | {"eps_z": "0.1"}}, STEADY),
+    "neuron-spec-a-list": (lambda: nor_doc() | {"spec": [nor_doc()["spec"]]}, STEADY),
+    "network-layers-not-a-list": (lambda: network_layers(5), STEADY),
+    "network-layer-not-a-list": (lambda: network_layers([5]), STEADY),
+    "network-layer-entry-not-an-object": (lambda: network_layers([[5]]), STEADY),
     "network-wiring-out-of-range": (lambda: network_of([nor_entry((0, 2))]), STEADY),
     "network-units-on-different-rails": (lambda: network_of(
         [nor_entry(), nor_entry(beta_cold=2.0)], [nor_entry()]), STEADY),

@@ -1,5 +1,6 @@
 """Truth tables, perceptron training, and weight-to-machine compilation."""
 
+import re
 import time
 
 import numpy as np
@@ -36,6 +37,14 @@ class TestTruthTable:
         with pytest.raises(ConfigError,
                            match=r"^truth table line 2: expected 'bits : output'$"):
             tn.TruthTable.from_text(text)
+
+    # int() reads each of these tokens as a bit; a table entry is 0 or 1 as written.
+    @pytest.mark.parametrize("token", ["-0", "+1", "00", "0_0", "\uff11"])
+    def test_entry_must_be_the_character_0_or_1(self, token):
+        message = f"^truth table line 1: entry {re.escape(repr(token))} is not 0 or 1$"
+        for text in (f"{token} : 0\n{1 - int(token)} : 1\n", f"0 : {token}\n1 : 0\n"):
+            with pytest.raises(ConfigError, match=message):
+                tn.TruthTable.from_text(text)
 
     def test_incomplete_rejected(self):
         with pytest.raises(ConfigError, match="incomplete"):
