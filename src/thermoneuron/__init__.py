@@ -13,10 +13,8 @@ from .channel import (ChannelStats, TradeoffPoint, average_dissipation,
 from .designer import (DesignConfig, Encoding, TruthTable, decode_array, encode,
                        gate_table, preset, train_perceptron, weights_to_neuron)
 from .dynamics import Trajectory, evolve_full, evolve_quasi_static
-from .errors import (CalibrationError, ConfigError, DegenerateSteadyStateError,
-                     DesignError, NotSeparableError, ResonanceError,
-                     SingularGapError, SolverError, StructuralError,
-                     ThermoneuronError, TrainingError)
+from .errors import (CalibrationError, ConfigError, DesignError, NotSeparableError,
+                     SolverError, StructuralError, ThermoneuronError)
 from .network import NetworkSpec, eval_layers, train_network
 from .neuron import (ModulatorCalibration, NeuronSpec, TransferPoint,
                      build_neuron, calibrate_modulator, inverter,

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import channel as ch
 from . import serialize as ser
-from .designer import (BANDS, DesignConfig, Encoding, TruthTable, decode_array,
-                       gate_table, perceptron_identity_residual,
+from .designer import (BANDS, DESIGN_ENCODING, DesignConfig, Encoding, TruthTable,
+                       decode_array, gate_table, perceptron_identity_residual,
                        train_perceptron, weights_to_neuron, PRESET_WEIGHTS)
 from .dynamics import CSV_HEADER, evolve_full, evolve_quasi_static
 from .errors import ConfigError, NotSeparableError, ThermoneuronError
@@ -177,7 +177,7 @@ def cmd_design(args) -> int:
     config = DesignConfig(alpha=args.alpha, eps_z=args.eps_z, seed=args.seed)
     if args.layers:
         machine = train_network(args.table, args.layers, config)
-        weights_doc = [[list(np.concatenate(([b], w)))
+        weights_doc = [[np.concatenate(([b], w)).tolist()
                         for w, b in _network_unit_weights(machine, config)]]
     else:
         if args.gate:
@@ -189,7 +189,7 @@ def cmd_design(args) -> int:
                 raise ConfigError(f"{exc} (supply --layers to train a network "
                                   "for non-separable functions such as XOR)") from None
         machine = weights_to_neuron(weights, config)
-        weights_doc = [list(weights)]
+        weights_doc = [weights.tolist()]
 
     provenance = {"weights": weights_doc, "alpha": config.alpha,
                   "eps_z": config.eps_z, "seed": config.seed,
@@ -374,11 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "(natural units, k_B = hbar = 1).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common_decode(p, default_band="multiplicative"):
-        p.add_argument("--delta", type=_finite, default=0.1,
-                       help="decoding tolerance (default 0.1)")
-        p.add_argument("--band", choices=BANDS, default=default_band,
-                       help=f"decoding band rule (default {default_band})")
+    def add_common_decode(p, enc: Encoding):
+        p.add_argument("--delta", type=_finite, default=enc.delta,
+                       help=f"decoding tolerance (default {enc.delta:g})")
+        p.add_argument("--band", choices=BANDS, default=enc.band,
+                       help=f"decoding band rule (default {enc.band})")
 
     p = sub.add_parser("design", help="compile a gate or truth table to a machine")
     src = p.add_mutually_exclusive_group(required=True)
@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("machine")
     p.add_argument("--inputs", nargs="+", type=_finite, required=True)
     p.add_argument("--json", action="store_true")
-    add_common_decode(p, default_band="additive")
+    add_common_decode(p, DESIGN_ENCODING)
     p.set_defaults(func=cmd_steady)
 
     p = sub.add_parser("simulate", help="time evolution of the output temperature")
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grids, required=True,
                    help="start:stop:count or list; ';'-separated per input")
     p.add_argument("--out", default=None)
-    add_common_decode(p)
+    add_common_decode(p, Encoding())
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("tradeoff", help="dissipation-vs-error curve")
@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also emit per-input dissipation curves")
     p.add_argument("--inset-points", type=_points, default=21)
     p.add_argument("--out", default=None)
-    add_common_decode(p)
+    add_common_decode(p, Encoding())
     p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("verify", help="check a machine against a truth table")
@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--table", type=_table_file, help="path to a truth-table file")
     src.add_argument("--gate")
     p.add_argument("--C", dest="channel_width", type=_finite, default=0.05)
-    add_common_decode(p, default_band="additive")
+    add_common_decode(p, DESIGN_ENCODING)
     p.set_defaults(func=cmd_verify)
 
     return parser

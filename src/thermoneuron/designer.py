@@ -238,7 +238,7 @@ def train_perceptron(table: TruthTable, config: DesignConfig) -> np.ndarray:
         rows = [" ".join(map(str, b)) for b in bad]
         raise NotSeparableError(
             f"table is not linearly separable: rows {rows} cannot be "
-            "classified by any hyperplane found", rows=rows)
+            "classified by any hyperplane found")
     return w / margins.min()
 
 

@@ -6,47 +6,26 @@ class ThermoneuronError(Exception):
 
 
 class StructuralError(ThermoneuronError):
-    """Malformed state, register, or operator (dimension/shape/invariant)."""
-
-
-class ResonanceError(ThermoneuronError):
-    """Target-qubit gap does not match the virtual-qubit gap."""
-
-
-class SingularGapError(ThermoneuronError):
-    """A virtual or target gap of zero where a finite gap is required."""
+    """Malformed state, register, or operator (dimension/shape/invariant),
+    including an off-resonant target gap and a zero virtual or target gap."""
 
 
 class CalibrationError(ThermoneuronError):
     """Modulator calibration is infeasible or a spec is not calibrated."""
 
 
-class DegenerateSteadyStateError(ThermoneuronError):
-    """The generator's null space has dimension greater than one."""
-
-
 class SolverError(ThermoneuronError, RuntimeError):
-    """A numerical solver failed: integration, steady-state residual, or range."""
+    """A numerical solver failed: integration, range, a steady-state residual,
+    or a generator whose steady state is not unique."""
 
 
 class NotSeparableError(ThermoneuronError):
-    """Truth table is not linearly separable; lists the violating rows."""
-
-    def __init__(self, message, rows=()):
-        super().__init__(message)
-        self.rows = tuple(rows)
+    """Truth table is not linearly separable; the message lists the violating rows."""
 
 
 class DesignError(ThermoneuronError):
-    """Weight-to-machine compilation cannot produce a working machine."""
-
-
-class TrainingError(ThermoneuronError):
-    """Network training did not reach a behaviorally correct design."""
-
-    def __init__(self, message, loss=None):
-        super().__init__(message)
-        self.loss = loss
+    """Weight-to-machine compilation or network training cannot produce a
+    working machine."""
 
 
 class ConfigError(ThermoneuronError):

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, StructuralError, TrainingError
+from .errors import ConfigError, DesignError, StructuralError
 from .designer import (DESIGN_ENCODING, DesignConfig, TruthTable, decode_array,
                        logic_rows, weights_to_neuron)
 from .neuron import NeuronSpec, steady_response
@@ -97,8 +97,9 @@ def train_network(table: TruthTable, topology: Sequence[int],
     """Backprop + ADAM on the equivalent sigmoid network, then compile each unit.
 
     The topology lists layer widths after the inputs and must end in 1.
-    Training is deterministic for a given seed.  Raises `TrainingError`
-    with the final loss if the trained design does not reproduce the table.
+    Training is deterministic for a given seed.  Raises `DesignError` if
+    the trained design does not reproduce the table; when training itself
+    missed a row, the message gives the final loss.
     """
     config = config or DesignConfig()
     topology = tuple(int(s) for s in topology)
@@ -142,18 +143,18 @@ def train_network(table: TruthTable, topology: Sequence[int],
             if (np.all(final_bits == targets)
                     and min(m.min() for m in margins) >= 1.0):
                 break
-    # Cross-entropy of the last forward pass, which the error messages report.
-    loss = float(-(targets * np.log(out + 1e-12)
-                   + (1 - targets) * np.log(1 - out + 1e-12)).mean())
 
     margins, final_bits = _binarized_margins(x_rows, weights, biases)
     if not np.all(final_bits == targets):
         bad = [bits for (bits, _), fb, tg in
                zip(table.rows(), final_bits, targets) if fb != tg]
-        raise TrainingError(
+        # Cross-entropy of the last forward pass.
+        loss = float(-(targets * np.log(out + 1e-12)
+                       + (1 - targets) * np.log(1 - out + 1e-12)).mean())
+        raise DesignError(
             f"network training failed on rows {bad} after "
             f"{EPOCHS} epochs (final loss {loss:.4g}); "
-            "try a different seed", loss=loss)
+            "try a different seed")
 
     layers, wiring = [], []
     for li, (w, b) in enumerate(zip(weights, biases)):
@@ -161,9 +162,8 @@ def train_network(table: TruthTable, topology: Sequence[int],
         for j in range(w.shape[0]):
             margin = margins[li][j]
             if margin <= 0:
-                raise TrainingError(
-                    f"layer {li} unit {j} has zero margin; try a different seed",
-                    loss=loss)
+                raise DesignError(
+                    f"layer {li} unit {j} has zero margin; try a different seed")
             unit_w = np.concatenate(([b[j]], w[j])) / margin
             units.append(weights_to_neuron(unit_w, config))
             feeds.append(tuple(range(w.shape[1])))
@@ -176,7 +176,7 @@ def train_network(table: TruthTable, topology: Sequence[int],
     decoded = decode_array(finals, DESIGN_ENCODING, net).tolist()
     for (bits, out), final, got in zip(table.rows(), finals.tolist(), decoded):
         if got != out:
-            raise TrainingError(
+            raise DesignError(
                 f"trained network mis-decodes row {bits}: beta_z = {final:.4g}; "
-                "try a different seed or a larger alpha", loss=loss)
+                "try a different seed or a larger alpha")
     return net

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSteadyStateError, SolverError, StructuralError
+from .errors import SolverError, StructuralError
 
 # Dense states and `lindblad_rhs` take registers up to this size.  The tests run
 # `lindblad_rhs`, `steady_state` and `dynamics.evolve_full` up to m = 5 (d = 32)
@@ -315,9 +315,9 @@ def steady_state(rhs: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarra
     be linear and act on the last two axes: it is probed with stacks of
     basis operators.
 
-    Raises `DegenerateSteadyStateError` when the numerical null space,
-    summed over blocks, has dimension greater than one.  The returned state
-    satisfies max|rhs(rho)| <= 1e-10.
+    Raises `SolverError` when the numerical null space, summed over blocks,
+    has dimension greater than one or holds no normalizable state, and when
+    the state's residual max|rhs(rho)| exceeds 1e-10.
     """
     blocks = _blocks(rhs, dim)
     svds = [np.linalg.svd(block) for _, block in blocks]
@@ -325,7 +325,7 @@ def steady_state(rhs: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarra
     tol = s_max * 1e-11 if s_max > 0 else 1e-14
     nullity = sum(int(np.sum(s < tol)) for _, s, _ in svds)
     if nullity > 1:
-        raise DegenerateSteadyStateError(
+        raise SolverError(
             f"generator null space has dimension {nullity}; "
             "steady state is not unique")
     k = int(np.argmin([s[-1] for _, s, _ in svds]))
@@ -335,7 +335,7 @@ def steady_state(rhs: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarra
     rho = 0.5 * (rho + rho.conj().T)
     tr = float(np.trace(rho).real)
     if abs(tr) < 1e-10:
-        raise DegenerateSteadyStateError(
+        raise SolverError(
             "null vector is traceless; no normalizable steady state found")
     rho = rho / tr
     residual = float(np.abs(rhs(rho)).max())

@@ -42,14 +42,31 @@ def _list_of(ok):
     return lambda v: isinstance(v, list) and all(map(ok, v))
 
 
+def _nested_numbers(v) -> bool:
+    """A list whose leaves, at any depth, are numbers.  Walked with a stack, so
+    no nesting that `json.load` accepts exhausts the recursion limit."""
+    todo = [v]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, list):
+            todo.extend(x)
+        elif not _is_number(x):
+            return False
+    return isinstance(v, list)
+
+
 _FIELD_TYPES = {name: (_is_number, "a number") for name in _NEURON_FIELDS} | {
+    "alpha": (_is_number, "a number"),
     "eps": (_list_of(_is_number), "a list of numbers"),
     "h": (_list_of(lambda v: _is_int(v) and v in (0, 1)), "a list of the integers 0 and 1"),
     "kind": (lambda v: v in ("neuron", "network"), "'neuron' or 'network'"),
     "layers": (_list_of(lambda v: isinstance(v, list)), "a list of lists"),
     "n": (_is_int, "an integer"),
     "n_inputs": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+    "tool_version": (lambda v: type(v) is str, "a string"),
     "units": (lambda v: v == UNITS_NOTE, f"'{UNITS_NOTE}'"),
+    "weights": (_nested_numbers, "a list whose leaves are numbers"),
     "wiring": (_list_of(_is_int), "a list of integers"),
 }
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ResonanceError, SingularGapError, StructuralError
+from .errors import StructuralError
 from .quantum import QubitRegister, fermi_population
 
 RESONANCE_TOL = 1e-9
@@ -76,7 +76,7 @@ def virtual_temperature(h: Sequence[int], betas: Sequence, eps: Sequence[float],
                         eps_target: float):
     """Inverse virtual temperature (1/eps_target) * sum_i (-1)^(h_i) beta_i eps_i."""
     if eps_target == 0.0:
-        raise SingularGapError("virtual temperature undefined for a zero target gap")
+        raise StructuralError("virtual temperature undefined for a zero target gap")
     return weighted_bias(h, betas, eps) / eps_target
 
 
@@ -109,7 +109,7 @@ def virtual_qubit(h: Sequence[int], betas: Sequence[float],
     """
     vg = virtual_gap(h, eps)
     if vg == 0.0:
-        raise SingularGapError("virtual qubit is degenerate (zero gap)")
+        raise StructuralError("virtual qubit is degenerate (zero gap)")
     t = weighted_bias(h, betas, eps)
     # log P(|h>) - log P(|h xor 1>) = t, exactly.
     beta_v = -t / vg
@@ -135,7 +135,7 @@ def coupled_levels(h: Sequence[int], register: QubitRegister) -> tuple[int, int]
     vg = virtual_gap(bits, machine_gaps)
     mismatch = abs(target_gap - abs(vg))
     if mismatch > RESONANCE_TOL:
-        raise ResonanceError(
+        raise StructuralError(
             f"target gap {target_gap} is off resonance with the virtual gap "
             f"|{vg}| by {mismatch:.3e}")
     # Orient the labels so the coupled pair is degenerate: the level with

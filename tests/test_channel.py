@@ -87,6 +87,8 @@ class TestEncoding:
     def test_bad_inputs(self):
         with pytest.raises(ConfigError):
             tn.encode(2, UNIT)
+        with pytest.raises(ConfigError, match="band must be one of"):
+            tn.Encoding(band="x")
 
 
 class TestGaussianChannel:

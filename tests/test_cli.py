@@ -636,6 +636,17 @@ MALFORMED = {
         k: v for k, v in PROVENANCE.items() if k != "seed"}}, STEADY),
     "provenance-eps-z-not-a-number": (
         lambda: nor_doc() | {"provenance": PROVENANCE | {"eps_z": "0.1"}}, STEADY),
+    "provenance-alpha-not-a-number": (
+        lambda: nor_doc() | {"provenance": PROVENANCE | {"alpha": "twenty"}}, STEADY),
+    "provenance-seed-not-an-integer": (
+        lambda: nor_doc() | {"provenance": PROVENANCE | {"seed": -3.5}}, STEADY),
+    "provenance-tool-version-not-a-string": (
+        lambda: nor_doc() | {"provenance": PROVENANCE | {"tool_version": 9}}, STEADY),
+    "provenance-weights-not-a-list": (
+        lambda: nor_doc() | {"provenance": PROVENANCE | {"weights": "x"}}, STEADY),
+    "provenance-weights-leaf-not-a-number": (
+        lambda: nor_doc() | {"provenance": PROVENANCE | {"weights": [[[0.5, True]]]}},
+        STEADY),
     "neuron-spec-a-list": (lambda: nor_doc() | {"spec": [nor_doc()["spec"]]}, STEADY),
     "network-layers-not-a-list": (lambda: network_layers(5), STEADY),
     "network-layer-not-a-list": (lambda: network_layers([5]), STEADY),
@@ -644,6 +655,7 @@ MALFORMED = {
     "network-units-on-different-rails": (lambda: network_of(
         [nor_entry(), nor_entry(beta_cold=2.0)], [nor_entry()]), STEADY),
     "network-empty-layer": (lambda: network_of([nor_entry()], []), STEADY),
+    "network-no-layers": (lambda: network_layers([]), STEADY),
     "network-n-inputs-zero": (lambda: one_input_network_doc("n_inputs", 0), STEADY_1),
     "network-arity-differs-from-wiring": (lambda: network_of([nor_entry((0,))]), STEADY),
     "network-two-output-units": (lambda: network_of([nor_entry(), nor_entry()]), STEADY),
@@ -670,6 +682,7 @@ MALFORMED = {
     "design-negative-seed": (nor_doc, ["design", "--table", "T", "--layers", "2,1",
                                        "--seed", "-1"]),
     "verify-without-table-or-gate": (nor_doc, ["verify", "M"]),
+    "verify-unknown-gate": (nor_doc, ["verify", "M", "--gate", "FOO"]),
     "grid-count-too-large": (nor_doc, ["sweep", "M", "--grid", "0:1:10000000000000000"]),
     "grid-list-product-too-large": (nor_doc, ["sweep", "M", "--grid", "0:1:1001;0:1:1000"]),
     "grid-for-every-input-too-large": (nor_doc, ["sweep", "M", "--grid", "0:1:1001"]),
@@ -692,6 +705,8 @@ MALFORMED = {
                                         "--layers", "1000000000000000,1"]),
     "design-too-many-layers": (nor_doc, ["design", "--table", "T",
                                          "--layers", "2,2,2,2,2,2,2,2,1"]),
+    "design-layers-not-integers": (nor_doc, ["design", "--table", "T", "--layers", "a,1"]),
+    "design-layer-of-no-units": (nor_doc, ["design", "--table", "T", "--layers", "0,1"]),
     "tradeoff-inset-points-too-large": (nor_doc, ["tradeoff", "--gate", "NOT", "--grid", "2",
                                                   "--inset", "--inset-points",
                                                   "1000000000000000"]),

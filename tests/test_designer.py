@@ -25,6 +25,9 @@ class TestTruthTable:
         table = tn.TruthTable.from_text("0 0 : 1\n0 1 : 0\n1 0 : 0\n1 1 : 0\n")
         assert table.outputs == (1, 0, 0, 0)
         assert table.outputs[0] == 1
+        # Comment and blank lines are skipped.
+        assert tn.TruthTable.from_text(
+            "# NOR\n\n0 0 : 1  # both cold\n0 1 : 0\n\n1 0 : 0\n1 1 : 0\n") == table
 
     def test_from_text_without_colons_any_order(self):
         table = tn.TruthTable.from_text("1 1\n0 0\n")
@@ -49,6 +52,11 @@ class TestTruthTable:
     def test_incomplete_rejected(self):
         with pytest.raises(ConfigError, match="incomplete"):
             tn.TruthTable.from_text("0 0 : 1\n0 1 : 0\n")
+        for text, message in [("# no rows\n\n", "is empty"),
+                              ("0 0 : 1\n1\n", "line 2: need bits and an output"),
+                              ("0 0 : 1\n0 : 1\n", "line 2: inconsistent arity")]:
+            with pytest.raises(ConfigError, match=f"^truth table {message}$"):
+                tn.TruthTable.from_text(text)
 
     @pytest.mark.parametrize("n", [12, 40])
     def test_incomplete_names_the_count_and_first_missing_rows(self, n):
@@ -68,6 +76,7 @@ class TestTruthTable:
         (1.5, "n must be an integer, got 1.5"),
         (True, "n must be an integer, got True"),
         (0, "n must be at least 1, got 0"),
+        (2, "truth table for 2 inputs needs 4 rows, got 2"),
     ])
     def test_arity_must_be_a_positive_integer(self, n, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
@@ -78,6 +87,8 @@ class TestTruthTable:
         assert table.outputs == (0, 1) and type(table.outputs) is tuple
         assert table == tn.TruthTable(1, (0, 1))
         assert hash(table) == hash(tn.TruthTable(1, (0, 1)))
+        with pytest.raises(ConfigError, match="^truth table outputs must be bits$"):
+            tn.TruthTable(1, (1, 2))
 
     def test_gate_fixtures(self):
         assert tn.gate_table("NOT").outputs == (1, 0)
@@ -103,9 +114,9 @@ class TestTrainPerceptron:
             assert abs(min(margins) - 1.0) < 1e-9
 
     def test_xor_not_separable(self):
-        with pytest.raises(NotSeparableError) as err:
+        # The message names the violating rows.
+        with pytest.raises(NotSeparableError, match=r"rows \['[01 ]+'.*\] cannot"):
             tn.train_perceptron(tn.gate_table("XOR"), tn.DesignConfig())
-        assert err.value.rows  # names the violating rows
 
     def test_deterministic_given_seed(self):
         cfg = tn.DesignConfig(seed=11)
@@ -157,6 +168,10 @@ class TestWeightsToNeuron:
     def test_degenerate_bias_rejected(self):
         with pytest.raises(DesignError, match="degenerate"):
             tn.weights_to_neuron((1.0, 0.1), tn.DesignConfig(eps_z=0.1))
+        with pytest.raises(DesignError, match="need a bias weight plus"):
+            tn.weights_to_neuron([1.0], tn.DesignConfig())
+        with pytest.raises(DesignError, match="^weights must be finite$"):
+            tn.weights_to_neuron([1.0, np.nan], tn.DesignConfig())
 
     @pytest.mark.parametrize("alpha, eps_z, cause", [
         (7100.0, 0.1, "calibration overflow"),
