@@ -6,12 +6,14 @@ command with a --seed is byte-deterministic.  Grids are evaluated in one
 array pass.
 
 Input rules, checked once by the parser's converters: every number must be
-finite; counts (--seed, --inset-points, a grid's count) must be >= 0; a
-grid, a sweep's factorial grid, --inset-points and the tradeoff inset
-(grid x inset points) have at most MAX_GRID_POINTS points; --layers has at
-most MAX_LAYERS widths of at most MAX_LAYER_WIDTH; negative values are
-accepted in any float form (-1, -.5, -1e-3, -0.5:1:3); `design` (whose
---layers needs --table) and `verify` each need exactly one of --table or --gate.
+finite; counts (--seed, --inset POINTS, a grid's count) must be >= 0; a
+grid, a sweep's factorial grid (checked as each part is parsed), --inset
+POINTS and the tradeoff inset (grid x inset points) have at most
+MAX_GRID_POINTS points; `sweep` takes at most MAX_SWEEP_INPUTS inputs;
+--layers has at most MAX_LAYERS widths of at most MAX_LAYER_WIDTH; negative
+values are accepted in any float form (-1, -.5, -1e-3, -0.5:1:3); `design`
+(whose --layers needs --table) and `verify` each need exactly one of --table
+or --gate.
 
 `verify` reads its rows' means and p(error) from `channel.conditional_outputs`
 (over `logic_rows`) and decodes them all in one `decode_array` call.
@@ -53,6 +55,9 @@ MAX_GRID_POINTS = 1_000_000
 # the largest allowed topology, seven layers of 256 then 1, took 22 s (53 MB).
 MAX_LAYERS, MAX_LAYER_WIDTH = 8, 256
 
+# The most inputs `sweep` takes: np.meshgrid broadcasts at most 32 axes.
+MAX_SWEEP_INPUTS = 32
+
 
 def _encoding(args, machine) -> Encoding:
     """--delta and --band; bands that overlap on the machine's rails fail here."""
@@ -85,11 +90,12 @@ def _count(text: str) -> int:
     return value
 
 
-def _check_points(counts, what: str) -> None:
+def _check_points(counts, what: str) -> int:
     total = math.prod(counts)
     if total > MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
             f"{what} has {total} points, more than {MAX_GRID_POINTS}")
+    return total
 
 
 def _check_option_points(option: str, counts, what: str) -> None:
@@ -101,7 +107,7 @@ def _check_option_points(option: str, counts, what: str) -> None:
 
 
 def _points(text: str) -> int:
-    """A count of points (--inset-points), at most MAX_GRID_POINTS."""
+    """A count of points (--inset), at most MAX_GRID_POINTS."""
     count = _count(text)
     _check_points([count], "the inset")
     return count
@@ -124,9 +130,12 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def _grids(spec: str) -> list[list[float]]:
-    """One grid per input, ';'-separated."""
-    grids = [_parse_grid(g) for g in spec.split(";")]
-    _check_points(map(len, grids), f"grid {spec!r}")
+    """One grid per input, ';'-separated.  The product is checked as each part
+    is parsed, so no part is built once it is past MAX_GRID_POINTS."""
+    grids, total = [], 1
+    for i, part in enumerate(spec.split(";"), 1):
+        grids.append(_parse_grid(part))
+        total = _check_points((total, len(grids[-1])), f"grid {spec!r} up to part {i}")
     return grids
 
 
@@ -157,9 +166,11 @@ def _check_arity(machine, count: int, source: str) -> None:
 
 
 def _load_machine(path):
+    # json.load raises ValueError for bad UTF-8, bad JSON and an integer of
+    # more than 4300 digits, and RecursionError for nesting past the limit.
     try:
         return ser.load_machine(path)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ThermoneuronError(f"cannot read machine file {path}: {exc}")
 
 
@@ -177,8 +188,10 @@ def cmd_design(args) -> int:
     config = DesignConfig(alpha=args.alpha, eps_z=args.eps_z, seed=args.seed)
     if args.layers:
         machine = train_network(args.table, args.layers, config)
-        weights_doc = [[np.concatenate(([b], w)).tolist()
-                        for w, b in _network_unit_weights(machine, config)]]
+        weights = _network_unit_weights(machine, config)
+        report = [f"network layers: {[len(layer) for layer in machine.layers]}"] + [
+            f"  layer {li} unit {ni}: resonance residual {_resonance_residual(nrn):.3e}"
+            for li, layer in enumerate(machine.layers) for ni, nrn in enumerate(layer)]
     else:
         if args.gate:
             weights = np.asarray(PRESET_WEIGHTS[args.gate], dtype=float)
@@ -189,47 +202,34 @@ def cmd_design(args) -> int:
                 raise ConfigError(f"{exc} (supply --layers to train a network "
                                   "for non-separable functions such as XOR)") from None
         machine = weights_to_neuron(weights, config)
-        weights_doc = [weights.tolist()]
+        resid = perceptron_identity_residual(machine, weights, config.alpha)
+        report = ["resonance check: |virtual gap - eps_z| = "
+                  f"{_resonance_residual(machine):.3e}",
+                  f"perceptron identity residual: {resid:.3e}",
+                  f"h = {list(machine.h)}, eps_z(machine) = {machine.eps_z:.12g}"]
+        weights = weights.tolist()
 
-    provenance = {"weights": weights_doc, "alpha": config.alpha,
+    provenance = {"weights": [weights], "alpha": config.alpha,
                   "eps_z": config.eps_z, "seed": config.seed,
                   "tool_version": ser.TOOL_VERSION}
     ser.dump_machine(args.out, machine, provenance)
-    for line in _design_report(machine, weights_doc, config):
-        print(line)
-    print(f"wrote {args.out}")
+    print(*report, f"wrote {args.out}", sep="\n")
     return EXIT_OK
 
 
-def _network_unit_weights(net: NetworkSpec, config: DesignConfig):
-    # Recover (w, b) per unit from the compiled gaps for provenance only.
+def _resonance_residual(nrn: NeuronSpec) -> float:
+    return abs(-virtual_gap(nrn.h, nrn.eps) - nrn.eps_z)
+
+
+def _network_unit_weights(net: NetworkSpec, config: DesignConfig) -> list[list[float]]:
+    # Recover [b, w...] per unit from the compiled gaps for provenance only.
     out = []
     for layer in net.layers:
         for nrn in layer:
             signs = [1.0 if b == 0 else -1.0 for b in nrn.h]
-            w = [s * e / config.alpha for s, e in zip(signs[1:], nrn.eps[1:])]
             b = signs[0] * nrn.beta0 * nrn.eps[0] / config.alpha
-            out.append((np.array(w), b))
+            out.append([b] + [s * e / config.alpha for s, e in zip(signs[1:], nrn.eps[1:])])
     return out
-
-
-def _design_report(machine, weights_doc, config):
-    lines = []
-    if isinstance(machine, NeuronSpec):
-        resonance = abs(-virtual_gap(machine.h, machine.eps) - machine.eps_z)
-        resid = perceptron_identity_residual(
-            machine, np.asarray(weights_doc[0], dtype=float), config.alpha)
-        lines.append(f"resonance check: |virtual gap - eps_z| = {resonance:.3e}")
-        lines.append(f"perceptron identity residual: {resid:.3e}")
-        lines.append(f"h = {list(machine.h)}, eps_z(machine) = {machine.eps_z:.12g}")
-    else:
-        widths = [len(layer) for layer in machine.layers]
-        lines.append(f"network layers: {widths}")
-        for li, layer in enumerate(machine.layers):
-            for ni, nrn in enumerate(layer):
-                gap = abs(-virtual_gap(nrn.h, nrn.eps) - nrn.eps_z)
-                lines.append(f"  layer {li} unit {ni}: resonance residual {gap:.3e}")
-    return lines
 
 
 def cmd_steady(args) -> int:
@@ -238,25 +238,21 @@ def cmd_steady(args) -> int:
     enc = _encoding(args, machine)
     if isinstance(machine, NeuronSpec):
         point = steady_output(machine, args.inputs)
-        beta_v, final = point.beta_v, point.beta_z_inf
-        payload = {"beta_v": beta_v, "beta_z_inf": final}
+        final = point.beta_z_inf
+        payload = {"beta_v": point.beta_v}
+        lines = [f"beta_v     = {point.beta_v:.12g}"]
     else:
         layer_outputs = [o[0].tolist() for o in eval_layers(machine, [args.inputs])]
         final = layer_outputs[-1][-1]
-        payload = {"layer_outputs": layer_outputs, "beta_z_inf": final}
+        payload = {"layer_outputs": layer_outputs}
+        lines = [f"layer {li} outputs = " + ", ".join(f"{v:.12g}" for v in outs)
+                 for li, outs in enumerate(layer_outputs)]
     bit = int(decode_array(final, enc, machine))
-    payload["decoded"] = bit if bit >= 0 else "invalid"
+    decoded = bit if bit >= 0 else "invalid"
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload | {"beta_z_inf": final, "decoded": decoded}, sort_keys=True))
     else:
-        if "beta_v" in payload:
-            print(f"beta_v     = {payload['beta_v']:.12g}")
-        else:
-            for li, outs in enumerate(payload["layer_outputs"]):
-                print(f"layer {li} outputs = "
-                      + ", ".join(f"{v:.12g}" for v in outs))
-        print(f"beta_z_inf = {final:.12g}")
-        print(f"decoded    = {payload['decoded']}")
+        print(*lines, f"beta_z_inf = {final:.12g}", f"decoded    = {decoded}", sep="\n")
     return EXIT_OK
 
 
@@ -280,6 +276,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     machine, _ = _load_machine(args.machine)
+    if machine.n > MAX_SWEEP_INPUTS:
+        raise ConfigError(f"sweep takes at most {MAX_SWEEP_INPUTS} inputs, "
+                          f"the machine has {machine.n}")
     grids = args.grid * machine.n if len(args.grid) == 1 else args.grid
     _check_arity(machine, len(grids), "--grid")
     _check_option_points("--grid", map(len, grids), f"one grid for {machine.n} inputs")
@@ -302,8 +301,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_tradeoff(args) -> int:
-    if args.inset:
-        _check_option_points("--inset-points", (len(args.grid), args.inset_points),
+    if args.inset is not None:
+        _check_option_points("--inset", (len(args.grid), args.inset),
                              "the inset (grid x inset points)")
     config = DesignConfig(eps_z=args.eps_z)
     enc = _encoding(args, NeuronSpec)   # the rails of every machine tradeoff builds
@@ -313,16 +312,16 @@ def cmd_tradeoff(args) -> int:
     header = (args.knob, "avg_sigma", "avg_xi", "avg_invalid")
     rows = [(p.knob, p.avg_sigma, p.avg_xi, p.avg_invalid) for p in points]
     _write_csv(header, np.array(rows, dtype=float).reshape(-1, 4).T, args.out)
-    if args.inset:
+    if args.inset is not None:
         machines = [ch.tradeoff_machine(args.gate, args.knob, value, config)
                     for value in args.grid]
-        beta_1 = [np.linspace(m.beta_hot, m.beta_cold, args.inset_points)
+        beta_1 = [np.linspace(m.beta_hot, m.beta_cold, args.inset)
                   for m in machines]
         sigmas = [ch.dissipation(m, np.repeat(b[:, None], m.n, axis=1), args.tau)
                   for m, b in zip(machines, beta_1)]
         inset_path = (args.out or "tradeoff") + ".inset.csv"
         _write_csv((args.knob, "beta_1", "sigma"),
-                   (np.repeat(args.grid, args.inset_points), np.reshape(beta_1, -1),
+                   (np.repeat(args.grid, args.inset), np.reshape(beta_1, -1),
                     np.reshape(sigmas, -1)), inset_path)
         print(f"wrote {inset_path}", file=sys.stderr)
     return EXIT_OK
@@ -424,9 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", dest="channel_width", type=_finite, default=0.05,
                    help="Gaussian response width (default 0.05)")
     p.add_argument("--eps-z", dest="eps_z", type=_finite, default=0.1)
-    p.add_argument("--inset", action="store_true",
-                   help="also emit per-input dissipation curves")
-    p.add_argument("--inset-points", type=_points, default=21)
+    p.add_argument("--inset", nargs="?", type=_points, const=21, metavar="POINTS",
+                   help="also emit per-input dissipation curves of POINTS "
+                        "points each (default 21)")
     p.add_argument("--out", default=None)
     add_common_decode(p, Encoding())
     p.set_defaults(func=cmd_tradeoff)

@@ -13,7 +13,7 @@ from conftest import on_rails, random_inputs, random_neuron
 from thermoneuron import channel, designer, dynamics
 from thermoneuron.channel import gaussian_band_probs
 from thermoneuron.designer import BANDS, decode_array, logic_rows
-from thermoneuron.errors import ConfigError
+from thermoneuron.errors import ConfigError, StructuralError
 
 PHI_2 = 0.9772498680518207928  # standard normal CDF at 2, 50-digit oracle
 UNIT = tn.preset("NOT")   # a machine on the default rails (0, 1)
@@ -89,6 +89,8 @@ class TestEncoding:
             tn.encode(2, UNIT)
         with pytest.raises(ConfigError, match="band must be one of"):
             tn.Encoding(band="x")
+        with pytest.raises(StructuralError, match="not a machine: object"):
+            channel.machine_response(object(), [[0.0]])
 
 
 class TestGaussianChannel:
@@ -139,6 +141,8 @@ class TestGaussianChannel:
         spec = tn.preset("NOT", tn.DesignConfig(alpha=5.0))
         with pytest.raises(ConfigError, match="n_samples must be at least 1"):
             tn.mc_conditional_outputs(spec, tn.Encoding(), 0.05, n_samples, seed=1)
+        with pytest.raises(ConfigError, match="spread must be positive"):
+            tn.mc_conditional_outputs(spec, tn.Encoding(), 0.0, 10, seed=1)
 
     @pytest.mark.parametrize("n_samples, seed, message", [
         (2.5, 1, "n_samples must be an integer, got 2.5"),
@@ -193,6 +197,8 @@ class TestAverageError:
         stats = tn.conditional_outputs(spec, enc, 1e-6)
         xi, invalid = tn.average_error(stats, tn.gate_table("NOR"))
         assert xi < 1e-12 and invalid < 1e-12
+        with pytest.raises(StructuralError, match="arity mismatch"):
+            tn.average_error(stats, tn.gate_table("NOT"))
 
     def test_inverting_kernel_equivalence(self):
         # For the NOT table, "wrong bit" is exactly y = x.

@@ -364,7 +364,7 @@ class TestTradeoff:
     def test_inset_emits_dissipation_curves(self, tmp_path, capsys):
         csv_path = str(tmp_path / "trade.csv")
         assert main(["tradeoff", "--gate", "NOT", "--grid", "5",
-                     "--tau", "1e5", "--inset", "--inset-points", "5",
+                     "--tau", "1e5", "--inset", "5",
                      "--out", csv_path]) == 0
         inset = Path(csv_path + ".inset.csv").read_text().splitlines()
         assert inset[1] == "eps1,beta_1,sigma"
@@ -510,6 +510,8 @@ class TestMachineFiles:
         doc["spec"]["bogus"] = 1
         with pytest.raises(ConfigError, match="unknown"):
             machine_from_document(doc)
+        with pytest.raises(ConfigError, match="cannot serialize object"):
+            machine_to_document(object(), PROVENANCE)
 
     @pytest.mark.parametrize("field", ["weights", "alpha", "eps_z", "seed", "tool_version"])
     def test_writer_refuses_provenance_missing_a_field(self, field):
@@ -675,10 +677,8 @@ MALFORMED = {
                                             "--beta-z0", "inf", "--tau", "10",
                                             "--mode", "full"]),
     "design-eps-z-inf": (nor_doc, ["design", "--gate", "NOR", "--eps-z", "inf"]),
-    "tradeoff-negative-inset-points": (nor_doc, ["tradeoff", "--gate", "NOT",
-                                                 "--grid", "2", "--inset",
-                                                 "--inset-points", "-3",
-                                                 "--tau", "10"]),
+    "tradeoff-negative-inset": (nor_doc, ["tradeoff", "--gate", "NOT", "--grid", "2",
+                                          "--inset", "-3", "--tau", "10"]),
     "design-negative-seed": (nor_doc, ["design", "--table", "T", "--layers", "2,1",
                                        "--seed", "-1"]),
     "verify-without-table-or-gate": (nor_doc, ["verify", "M"]),
@@ -686,6 +686,11 @@ MALFORMED = {
     "grid-count-too-large": (nor_doc, ["sweep", "M", "--grid", "0:1:10000000000000000"]),
     "grid-list-product-too-large": (nor_doc, ["sweep", "M", "--grid", "0:1:1001;0:1:1000"]),
     "grid-for-every-input-too-large": (nor_doc, ["sweep", "M", "--grid", "0:1:1001"]),
+    "sweep-more-inputs-than-meshgrid-axes": (lambda: machine_to_document(
+        tn.weights_to_neuron([-32.5] + [1.0] * 33, tn.DesignConfig(alpha=1.0)), PROVENANCE),
+        ["sweep", "M", "--grid", "0"]),
+    "sweep-network-n-inputs-overflows": (
+        lambda: one_input_network_doc("n_inputs", 10 ** 400), ["sweep", "M", "--grid", "0"]),
     "tradeoff-grid-too-large": (nor_doc, ["tradeoff", "--gate", "NOT",
                                           "--grid", "1:2:1000001"]),
     "tradeoff-eps1-zero": (nor_doc, ["tradeoff", "--gate", "NOT", "--knob", "eps1",
@@ -707,9 +712,8 @@ MALFORMED = {
                                          "--layers", "2,2,2,2,2,2,2,2,1"]),
     "design-layers-not-integers": (nor_doc, ["design", "--table", "T", "--layers", "a,1"]),
     "design-layer-of-no-units": (nor_doc, ["design", "--table", "T", "--layers", "0,1"]),
-    "tradeoff-inset-points-too-large": (nor_doc, ["tradeoff", "--gate", "NOT", "--grid", "2",
-                                                  "--inset", "--inset-points",
-                                                  "1000000000000000"]),
+    "tradeoff-inset-too-large": (nor_doc, ["tradeoff", "--gate", "NOT", "--grid", "2",
+                                           "--inset", "1000000000000000"]),
     "tradeoff-seed-removed": (nor_doc, ["tradeoff", "--gate", "NOT", "--grid", "2",
                                         "--seed", "3", "--tau", "10"]),
     "provenance-not-an-object": (lambda: nor_doc() | {"provenance": 5}, STEADY),
@@ -794,11 +798,24 @@ def test_tradeoff_inset_is_capped_before_the_sweep(monkeypatch, tmp_path, capsys
     monkeypatch.setattr(ch, "tradeoff_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
     out = tmp_path / "t.csv"
     assert main(["tradeoff", "--gate", "NOT", "--grid", "1:2:1000", "--inset",
-                 "--inset-points", "1001", "--out", str(out)]) == 2
+                 "1001", "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: argument --inset-points: the inset (grid x inset points) "
+    assert err == ["error: argument --inset: the inset (grid x inset points) "
                    "has 1001000 points, more than 1000000"]
     assert not out.exists()
+
+
+def test_grid_parts_past_the_bound_are_not_built(monkeypatch, tmp_path, capsys):
+    # The first two parts of grid-list-product-too-large are already past
+    # MAX_GRID_POINTS, so the million-point parts after them are never built.
+    parse, built = cli._parse_grid, []
+    monkeypatch.setattr(cli, "_parse_grid", lambda spec: built.append(spec) or parse(spec))
+    grid = "0:1:1001;0:1:1000;0:1:1000000;0:1:1000000"
+    assert main(["sweep", "M", "--grid", grid]) == 2
+    assert built == ["0:1:1001", "0:1:1000"]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: argument --grid: grid {grid!r} up to part 2 has 1001000 "
+                   "points, more than 1000000"]
 
 
 @pytest.mark.parametrize("command, module, evaluator", [
@@ -823,9 +840,14 @@ def test_overlapping_bands_exit_2_before_any_evaluation(command, module, evaluat
     assert len(err) == 1 and err[0].startswith("error: decoding bands overlap")
 
 
-def test_machine_file_not_utf8_exits_2(tmp_path, capsys):
+# json.dumps cannot write these files, so MALFORMED cannot hold them.
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000,
+                                     b"1" * 5000],
+                         ids=["not-utf8", "nested-past-the-recursion-limit",
+                              "integer-of-5000-digits"])
+def test_unreadable_machine_file_exits_2(content, tmp_path, capsys):
     path = tmp_path / "machine.json"
-    path.write_bytes(b"\xff\xfe{}")
+    path.write_bytes(content)
     assert main(["steady", str(path), "--inputs", "0"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot read machine file")

@@ -206,7 +206,7 @@ def test_tradeoff_exits_0_or_2(machines, gate_knob, grid, tau, width, inset):
     argv = ["tradeoff", "--gate", gate, "--knob", knob, "--grid", grid,
             "--tau", tau, "--C", width, "--out", str(out)]
     if inset is not None:
-        argv += ["--inset", "--inset-points", inset]
+        argv += ["--inset", inset]
     code, _ = run_cli(argv, [out, inset_out])
     assert code in (0, 2)
     if code == 0:

@@ -173,7 +173,7 @@ def test_tradeoff_and_inset_csvs_match_row_wise_writer(tmp_path):
     out = tmp_path / "tr.csv"
     grid, tau, n_inset = [1.0, 2.0, 4.0], 1e4, 5
     assert main(["tradeoff", "--grid", "1,2,4", "--tau", str(tau), "--inset",
-                 "--inset-points", str(n_inset), "--out", str(out)]) == 0
+                 str(n_inset), "--out", str(out)]) == 0
     enc, config = tn.Encoding(), tn.DesignConfig(eps_z=0.1, seed=0)
     points = ch.tradeoff_sweep("NOT", "eps1", grid, enc, spread=0.05, tau=tau,
                                config=config)

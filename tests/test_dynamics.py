@@ -205,6 +205,12 @@ class TestTrajectoryInvariants:
         with pytest.raises(TypeError, match="sigma"):
             dynamics.Trajectory(t=np.arange(3.0), beta_z=col, j_collector=col,
                                 j_modulator=col, sigma_dot=col, sigma=col)
+        with pytest.raises(StructuralError, match="column beta_z has wrong length"):
+            dynamics.Trajectory(t=np.arange(3.0), beta_z=col[:2], j_collector=col,
+                                j_modulator=col, sigma_dot=col)
+        with pytest.raises(StructuralError, match="strictly increasing"):
+            dynamics.Trajectory(t=np.array([0.0, 1.0, 1.0]), beta_z=col, j_collector=col,
+                                j_modulator=col, sigma_dot=col)
 
     def test_csv_export(self, paper_not):
         traj = tn.evolve_quasi_static(paper_not, (1.0,), 0.5, 10.0)

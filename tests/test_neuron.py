@@ -186,6 +186,8 @@ class TestSteadyOutput:
     def test_arity_checked(self, fig2_inverter):
         with pytest.raises(StructuralError):
             tn.steady_output(fig2_inverter, (0.1, 0.2))
+        with pytest.raises(StructuralError, match="expected 1 inputs, got 2"):
+            tn.sigmoid_approx(fig2_inverter, (0, 0))
 
 
 class TestSigmoidApprox:
@@ -292,3 +294,8 @@ class TestThresholdAndSlope:
         nor = tn.preset("NOR")
         with pytest.raises(StructuralError):
             tn.threshold_point(nor)
+        for single_input_only in (lambda: tn.neuron.sigmoid_approx_input_form(nor, 0.5),
+                                  lambda: tn.slope_at_threshold(nor),
+                                  lambda: transfer_slope(nor, 0.5)):
+            with pytest.raises(StructuralError, match="single-input"):
+                single_input_only()

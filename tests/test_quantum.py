@@ -72,6 +72,8 @@ class TestQubitRegister:
     def test_cap(self):
         with pytest.raises(StructuralError):
             QubitRegister((1.0,) * 13)
+        with pytest.raises(StructuralError, match="at least one qubit"):
+            QubitRegister(())
 
     def test_nonfinite_rejected(self):
         with pytest.raises(StructuralError):
@@ -82,6 +84,8 @@ class TestBathContact:
     def test_rate_positive(self):
         with pytest.raises(StructuralError):
             BathContact(0, 1.0, 0.0)
+        with pytest.raises(StructuralError, match="inverse temperature must be finite"):
+            BathContact(0, math.inf, 1.0)
 
     def test_negative_beta_warns(self):
         with pytest.warns(UserWarning):
@@ -121,6 +125,8 @@ class TestResetDissipator:
         with pytest.raises(StructuralError):
             tn.reset_dissipator(np.eye(2, dtype=complex) / 2,
                                 BathContact(0, 1.0, 1.0), reg)
+        with pytest.raises(StructuralError, match="one inverse temperature per qubit"):
+            tn.gibbs_register(QubitRegister((1.0,)), (0.5, 0.5))
 
 
 def _einsum_reset(rho, contact, reg):
@@ -284,6 +290,10 @@ class TestLindbladRHS:
         _, reg, h0, hint, contacts = _not_collector()
         with pytest.raises(StructuralError, match="does not match"):
             tn.lindblad_rhs(np.zeros((3, 4, 4), dtype=complex), h0, hint, contacts, reg)
+        one = QubitRegister((1.0,))
+        with pytest.raises(StructuralError, match="Hamiltonian dimensions do not match"):
+            tn.lindblad_rhs(np.eye(2, dtype=complex) / 2, np.eye(4, dtype=complex),
+                            np.zeros((4, 4), dtype=complex), [], one)
 
     def test_steady_state_self_consistency(self):
         _, reg, h0, hint, contacts = _not_collector()

@@ -35,6 +35,13 @@ class TestVirtualGap:
     def test_length_mismatch(self):
         with pytest.raises(StructuralError):
             tn.virtual_gap((0, 1), (1.0,))
+        with pytest.raises(StructuralError, match="entries must be 0 or 1"):
+            tn.virtual_gap((0, 2), (1.0, 1.0))
+        for short_betas in (tn.virtual_population, weighted_bias):
+            with pytest.raises(StructuralError, match="equal lengths"):
+                short_betas((0, 1), (1.0,), (2.0, 1.0))
+        with pytest.raises(StructuralError, match="does not fit a register of 2 qubits"):
+            coupled_levels((0, 1), QubitRegister((1.0, 1.0)))
 
 
 class TestVirtualPopulation:
