@@ -20,11 +20,9 @@ from .neuron import (ModulatorCalibration, NeuronSpec, TransferPoint,
                      build_neuron, calibrate_modulator, inverter,
                      sigmoid_approx, slope_at_threshold, steady_from_virtual,
                      steady_output, steady_response, threshold_point)
-from .quantum import (BathContact, QubitRegister, fermi_population,
-                      gibbs_qubit, gibbs_register, integrate_master, lindblad_rhs,
-                      reset_dissipator, steady_state)
+from .quantum import fermi_population
 from .serialize import TOOL_VERSION, dump_machine, load_machine
-from .virtual import (VirtualQubit, build_interaction_hamiltonian, virtual_gap,
-                      virtual_population, virtual_qubit, virtual_temperature)
+from .virtual import (VirtualQubit, virtual_gap, virtual_population, virtual_qubit,
+                      virtual_temperature)
 
 __version__ = TOOL_VERSION

@@ -13,7 +13,7 @@ MAX_GRID_POINTS points; `sweep` takes at most MAX_SWEEP_INPUTS inputs;
 --layers has at most MAX_LAYERS widths of at most MAX_LAYER_WIDTH; negative
 values are accepted in any float form (-1, -.5, -1e-3, -0.5:1:3); `design`
 (whose --layers needs --table) and `verify` each need exactly one of --table
-or --gate.
+or --gate; gate names match in any case.
 
 `verify` reads its rows' means and p(error) from `channel.conditional_outputs`
 (over `logic_rows`) and decodes them all in one `decode_array` call.
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="compile a gate or truth table to a machine")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--gate", choices=sorted(PRESET_WEIGHTS))
+    src.add_argument("--gate", type=str.upper, choices=sorted(PRESET_WEIGHTS))
     src.add_argument("--table", type=_table_file, help="path to a truth-table file")
     p.add_argument("--alpha", type=_finite, default=20.0)
     p.add_argument("--eps-z", dest="eps_z", type=_finite, default=0.1)
@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("tradeoff", help="dissipation-vs-error curve")
-    p.add_argument("--gate", default="NOT", choices=sorted(PRESET_WEIGHTS))
+    p.add_argument("--gate", type=str.upper, default="NOT", choices=sorted(PRESET_WEIGHTS))
     p.add_argument("--knob", choices=ch.TRADEOFF_KNOBS, default="eps1")
     p.add_argument("--grid", type=_parse_grid, required=True)
     p.add_argument("--tau", type=_finite, default=1e8)
@@ -435,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--table", type=_table_file, help="path to a truth-table file")
     src.add_argument("--gate")
-    p.add_argument("--C", dest="channel_width", type=_finite, default=0.05)
+    p.add_argument("--C", dest="channel_width", type=_finite, default=0.05,
+                   help="Gaussian response width (default 0.05)")
     add_common_decode(p, DESIGN_ENCODING)
     p.set_defaults(func=cmd_verify)
 

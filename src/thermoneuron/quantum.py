@@ -86,11 +86,6 @@ def _thermal(beta: float, gap: float) -> tuple[float, float]:
     return 1.0 - f, f
 
 
-def gibbs_qubit(beta: float, eps: float) -> np.ndarray:
-    """Single-qubit thermal state diag(1 - g, g) with g = fermi_population(beta*eps)."""
-    return np.diag(_thermal(beta, eps)).astype(complex)
-
-
 @dataclass(frozen=True)
 class QubitRegister:
     """Energy gaps of an ordered qubit register; the free Hamiltonian is diagonal."""
@@ -350,5 +345,5 @@ def gibbs_register(register: QubitRegister, betas: Sequence[float]) -> np.ndarra
         raise StructuralError("one inverse temperature per qubit required")
     rho = np.array([[1.0 + 0j]])
     for beta, eps in zip(betas, register.gaps):
-        rho = np.kron(rho, gibbs_qubit(beta, eps))
+        rho = np.kron(rho, np.diag(_thermal(beta, eps)).astype(complex))
     return rho

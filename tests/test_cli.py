@@ -446,6 +446,20 @@ def row_loop_verify_stdout(machine, table, enc, width):
     return "\n".join(lines) + "\n"
 
 
+def test_gate_names_match_in_any_case(tmp_path, capsys):
+    # As `verify --gate`, `preset` and `gate_table` already did.
+    lower, upper = tmp_path / "lower.json", tmp_path / "upper.json"
+    assert main(["design", "--gate", "nor", "--out", str(lower)]) == 0
+    assert main(["design", "--gate", "NOR", "--out", str(upper)]) == 0
+    assert lower.read_bytes() == upper.read_bytes()
+    capsys.readouterr()
+    csv = []
+    for gate in ("not", "NOT"):
+        assert main(["tradeoff", "--gate", gate, "--grid", "2", "--tau", "0"]) == 0
+        csv.append(capsys.readouterr().out)
+    assert csv[0] == csv[1] and csv[0].count("\n") == 3
+
+
 @pytest.mark.filterwarnings("ignore:weak time-scale separation")
 @pytest.mark.parametrize("design, table, band, delta, width, code, invalid", [
     (["--gate", "MAJ3", "--alpha", "10"], "MAJ3", "additive", 0.1, 0.05, 0, False),

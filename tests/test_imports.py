@@ -71,6 +71,10 @@ def test_scan_finds_the_root_reexports():
 def test_package_root_reexports_only_what_each_module_defines():
     reexports = root_reexports((SRC / "__init__.py").read_text(encoding="utf-8"))
     assert {("network", "eval_layers"), ("serialize", "TOOL_VERSION")} <= reexports
+    # The dense master-equation stack is the tests' oracle, not the toolchain:
+    # of `quantum` the root binds only the Fermi function.
+    assert {name for layer, name in reexports if layer == "quantum"} == {"fermi_population"}
+    assert ("virtual", "build_interaction_hamiltonian") not in reexports
     for layer, name in sorted(reexports):
         module = importlib.import_module(f"thermoneuron.{layer}")
         value = getattr(module, name)

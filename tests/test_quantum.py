@@ -13,7 +13,7 @@ from scipy.linalg import expm
 import thermoneuron as tn
 from thermoneuron.dynamics import (collector_contacts, collector_hamiltonian,
                                    collector_register)
-from thermoneuron import quantum
+from thermoneuron import quantum, virtual
 from thermoneuron.errors import SolverError, StructuralError
 from thermoneuron.quantum import BathContact, QubitRegister
 from thermoneuron.virtual import coupled_levels
@@ -49,13 +49,15 @@ class TestFermiPopulation:
 
 class TestGibbsQubit:
     def test_infinite_temperature(self):
-        assert np.allclose(tn.gibbs_qubit(0.0, 3.7), np.diag([0.5, 0.5]))
+        assert np.allclose(quantum.gibbs_register(QubitRegister((3.7,)), (0.0,)),
+                           np.diag([0.5, 0.5]))
 
     def test_ground_state_limit(self):
-        assert np.allclose(tn.gibbs_qubit(1e6, 1.0), np.diag([1.0, 0.0]), atol=1e-12)
+        assert np.allclose(quantum.gibbs_register(QubitRegister((1.0,)), (1e6,)),
+                           np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_unit_beta_unit_gap(self):
-        rho = tn.gibbs_qubit(1.0, 1.0)
+        rho = quantum.gibbs_register(QubitRegister((1.0,)), (1.0,))
         assert abs(rho[1, 1].real - FERMI_AT_ONE) < 1e-12
         assert abs(rho[0, 0].real - (1 - FERMI_AT_ONE)) < 1e-12
         validate_density_matrix(rho)
@@ -100,15 +102,15 @@ class TestBathContact:
 class TestResetDissipator:
     def test_thermal_fixed_point(self):
         reg = QubitRegister((1.0, 2.0))
-        rho = tn.gibbs_register(reg, (0.7, 0.3))
-        out = tn.reset_dissipator(rho, BathContact(1, 0.3, 1.3), reg)
+        rho = quantum.gibbs_register(reg, (0.7, 0.3))
+        out = quantum.reset_dissipator(rho, BathContact(1, 0.3, 1.3), reg)
         assert np.abs(out).max() < 1e-14
 
     def test_single_qubit_by_hand(self):
         # gamma (tau(0) - rho) with rho = |0><0|: diag(-1/2, +1/2).
         reg = QubitRegister((1.0,))
         rho = np.diag([1.0, 0.0]).astype(complex)
-        out = tn.reset_dissipator(rho, BathContact(0, 0.0, 1.0), reg)
+        out = quantum.reset_dissipator(rho, BathContact(0, 0.0, 1.0), reg)
         assert np.allclose(out, np.diag([-0.5, 0.5]))
 
     def test_traceless_on_random_states(self):
@@ -116,23 +118,23 @@ class TestResetDissipator:
         reg = QubitRegister((1.0, 0.5, 2.0))
         for _ in range(10):
             rho = random_density_matrix(reg.dim, rng)
-            out = tn.reset_dissipator(rho, BathContact(1, 0.8, 0.7), reg)
+            out = quantum.reset_dissipator(rho, BathContact(1, 0.8, 0.7), reg)
             assert abs(np.trace(out)) < 1e-13
             assert np.abs(out - out.conj().T).max() < 1e-13
 
     def test_dimension_mismatch(self):
         reg = QubitRegister((1.0, 0.5))
         with pytest.raises(StructuralError):
-            tn.reset_dissipator(np.eye(2, dtype=complex) / 2,
-                                BathContact(0, 1.0, 1.0), reg)
+            quantum.reset_dissipator(np.eye(2, dtype=complex) / 2,
+                                     BathContact(0, 1.0, 1.0), reg)
         with pytest.raises(StructuralError, match="one inverse temperature per qubit"):
-            tn.gibbs_register(QubitRegister((1.0,)), (0.5, 0.5))
+            quantum.gibbs_register(QubitRegister((1.0,)), (0.5, 0.5))
 
 
 def _einsum_reset(rho, contact, reg):
     """The reset dissipator by the einsum partial trace."""
     k = contact.qubit_index
-    tau = tn.gibbs_qubit(contact.beta, reg.gaps[k])
+    tau = quantum.gibbs_register(QubitRegister((reg.gaps[k],)), (contact.beta,))
     return contact.rate * (thermalize_qubit(rho, k, reg.m, tau) - rho)
 
 
@@ -159,10 +161,10 @@ class TestGatheredReset:
         h0 = reg.free_hamiltonian()
         hint = np.diag(rng.normal(size=reg.dim)).astype(complex)  # commutes with h0
         rho = random_density_matrix(reg.dim, rng)
-        assert np.array_equal(tn.lindblad_rhs(rho, h0, hint, contacts, reg),
+        assert np.array_equal(quantum.lindblad_rhs(rho, h0, hint, contacts, reg),
                               _einsum_rhs(rho, h0, hint, contacts, reg))
         for contact in contacts:
-            assert np.array_equal(tn.reset_dissipator(rho, contact, reg),
+            assert np.array_equal(quantum.reset_dissipator(rho, contact, reg),
                                   _einsum_reset(rho, contact, reg))
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -190,23 +192,23 @@ class TestGatheredReset:
         # perfbench's integrate-master operation: the same number of RHS
         # calls, and the same bits, as with the einsum RHS.
         _, reg, h0, hint, contacts = _not_collector()
-        rho0 = tn.gibbs_register(reg, (1.0, 0.3, 0.5))
+        rho0 = quantum.gibbs_register(reg, (1.0, 0.3, 0.5))
         runs = []
-        for fn in (tn.lindblad_rhs, _einsum_rhs):
+        for fn in (quantum.lindblad_rhs, _einsum_rhs):
             calls = []
             rhs = lambda r, fn=fn: calls.append(1) or fn(r, h0, hint, contacts, reg)
-            runs.append((tn.integrate_master(rho0, rhs, 1e3), len(calls)))
+            runs.append((quantum.integrate_master(rho0, rhs, 1e3), len(calls)))
         (got, n_got), (want, n_want) = runs
         assert n_got == n_want and np.array_equal(got, want)
 
     def test_qubit_index_checked_on_every_call(self):
         reg = QubitRegister((1.0, 0.5))
         rho = np.eye(4, dtype=complex) / 4
-        tn.reset_dissipator(rho, BathContact(1, 1.0, 1.0), reg)
+        quantum.reset_dissipator(rho, BathContact(1, 1.0, 1.0), reg)
         # -1 would otherwise read gaps[-1], the last qubit's gap.
         for k in (2, -1, 2):
             with pytest.raises(StructuralError, match=f"qubit index {k} outside"):
-                tn.reset_dissipator(rho, BathContact(k, 1.0, 1.0), reg)
+                quantum.reset_dissipator(rho, BathContact(k, 1.0, 1.0), reg)
 
 
 def _not_collector():
@@ -222,10 +224,10 @@ class TestLindbladRHS:
     def test_global_fixed_point_without_interaction(self):
         reg = QubitRegister((2.0, 1.0, 1.0))
         betas = (1.0, 0.3, 0.5)
-        rho = tn.gibbs_register(reg, betas)
+        rho = quantum.gibbs_register(reg, betas)
         contacts = [BathContact(i, b, 1.0) for i, b in enumerate(betas)]
-        out = tn.lindblad_rhs(rho, reg.free_hamiltonian(),
-                              np.zeros((8, 8), dtype=complex), contacts, reg)
+        out = quantum.lindblad_rhs(rho, reg.free_hamiltonian(),
+                                   np.zeros((8, 8), dtype=complex), contacts, reg)
         assert np.abs(out).max() < 1e-14
 
     def test_traceless_and_hermiticity_preserving(self):
@@ -233,7 +235,7 @@ class TestLindbladRHS:
         rng = np.random.default_rng(5)
         for _ in range(5):
             rho = random_density_matrix(reg.dim, rng)
-            out = tn.lindblad_rhs(rho, h0, hint, contacts, reg)
+            out = quantum.lindblad_rhs(rho, h0, hint, contacts, reg)
             assert abs(np.trace(out)) < 1e-12
             assert np.abs(out - out.conj().T).max() < 1e-12
 
@@ -243,8 +245,8 @@ class TestLindbladRHS:
         bad = np.zeros((4, 4), dtype=complex)
         bad[0, 3] = bad[3, 0] = 0.5  # couples levels split by 3 units
         with pytest.raises(StructuralError, match="conserve energy"):
-            tn.lindblad_rhs(np.eye(4, dtype=complex) / 4, h0, bad,
-                            [BathContact(0, 1.0, 1.0)], reg)
+            quantum.lindblad_rhs(np.eye(4, dtype=complex) / 4, h0, bad,
+                                 [BathContact(0, 1.0, 1.0)], reg)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("which", ["hint", "h0"])
@@ -255,8 +257,8 @@ class TestLindbladRHS:
         hams = {"h0": h0.copy(), "hint": hint.copy()}
         hams[which][0, 0] = bad
         with pytest.raises(StructuralError, match="must be finite"):
-            tn.lindblad_rhs(np.eye(8, dtype=complex) / 8, hams["h0"], hams["hint"],
-                            contacts, reg)
+            quantum.lindblad_rhs(np.eye(8, dtype=complex) / 8, hams["h0"], hams["hint"],
+                                 contacts, reg)
 
     def test_stack_equals_calls_slice_by_slice(self):
         # Random registers and stacks of random operators (not states: the
@@ -275,30 +277,30 @@ class TestLindbladRHS:
             shape = ((int(rng.integers(1, 6)),), (2, 3))[int(rng.integers(0, 2))]
             stack = (rng.normal(size=shape + (reg.dim, reg.dim))
                      + 1j * rng.normal(size=shape + (reg.dim, reg.dim)))
-            got = tn.lindblad_rhs(stack, h0, hint, contacts, reg)
+            got = quantum.lindblad_rhs(stack, h0, hint, contacts, reg)
             assert got.shape == stack.shape
             for idx in np.ndindex(shape):
-                want = tn.lindblad_rhs(stack[idx], h0, hint, contacts, reg)
+                want = quantum.lindblad_rhs(stack[idx], h0, hint, contacts, reg)
                 assert got[idx].tobytes() == want.tobytes()
             for contact in contacts:
-                got = tn.reset_dissipator(stack, contact, reg)
+                got = quantum.reset_dissipator(stack, contact, reg)
                 for idx in np.ndindex(shape):
-                    want = tn.reset_dissipator(stack[idx], contact, reg)
+                    want = quantum.reset_dissipator(stack[idx], contact, reg)
                     assert got[idx].tobytes() == want.tobytes()
 
     def test_stack_of_the_wrong_dimension_rejected(self):
         _, reg, h0, hint, contacts = _not_collector()
         with pytest.raises(StructuralError, match="does not match"):
-            tn.lindblad_rhs(np.zeros((3, 4, 4), dtype=complex), h0, hint, contacts, reg)
+            quantum.lindblad_rhs(np.zeros((3, 4, 4), dtype=complex), h0, hint, contacts, reg)
         one = QubitRegister((1.0,))
         with pytest.raises(StructuralError, match="Hamiltonian dimensions do not match"):
-            tn.lindblad_rhs(np.eye(2, dtype=complex) / 2, np.eye(4, dtype=complex),
-                            np.zeros((4, 4), dtype=complex), [], one)
+            quantum.lindblad_rhs(np.eye(2, dtype=complex) / 2, np.eye(4, dtype=complex),
+                                 np.zeros((4, 4), dtype=complex), [], one)
 
     def test_steady_state_self_consistency(self):
         _, reg, h0, hint, contacts = _not_collector()
-        rhs = lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg)
-        rho = tn.steady_state(rhs, reg.dim)
+        rhs = lambda r: quantum.lindblad_rhs(r, h0, hint, contacts, reg)
+        rho = quantum.steady_state(rhs, reg.dim)
         assert np.abs(rhs(rho)).max() <= 1e-10
 
 
@@ -306,7 +308,7 @@ class TestIntegrateMaster:
     def test_zero_horizon(self):
         rng = np.random.default_rng(3)
         rho0 = random_density_matrix(4, rng)
-        out = tn.integrate_master(rho0, lambda r: r, 0.0)
+        out = quantum.integrate_master(rho0, lambda r: r, 0.0)
         assert np.array_equal(out, rho0)
 
     def test_single_qubit_relaxation_analytic(self):
@@ -315,13 +317,21 @@ class TestIntegrateMaster:
         contact = BathContact(0, 0.8, 1.0)
         h0 = reg.free_hamiltonian()
         zero = np.zeros((2, 2), dtype=complex)
-        rhs = lambda r: tn.lindblad_rhs(r, h0, zero, [contact], reg)
+        rhs = lambda r: quantum.lindblad_rhs(r, h0, zero, [contact], reg)
         rho0 = np.diag([0.1, 0.9]).astype(complex)
         g = tn.fermi_population(0.8)
         for t in (0.3, 1.0, 4.0):
-            rho_t = tn.integrate_master(rho0, rhs, t)
+            rho_t = quantum.integrate_master(rho0, rhs, t)
             expected = g + (0.9 - g) * math.exp(-t)
             assert abs(rho_t[1, 1].real - expected) < 1e-8
+        # dp0/dt = -p1, dp1/dt = p1: p0(2) = 1 - e^2 / 2 = -2.69 < 0.
+        mat = np.zeros((4, 4), dtype=complex)
+        mat[0, 3], mat[3, 3] = -1.0, 1.0
+        rhs, dim = _matrix_generator(mat)
+        rho0 = np.eye(dim, dtype=complex) / 2
+        with pytest.warns(UserWarning, match="positivity drift -2.695e"):
+            rho_t = quantum.integrate_master(rho0, rhs, 2.0)
+        assert abs(rho_t[0, 0].real - (1 - math.exp(2.0) / 2)) < 1e-12
 
     @pytest.mark.filterwarnings("ignore:weak time-scale separation")
     def test_long_horizon_matches_steady_state(self):
@@ -331,20 +341,23 @@ class TestIntegrateMaster:
         reg = collector_register(spec)
         h0, hint = collector_hamiltonian(spec)
         contacts = collector_contacts(spec, [0.3], 0.5)
-        rhs = lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg)
-        rho_ss = tn.steady_state(rhs, reg.dim)
-        rho0 = tn.gibbs_register(reg, (1.0, 0.3, 0.5))
-        rho_t = tn.integrate_master(rho0, rhs, 3e3)
+        rhs = lambda r: quantum.lindblad_rhs(r, h0, hint, contacts, reg)
+        rho_ss = quantum.steady_state(rhs, reg.dim)
+        rho0 = quantum.gibbs_register(reg, (1.0, 0.3, 0.5))
+        rho_t = quantum.integrate_master(rho0, rhs, 3e3)
         assert np.abs(rho_t - rho_ss).max() < 1e-8
 
     def test_trace_and_hermiticity_over_long_horizon(self):
         _, reg, h0, hint, contacts = _not_collector()
-        rhs = lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg)
+        rhs = lambda r: quantum.lindblad_rhs(r, h0, hint, contacts, reg)
         rho0 = random_density_matrix(reg.dim, np.random.default_rng(9))
-        rho_t = tn.integrate_master(rho0, rhs, 1e4)
+        rho_t = quantum.integrate_master(rho0, rhs, 1e4)
         assert abs(np.trace(rho_t).real - 1.0) < 1e-10
         assert np.abs(rho_t - rho_t.conj().T).max() < 1e-10
         validate_density_matrix(rho_t, herm_tol=1e-10, trace_tol=1e-10)
+        # A generator that loses trace: e^-40 = 4.2e-18 of it is left.
+        with pytest.raises(SolverError, match="state trace collapsed"):
+            quantum.integrate_master(rho0, lambda r: -r, 40.0)
 
     def test_overflowing_generator_raises_without_warning(self):
         # The probe of y' = y^2 * 1e6 reads 1e6 on the populations, whose
@@ -353,19 +366,19 @@ class TestIntegrateMaster:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match="not finite"):
-                tn.integrate_master(np.eye(2, dtype=complex), blow_up, 1.0)
+                quantum.integrate_master(np.eye(2, dtype=complex), blow_up, 1.0)
 
     @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, -1.0])
     def test_bad_horizon_rejected_before_any_rhs_call(self, horizon):
         calls = []
         with pytest.raises(ValueError, match="non-negative and finite"):
-            tn.integrate_master(np.eye(2, dtype=complex) / 2,
-                                lambda r: calls.append(1) or r, horizon)
+            quantum.integrate_master(np.eye(2, dtype=complex) / 2,
+                                     lambda r: calls.append(1) or r, horizon)
         assert calls == []
 
     def test_non_square_state_rejected(self):
         with pytest.raises(StructuralError, match="not square"):
-            tn.integrate_master(np.zeros((2, 4), dtype=complex), lambda r: r, 1.0)
+            quantum.integrate_master(np.zeros((2, 4), dtype=complex), lambda r: r, 1.0)
 
 
 class TestSteadyState:
@@ -374,23 +387,24 @@ class TestSteadyState:
         contact = BathContact(0, 0.6, 0.8)
         h0 = reg.free_hamiltonian()
         zero = np.zeros((2, 2), dtype=complex)
-        rho = tn.steady_state(
-            lambda r: tn.lindblad_rhs(r, h0, zero, [contact], reg), reg.dim)
-        assert np.abs(rho - tn.gibbs_qubit(0.6, 1.3)).max() < 1e-12
+        rho = quantum.steady_state(
+            lambda r: quantum.lindblad_rhs(r, h0, zero, [contact], reg), reg.dim)
+        want = quantum.gibbs_register(QubitRegister((1.3,)), (0.6,))
+        assert np.abs(rho - want).max() < 1e-12
 
     def test_two_uncoupled_qubits_product(self):
         reg = QubitRegister((1.0, 2.0))
         contacts = [BathContact(0, 0.5, 1.0), BathContact(1, 1.5, 0.7)]
         h0 = reg.free_hamiltonian()
         zero = np.zeros((4, 4), dtype=complex)
-        rho = tn.steady_state(
-            lambda r: tn.lindblad_rhs(r, h0, zero, contacts, reg), reg.dim)
-        assert np.abs(rho - tn.gibbs_register(reg, (0.5, 1.5))).max() < 1e-12
+        rho = quantum.steady_state(
+            lambda r: quantum.lindblad_rhs(r, h0, zero, contacts, reg), reg.dim)
+        assert np.abs(rho - quantum.gibbs_register(reg, (0.5, 1.5))).max() < 1e-12
 
     def test_collector_target_population_tracks_virtual_temperature(self):
         spec, reg, h0, hint, contacts = _not_collector()
-        rho = tn.steady_state(
-            lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg), reg.dim)
+        rho = quantum.steady_state(
+            lambda r: quantum.lindblad_rhs(r, h0, hint, contacts, reg), reg.dim)
         beta_v = tn.virtual_temperature(spec.h, (1.0, 0.3), spec.eps, spec.eps_z)
         idx = np.arange(reg.dim)
         excited = (idx & 1) == 1
@@ -403,23 +417,66 @@ class TestSteadyState:
         h0 = np.zeros((4, 4), dtype=complex)
         contact = BathContact(0, 0.4, 1.0)
         with pytest.raises(SolverError, match="dimension"):
-            tn.steady_state(
-                lambda r: tn.reset_dissipator(r, contact, reg), reg.dim)
+            quantum.steady_state(
+                lambda r: quantum.reset_dissipator(r, contact, reg), reg.dim)
+
+        def coherence_only(r):
+            # Every operator decays but the (0, 1) coherence, which holds no state.
+            out = -r
+            out[..., 0, 1] = 0.0
+            return out
+
+        with pytest.raises(SolverError, match="null vector is traceless"):
+            quantum.steady_state(coherence_only, 2)
 
 
-def _dense_steady_state(rhs, dim):
+def _hermitian_basis_svd(gen, dim):
+    """Singular values and null vector of a Hermiticity-preserving generator
+    matrix `gen`, by one real SVD.  In the orthonormal Hermitian basis E_jj,
+    (E_jk + E_kj)/sqrt(2) and i(E_jk - E_kj)/sqrt(2), j < k, the matrix
+    T^H gen T is real and has the singular values of `gen`; its rows and
+    columns are sums of gathered rows and columns of `gen`, so no dense
+    product is formed.  The null vector is mapped back to row-major
+    vectorization."""
+    j, k = np.triu_indices(dim, 1)
+    pop, upper, lower = np.arange(dim) * (dim + 1), j * dim + k, k * dim + j
+    r = math.sqrt(0.5)
+
+    def rows(x, c):
+        # T^H x for c = -1j, T^T x for c = 1j: gen T = (T^T gen^T)^T.
+        u, l = x[upper], x[lower]
+        return np.vstack([x[pop], r * (u + l), c * r * (u - l)])
+
+    mat = rows(rows(gen, -1j).T, 1j).T
+    # Measured on the 42 preset collector cases (NOT, NOR, MAJ3): exactly 0.
+    assert np.abs(mat.imag).max() <= 1e-14 * np.abs(gen).max()
+    _, s, vh = np.linalg.svd(mat.real)
+    x_pop, x_sym, x_anti = np.split(vh[-1], [dim, dim + len(j)])
+    vec = np.empty(dim * dim, dtype=complex)
+    vec[pop] = x_pop
+    vec[upper] = r * (x_sym + 1j * x_anti)
+    vec[lower] = r * (x_sym - 1j * x_anti)
+    return s, vec
+
+
+def _dense_steady_state(rhs, dim, hermitian_basis=False):
     """Reference: the single SVD of the whole d^2 x d^2 generator that
-    `steady_state` ran before it split the generator into invariant blocks.
+    `steady_state` ran before it split the generator into invariant blocks,
+    or with `hermitian_basis` the real SVD of `_hermitian_basis_svd`.
     Returns the state and the singular values."""
     gen = quantum.superoperator_matrix(rhs, dim)
-    _, s, vh = np.linalg.svd(gen)
+    if hermitian_basis:
+        s, vec = _hermitian_basis_svd(gen, dim)
+    else:
+        _, s, vh = np.linalg.svd(gen)
+        vec = vh[-1].conj()
     tol = s[0] * 1e-11 if s[0] > 0 else 1e-14
     nullity = int(np.sum(s < tol))
     if nullity > 1:
         raise SolverError(
             f"generator null space has dimension {nullity}; "
             "steady state is not unique")
-    rho = vh[-1].conj().reshape(dim, dim)
+    rho = vec.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     tr = float(np.trace(rho).real)
     if abs(tr) < 1e-10:
@@ -432,20 +489,20 @@ def _dense_steady_state(rhs, dim):
     return rho, s
 
 
-def _assert_same_as_dense(rhs, dim):
+def _assert_same_as_dense(rhs, dim, hermitian_basis=False):
     """Blockwise and dense solves reach the same verdict: the same error type
     and message, or states that agree to 1e-12.  Where the null vector is
     ill-conditioned, neither SVD pins it better than machine epsilon times
     s_max / s_(n-1), so that bound applies when it is larger.  Returns the
     dense state, or None when both raised."""
     try:
-        want, s = _dense_steady_state(rhs, dim)
+        want, s = _dense_steady_state(rhs, dim, hermitian_basis)
     except RuntimeError as exc:   # SolverError included
         with pytest.raises(type(exc)) as got:
-            tn.steady_state(rhs, dim)
+            quantum.steady_state(rhs, dim)
         assert str(got.value) == str(exc)
         return None
-    got = tn.steady_state(rhs, dim)
+    got = quantum.steady_state(rhs, dim)
     bound = max(1e-12, np.finfo(float).eps * s[0] / s[-2])
     assert np.abs(got - want).max() <= bound
     return want
@@ -486,7 +543,7 @@ def _collector_generator(gate, inputs, beta_z=0.5):
     reg = collector_register(spec)
     h0, hint = collector_hamiltonian(spec)
     contacts = collector_contacts(spec, inputs, beta_z)
-    return reg, (lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg))
+    return reg, (lambda r: quantum.lindblad_rhs(r, h0, hint, contacts, reg))
 
 
 def _random_machine(rng):
@@ -500,14 +557,14 @@ def _random_machine(rng):
             break
     reg = QubitRegister(machine_gaps + (target,))
     chi = float(rng.choice([0.0, rng.uniform(0.1, 2.0)], p=[0.2, 0.8]))
-    hint = tn.build_interaction_hamiltonian(bits, chi, reg)
+    hint = virtual.build_interaction_hamiltonian(bits, chi, reg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         contacts = [BathContact(k, float(rng.uniform(-1.5, 2.0)),
                                 float(rng.uniform(0.05, 2.0)))
                     for k in range(reg.m) if rng.random() < 0.85]
     h0 = reg.free_hamiltonian()
-    return reg, (lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg))
+    return reg, (lambda r: quantum.lindblad_rhs(r, h0, hint, contacts, reg))
 
 
 def _probe_by_column(apply_fn, dim):
@@ -550,7 +607,7 @@ class TestChunkedProbe:
             reg = collector_register(spec)
             h0, hint = collector_hamiltonian(spec)
             contacts = collector_contacts(spec, (spec.beta_hot,) * spec.n, 0.5)
-            rhs = lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg)
+            rhs = lambda r: quantum.lindblad_rhs(r, h0, hint, contacts, reg)
             self._assert_same_bits(quantum._probe(rhs, reg.dim),
                                    _probe_by_column(rhs, reg.dim))
 
@@ -576,8 +633,8 @@ class TestBlockwiseSteadyState:
         for inputs in itertools.product(rails, repeat=spec.n):
             for beta_z in (0.2, 0.5, 2.0):
                 contacts = collector_contacts(spec, inputs, beta_z)
-                rhs = lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg)
-                rho = _assert_same_as_dense(rhs, reg.dim)
+                rhs = lambda r: quantum.lindblad_rhs(r, h0, hint, contacts, reg)
+                rho = _assert_same_as_dense(rhs, reg.dim, hermitian_basis=True)
                 assert np.abs(rhs(rho)).max() <= 1e-10
 
     def test_never_forms_the_dense_matrix(self, monkeypatch):
@@ -586,7 +643,7 @@ class TestBlockwiseSteadyState:
         reg = collector_register(spec)
         h0, hint = collector_hamiltonian(spec)
         contacts = collector_contacts(spec, (0.0, 1.0, 1.0), 0.5)
-        rhs = lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg)
+        rhs = lambda r: quantum.lindblad_rhs(r, h0, hint, contacts, reg)
 
         def dense(*_):
             raise AssertionError("steady_state built the dense generator")
@@ -594,7 +651,7 @@ class TestBlockwiseSteadyState:
         monkeypatch.setattr(quantum, "superoperator_matrix", dense)
         tracemalloc.start()
         try:
-            rho = tn.steady_state(rhs, reg.dim)
+            rho = quantum.steady_state(rhs, reg.dim)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -622,7 +679,7 @@ class TestBlockwiseSteadyState:
         assert len(quantum._blocks(rhs, dim)) == n_blocks
         assert _assert_same_as_dense(rhs, dim) is None
         with pytest.raises(SolverError, match="dimension 2;"):
-            tn.steady_state(rhs, dim)
+            quantum.steady_state(rhs, dim)
 
     @pytest.mark.parametrize("case", ["NOR", "MAJ3", "separate", "shared", "tiny",
                                       "diagonal"])
@@ -661,7 +718,7 @@ class TestBlockwiseSteadyState:
         rhs, dim = _matrix_generator(np.diag([-1.0, -2.0, -3.0, -0.5]) + 0j)
         assert _assert_same_as_dense(rhs, dim) is None
         with pytest.raises(SolverError, match="residual 5.000e-01"):
-            tn.steady_state(rhs, dim)
+            quantum.steady_state(rhs, dim)
 
 
 def _dense_propagate(gen, rho0, t):
@@ -684,7 +741,7 @@ class TestExactPropagation:
             gen = quantum.superoperator_matrix(rhs, reg.dim)
             for t in (0.1, 10.0, 1e3):
                 want = _dense_propagate(gen, rho0, t)
-                assert np.abs(tn.integrate_master(rho0, rhs, t) - want).max() <= 1e-11
+                assert np.abs(quantum.integrate_master(rho0, rhs, t) - want).max() <= 1e-11
 
     @pytest.mark.parametrize("gate", ["NOT", "NOR"])
     def test_collectors_match_dense_expm(self, gate):
@@ -697,18 +754,18 @@ class TestExactPropagation:
         rho0 = random_density_matrix(reg.dim, np.random.default_rng(8))
         for inputs in itertools.product((spec.beta_hot, spec.beta_cold), repeat=spec.n):
             contacts = collector_contacts(spec, inputs, 0.5)
-            rhs = lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg)
+            rhs = lambda r: quantum.lindblad_rhs(r, h0, hint, contacts, reg)
             gen = quantum.superoperator_matrix(rhs, reg.dim)
             for t in (1.0, 1e2, 1e4, 1e6):
                 want = _dense_propagate(gen, rho0, t)
-                assert np.abs(tn.integrate_master(rho0, rhs, t) - want).max() <= 2e-11
+                assert np.abs(quantum.integrate_master(rho0, rhs, t) - want).max() <= 2e-11
 
 
 class TestHeatCurrent:
     def test_zero_at_own_temperature(self):
         reg = QubitRegister((1.0,))
         contact = BathContact(0, 0.9, 1.0)
-        rho = tn.gibbs_qubit(0.9, 1.0)
+        rho = quantum.gibbs_register(QubitRegister((1.0,)), (0.9,))
         assert abs(heat_current(rho, reg.free_hamiltonian(), contact, reg)) < 1e-14
 
     def test_fully_excited_qubit(self):
@@ -721,8 +778,8 @@ class TestHeatCurrent:
     def test_flux_conservation_in_collector_steady_state(self):
         spec, reg, h0, hint, contacts = _not_collector()
         h = h0 + hint
-        rhs = lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg)
-        rho = tn.steady_state(rhs, reg.dim)
+        rhs = lambda r: quantum.lindblad_rhs(r, h0, hint, contacts, reg)
+        rho = quantum.steady_state(rhs, reg.dim)
         j = [heat_current(rho, h, c, reg) for c in contacts]
         eps = reg.gaps
         nu = j[0] / eps[0]
@@ -732,8 +789,8 @@ class TestHeatCurrent:
     def test_first_law_in_steady_state(self):
         spec, reg, h0, hint, contacts = _not_collector()
         h = h0 + hint
-        rho = tn.steady_state(
-            lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg), reg.dim)
+        rho = quantum.steady_state(
+            lambda r: quantum.lindblad_rhs(r, h0, hint, contacts, reg), reg.dim)
         total = sum(heat_current(rho, h, c, reg) for c in contacts)
         assert abs(total) < 1e-10
 
@@ -754,8 +811,8 @@ class TestHeatCurrent:
             reg = collector_register(spec)
             h0, hint = collector_hamiltonian(spec)
             contacts = collector_contacts(spec, inputs, beta_z)
-            rho = tn.steady_state(
-                lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg), reg.dim)
+            rho = quantum.steady_state(
+                lambda r: quantum.lindblad_rhs(r, h0, hint, contacts, reg), reg.dim)
             j = np.array([heat_current(rho, h0 + hint, c, reg) for c in contacts])
             a, _ = coupled_levels(spec.h, reg)
             signs = np.array([1.0 if a >> (reg.m - 1 - c.qubit_index) & 1 else -1.0
@@ -780,8 +837,8 @@ class TestEntropyProductionRate:
         reg = collector_register(spec)
         h0, hint = collector_hamiltonian(spec)
         contacts = collector_contacts(spec, [0.7], 0.7)  # all baths at beta0
-        rhs = lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg)
-        rho = tn.steady_state(rhs, reg.dim)
+        rhs = lambda r: quantum.lindblad_rhs(r, h0, hint, contacts, reg)
+        rho = quantum.steady_state(rhs, reg.dim)
         rate = -sum(c.beta * heat_current(rho, h0 + hint, c, reg) for c in contacts)
         assert abs(rate) < 1e-10
 
@@ -793,7 +850,7 @@ class TestEntropyProductionRate:
         for _ in range(25):
             betas = rng.uniform(0.0, 2.0, 3)
             contacts = [BathContact(i, float(b), 1.0) for i, b in enumerate(betas)]
-            rhs = lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg)
+            rhs = lambda r: quantum.lindblad_rhs(r, h0, hint, contacts, reg)
             rho = random_density_matrix(reg.dim, rng)
             drho = rhs(rho)
             w, u = np.linalg.eigh(rho)
@@ -804,7 +861,7 @@ class TestEntropyProductionRate:
 
     def test_unequal_baths_produce_entropy_at_steady_state(self):
         spec, reg, h0, hint, contacts = _not_collector()
-        rho = tn.steady_state(
-            lambda r: tn.lindblad_rhs(r, h0, hint, contacts, reg), reg.dim)
+        rho = quantum.steady_state(
+            lambda r: quantum.lindblad_rhs(r, h0, hint, contacts, reg), reg.dim)
         rate = -sum(c.beta * heat_current(rho, h0 + hint, c, reg) for c in contacts)
         assert rate > 0.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import thermoneuron as tn
+from thermoneuron import quantum, virtual
 from thermoneuron.errors import StructuralError
 from thermoneuron.quantum import QubitRegister
 from thermoneuron.virtual import coupled_levels, flip, weighted_bias
@@ -63,7 +64,7 @@ class TestVirtualPopulation:
             betas = tuple(rng.uniform(-1.0, 2.0, n))
             eps = tuple(rng.uniform(0.1, 3.0, n))
             reg = QubitRegister(eps)
-            rho = tn.gibbs_register(reg, betas)
+            rho = quantum.gibbs_register(reg, betas)
             idx = np.ravel_multi_index(h, (2,) * reg.m)
             assert abs(tn.virtual_population(h, betas, eps)
                        - rho[idx, idx].real) < 1e-12
@@ -128,7 +129,7 @@ class TestVirtualTemperature:
             signed = -tn.virtual_gap(h, eps)
             if abs(signed) < 1e-3:
                 continue
-            p = np.diag(tn.gibbs_register(QubitRegister(eps), betas)).real
+            p = np.diag(quantum.gibbs_register(QubitRegister(eps), betas)).real
             index = int("".join(map(str, h)), 2)
             bar = index ^ ((1 << (n + 1)) - 1)
             oracle = (np.log(p[index]) - np.log(p[bar])) / signed
@@ -173,7 +174,7 @@ class TestCoupledLevels:
 class TestInteractionHamiltonian:
     def test_not_machine_couples_the_degenerate_pair(self):
         reg = QubitRegister((2.0, 1.0, 1.0))
-        hint = tn.build_interaction_hamiltonian((0, 1), 0.8, reg)
+        hint = virtual.build_interaction_hamiltonian((0, 1), 0.8, reg)
         a = 0b100
         b = 0b011
         assert hint[a, b] == 0.8 and hint[b, a] == 0.8
@@ -189,34 +190,34 @@ class TestInteractionHamiltonian:
             if target < 1e-6:
                 continue
             reg = QubitRegister(eps + (target,))
-            hint = tn.build_interaction_hamiltonian(h, 1.3, reg)
+            hint = virtual.build_interaction_hamiltonian(h, 1.3, reg)
             h0 = reg.free_hamiltonian()
             assert np.abs(hint @ h0 - h0 @ hint).max() <= 1e-10
 
     def test_zero_coupling_gives_zero_matrix(self):
         reg = QubitRegister((2.0, 1.0, 1.0))
-        hint = tn.build_interaction_hamiltonian((0, 1), 0.0, reg)
+        hint = virtual.build_interaction_hamiltonian((0, 1), 0.0, reg)
         assert np.count_nonzero(hint) == 0
 
     def test_resonance_violation_reports_mismatch(self):
         reg = QubitRegister((2.0, 1.0, 1.5))
         with pytest.raises(StructuralError, match="off resonance .* by 5.0+e-01"):
-            tn.build_interaction_hamiltonian((0, 1), 1.0, reg)
+            virtual.build_interaction_hamiltonian((0, 1), 1.0, reg)
 
     def test_detuning_within_resonance_tolerance_is_accepted(self):
         # A detuning below RESONANCE_TOL builds the coupling; `lindblad_rhs`,
         # which takes raw matrices, still holds [Hint, H0] to 1e-10.
         reg = QubitRegister((2.0 + 5e-10, 1.0, 1.0))
-        hint = tn.build_interaction_hamiltonian((0, 1), 1.0, reg)
+        hint = virtual.build_interaction_hamiltonian((0, 1), 1.0, reg)
         assert np.count_nonzero(hint) == 2
         rho = np.eye(reg.dim, dtype=complex) / reg.dim
         with pytest.raises(StructuralError, match="does not conserve energy"):
-            tn.lindblad_rhs(rho, reg.free_hamiltonian(), hint, [], reg)
+            quantum.lindblad_rhs(rho, reg.free_hamiltonian(), hint, [], reg)
 
     def test_negative_virtual_gap_is_relabeled(self):
         # h = (1, 0) has virtual gap +1 on (2, 1); flipping labels gives the
         # same physical coupling as h = (0, 1).
         reg = QubitRegister((2.0, 1.0, 1.0))
-        hint_a = tn.build_interaction_hamiltonian((0, 1), 0.6, reg)
-        hint_b = tn.build_interaction_hamiltonian((1, 0), 0.6, reg)
+        hint_a = virtual.build_interaction_hamiltonian((0, 1), 0.6, reg)
+        hint_b = virtual.build_interaction_hamiltonian((1, 0), 0.6, reg)
         assert np.array_equal(hint_a, hint_b)
